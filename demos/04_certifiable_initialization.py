@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from dualcal import sdp_init as sdp
-from dualcal.evaluate import rotation_angle
+from dualcal.liegroup import rotation_angle
 from dualcal.simulate import generate_dataset
 
 np.set_printoptions(precision=4, suppress=True)

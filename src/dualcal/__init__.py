@@ -7,8 +7,7 @@ certifiably correct SDP initialization for the coordinates.
 """
 
 from .chain import (CalibrationState, DualArmSystem, MeasurementSample,
-                    identifiability_report, predict_B, residual,
-                    sample_jacobian, stack)
+                    identifiability_report, predict_B, residual, stack)
 from .evaluate import (ball_consistency, closed_loop, evaluate_dataset,
                        evaluate_samples, min_enclosing_ball, sphere_fit)
 from .kinematics import RobotModel, default_arm, forward_kinematics, perturb_model

@@ -8,13 +8,14 @@ left-trivialized residual; columns follow the layout
 [xi_x, xi_y, xi_z, xi_a^1..n, xi_c^1..n].
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import liegroup as lie
 from .errors import StructureError, ValidationError
-from .kinematics import RobotModel, forward_kinematics
+from .kinematics import RobotModel
 from .numerics import numeric_rank
 
 
@@ -101,10 +102,9 @@ class CalibrationState:
 
     @classmethod
     def from_system(cls, system):
+        xi_x, xi_y, xi_z = lie.log_se3(np.array([system.X, system.Y, system.Z]))
         return cls(
-            xi_x=lie.log_se3(system.X),
-            xi_y=lie.log_se3(system.Y),
-            xi_z=lie.log_se3(system.Z),
+            xi_x=xi_x, xi_y=xi_y, xi_z=xi_z,
             joints_a=system.sensor_arm.joint_twists.copy(),
             joints_c=system.tool_arm.joint_twists.copy(),
             xi_st_a=system.sensor_arm.zero_offset.copy(),
@@ -114,8 +114,8 @@ class CalibrationState:
     def to_system(self, names=("sensor_arm", "tool_arm")):
         arm_a = RobotModel(names[0], self.joints_a.copy(), self.xi_st_a.copy())
         arm_c = RobotModel(names[1], self.joints_c.copy(), self.xi_st_c.copy())
-        return DualArmSystem(arm_a, arm_c, lie.exp_se3(self.xi_x),
-                             lie.exp_se3(self.xi_y), lie.exp_se3(self.xi_z))
+        X, Y, Z = lie.exp_se3(np.array([self.xi_x, self.xi_y, self.xi_z]))
+        return DualArmSystem(arm_a, arm_c, X, Y, Z)
 
     def copy(self):
         return CalibrationState(self.xi_x.copy(), self.xi_y.copy(), self.xi_z.copy(),
@@ -144,105 +144,116 @@ class CalibrationState:
         delta = np.asarray(delta, dtype=float)
         if delta.shape != (self.dim,):
             raise StructureError(f"delta must have length {self.dim}")
-        new = self.copy()
-        for i, xi in enumerate(new.blocks()):
-            d = delta[6 * i: 6 * i + 6]
-            if mode == "additive":
-                xi += d
-            elif mode == "multiplicative":
-                xi[:] = lie.log_se3(lie.exp_se3(xi) @ lie.exp_se3(d))
-            else:
-                raise ValueError(f"unknown update mode '{mode}'")
-        return new
+        xi, d = self.pack().reshape(-1, 6), delta.reshape(-1, 6)
+        if mode == "additive":
+            xi = xi + d
+        elif mode == "multiplicative":
+            xi = lie.log_se3(lie.exp_se3(xi) @ lie.exp_se3(d))
+        else:
+            raise ValueError(f"unknown update mode '{mode}'")
+        n = self.n
+        return CalibrationState(xi[0], xi[1], xi[2], xi[3:3 + n], xi[3 + n:],
+                                self.xi_st_a.copy(), self.xi_st_c.copy())
 
 
-@dataclass
-class SampleJacobian:
-    """Named 6x6 blocks of one sample's Jacobian plus the assembled row."""
-
-    J_x: np.ndarray
-    J_y: np.ndarray
-    J_z: np.ndarray
-    J_a: list  # n blocks
-    J_c: list  # n blocks
-    full: np.ndarray = field(default=None)
-
-    def assemble(self):
-        self.full = np.hstack([self.J_x, self.J_y, self.J_z] + self.J_a + self.J_c)
-        return self.full
-
-
-def _check_sample(state, sample):
-    if sample.q_a.shape != (state.n,) or sample.q_c.shape != (state.n,):
+def joint_readings(samples, n):
+    """Both arms' joint readings as (m, n) arrays; StructureError unless m >= 1 and all have n."""
+    if len(samples) < 1:
+        raise StructureError("need at least one sample")
+    if any(s.q_a.shape != (n,) or s.q_c.shape != (n,) for s in samples):
         raise StructureError("sample joint vectors do not match the state's joint count")
+    return np.array([s.q_a for s in samples]), np.array([s.q_c for s in samples])
 
 
-def predict_B(state, sample):
-    """Predicted tool-in-sensor pose from the full PoE chain."""
-    _check_sample(state, sample)
-    T = lie.exp_se3(-state.xi_x) @ lie.exp_se3(-state.xi_st_a)
-    for k in range(state.n - 1, -1, -1):
-        T = T @ lie.exp_se3(-state.joints_a[k] * sample.q_a[k])
-    T = T @ lie.exp_se3(state.xi_y)
-    for k in range(state.n):
-        T = T @ lie.exp_se3(state.joints_c[k] * sample.q_c[k])
-    return T @ lie.exp_se3(state.xi_st_c) @ lie.exp_se3(state.xi_z)
+# Samples per chain walk: bounds the walk's (chunk, 2n+5, ...) temporaries,
+# which at a few hundred samples would outgrow the Jacobian itself.
+_WALK_CHUNK = 64
 
 
-def residual(state, sample):
-    """Closed-loop error twist log(B' B*^-1) (exact logarithm)."""
-    Bp = predict_B(state, sample)
-    return lie.log_se3(Bp @ lie.pose_inv(sample.B_meas))
+def _walk(state, q_a, q_c, rows=None):
+    """B' (m, 4, 4) of (m, n) joint readings by one walk along the chain.
+
+    One exp_se3 call gives all factors; one batched product per factor
+    carries the (m, 4, 4) prefixes.  Given rows (m, 6, 12n+18), the walk
+    writes the Jacobian into them: a twist's block is the adjoint of the
+    prefix before its factor times the factor's differential: -J(-xi_x) for
+    X (no prefix), J(xi) for Y, Z and q J(q xi) for joints, negated on the
+    sensor arm, whose exponentials enter inverted."""
+    m, n = q_a.shape
+    # factor twists in chain order: -xi_x, -xi_st_a, -xi_a^n q_a^n .. -xi_a^1 q_a^1,
+    # xi_y, xi_c^1 q_c^1 .. xi_c^n q_c^n, xi_st_c, xi_z
+    F = np.empty((m, 2 * n + 5, 6))
+    F[:, 0], F[:, 1] = -state.xi_x, -state.xi_st_a
+    F[:, 2:n + 2] = -state.joints_a[::-1] * q_a[:, ::-1, None]
+    F[:, n + 2] = state.xi_y
+    F[:, n + 3:2 * n + 3] = state.joints_c * q_c[:, :, None]
+    F[:, 2 * n + 3], F[:, 2 * n + 4] = state.xi_st_c, state.xi_z
+    E = lie.exp_se3(F)
+    blocks = [None] * F.shape[1]  # per factor: (column block, scaled left Jacobian)
+    if rows is not None:
+        # each arm's joint Jacobians in one call; the zero offsets have no columns
+        J_a = -q_a[:, ::-1, None, None] * lie.left_jacobian(F[:, 2:n + 2])
+        J_c = q_c[:, :, None, None] * lie.left_jacobian(F[:, n + 3:2 * n + 3])
+        blocks = ([(0, -lie.left_jacobian(-state.xi_x)), None]
+                  + [(2 + n - i, J_a[:, i]) for i in range(n)]
+                  + [(1, lie.left_jacobian(state.xi_y))]
+                  + [(3 + n + k, J_c[:, k]) for k in range(n)]
+                  + [None, (2, lie.left_jacobian(state.xi_z))])
+    P = None  # prefix of the current factor; None is the identity
+    for j, block in enumerate(blocks):
+        if block is not None:
+            col, D = block
+            rows[:, :, 6 * col:6 * col + 6] = D if P is None else lie.adjoint(P) @ D
+        P = E[:, j] if P is None else P @ E[:, j]
+    return P
 
 
-def residual_and_jacobian(state, sample):
-    """Residual twist and the per-sample Jacobian in one chain walk.
-
-    Block structure: J_x = -J(-xi_x) with no transport; every other block
-    is the adjoint of the chain prefix preceding its exponential times
-    the appropriate differential, joint blocks of the sensor arm carrying
-    a leading minus because their exponentials enter inverted.
-    """
-    _check_sample(state, sample)
-    n = state.n
-    J_x = -lie.left_jacobian(-state.xi_x)
-    prefix = lie.exp_se3(-state.xi_x) @ lie.exp_se3(-state.xi_st_a)
-    J_a = [None] * n
-    for k in range(n - 1, -1, -1):
-        J_a[k] = -lie.adjoint(prefix) @ lie.joint_jacobian(-state.joints_a[k], sample.q_a[k])
-        prefix = prefix @ lie.exp_se3(-state.joints_a[k] * sample.q_a[k])
-    J_y = lie.adjoint(prefix) @ lie.left_jacobian(state.xi_y)
-    prefix = prefix @ lie.exp_se3(state.xi_y)
-    J_c = []
-    for k in range(n):
-        J_c.append(lie.adjoint(prefix) @ lie.joint_jacobian(state.joints_c[k], sample.q_c[k]))
-        prefix = prefix @ lie.exp_se3(state.joints_c[k] * sample.q_c[k])
-    prefix = prefix @ lie.exp_se3(state.xi_st_c)
-    J_z = lie.adjoint(prefix) @ lie.left_jacobian(state.xi_z)
-    Bp = prefix @ lie.exp_se3(state.xi_z)
-    e = lie.log_se3(Bp @ lie.pose_inv(sample.B_meas))
-    jac = SampleJacobian(J_x, J_y, J_z, J_a, J_c)
-    jac.assemble()
-    return e, jac
+def _chain(state, samples, jacobian):
+    """B' (m, 4, 4) of every sample and, if asked, the Jacobian (6m, 12n+18)."""
+    q_a, q_c = joint_readings(samples, state.n)
+    m = len(q_a)
+    B = np.empty((m, 4, 4))
+    J = np.empty((6 * m, state.dim)) if jacobian else None
+    for lo in range(0, m, _WALK_CHUNK):
+        hi = lo + _WALK_CHUNK
+        rows = None if J is None else J[6 * lo:6 * hi].reshape(-1, 6, state.dim)
+        B[lo:hi] = _walk(state, q_a[lo:hi], q_c[lo:hi], rows)
+    return B, J
 
 
-def sample_jacobian(state, sample):
-    _, jac = residual_and_jacobian(state, sample)
-    return jac
+def _batch(samples):
+    single = isinstance(samples, MeasurementSample)
+    return ([samples] if single else list(samples)), single
+
+
+def predict_B(state, samples):
+    """Predicted tool-in-sensor pose from the full PoE chain: 4x4 for one
+    sample, (m, 4, 4) for a sequence of m samples."""
+    group, single = _batch(samples)
+    B, _ = _chain(state, group, jacobian=False)
+    return B[0] if single else B
+
+
+def residual(state, samples):
+    """Closed-loop error twist log(B' B*^-1) (exact logarithm): a 6-vector
+    for one sample, (m, 6) for a sequence of m samples."""
+    group, single = _batch(samples)
+    B_meas = np.array([s.B_meas for s in group])
+    e = lie.log_se3(predict_B(state, group) @ lie.pose_inv(B_meas))
+    return e[0] if single else e
 
 
 def stack(state, samples):
-    """Stacked residual vector (6m,) and Jacobian (6m, 12n+18)."""
-    if len(samples) < 1:
-        raise StructureError("need at least one sample")
-    m = len(samples)
-    e = np.empty(6 * m)
-    J = np.empty((6 * m, state.dim))
-    for i, sample in enumerate(samples):
-        ei, jac = residual_and_jacobian(state, sample)
-        e[6 * i: 6 * i + 6] = ei
-        J[6 * i: 6 * i + 6, :] = jac.full
-    return e, J
+    """Stacked residual vector (6m,) and Jacobian (6m, 12n+18) from one chain walk."""
+    B, J = _chain(state, samples, jacobian=True)
+    B_meas = np.array([s.B_meas for s in samples])
+    return lie.log_se3(B @ lie.pose_inv(B_meas)).ravel(), J
+
+
+def residual_and_jacobian(state, sample):
+    """:func:`stack` on one sample: residual (6,) and ``jac.full``, its 6 Jacobian rows."""
+    e, J = stack(state, [sample])
+    return e, SimpleNamespace(full=J)
 
 
 @dataclass
@@ -282,12 +293,9 @@ def identifiability_report(J, samples, q_min=0.15, rank_rel_threshold=1e-8):
     rank = numeric_rank(sv, rank_rel_threshold)
     needed = J.shape[1]
     cond = float(sv[0] / sv[needed - 1]) if sv[needed - 1] > 1e-300 else float("inf")
-    violations = []
-    for i, sample in enumerate(samples):
-        for arm, q in (("a", sample.q_a), ("c", sample.q_c)):
-            for k in range(q.shape[0]):
-                if abs(q[k]) < q_min:
-                    violations.append({"sample": i, "arm": arm, "joint": k, "q": float(q[k])})
+    q = np.stack(joint_readings(samples, samples[0].q_a.shape[0]), axis=1)  # (m, arm, n)
+    violations = [{"sample": int(i), "arm": "ac"[a], "joint": int(k), "q": float(q[i, a, k])}
+                  for i, a, k in np.argwhere(np.abs(q) < q_min)]
     return IdentifiabilityReport(
         singular_values=sv,
         rank=rank,

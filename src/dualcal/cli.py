@@ -15,7 +15,8 @@ import sys
 
 import numpy as np
 
-from .chain import CalibrationState, stack, identifiability_report, MeasurementSample
+from .chain import (CalibrationState, MeasurementSample, identifiability_report,
+                    residual, stack)
 from .errors import CalibrationError, ValidationError
 from .liegroup import log_se3
 from .evaluate import ball_consistency, evaluate_dataset
@@ -96,23 +97,17 @@ def cmd_calibrate(args):
         init = _run_init(ds, args)
         X, Y, Z = init.X, init.Y, init.Z
         init_record = init.to_dict()
-    state0 = CalibrationState(
-        xi_x=log_se3(X),
-        xi_y=log_se3(Y),
-        xi_z=log_se3(Z),
-        joints_a=nominal.sensor_arm.joint_twists,
-        joints_c=nominal.tool_arm.joint_twists,
-        xi_st_a=nominal.sensor_arm.zero_offset,
-        xi_st_c=nominal.tool_arm.zero_offset,
-    )
+    xi_x, xi_y, xi_z = log_se3(np.array([X, Y, Z]))
+    state0 = CalibrationState(xi_x, xi_y, xi_z,
+                              nominal.sensor_arm.joint_twists, nominal.tool_arm.joint_twists,
+                              nominal.sensor_arm.zero_offset, nominal.tool_arm.zero_offset)
     config = SolverConfig(damping=args.damping, tol_inf=args.tol,
                           max_iters=args.max_iters, update_mode=args.update_mode)
     final, trace = solve(state0, ds.samples, config)
-    e, _ = stack(final, ds.samples)
     system = final.to_system((nominal.sensor_arm.name, nominal.tool_arm.name))
     out = system_to_dict(system)
     out["trace"] = trace.to_dict()
-    out["final_residual_norm"] = float(np.linalg.norm(e))
+    out["final_residual_norm"] = float(np.linalg.norm(residual(final, ds.samples)))
     out["init"] = init_record
     out["eta"] = init_record.get("eta")
     _write_json(out, args.out)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liegroup as lie
+from .chain import joint_readings
 from .errors import RankDeficientError
 from .kinematics import forward_kinematics
 
@@ -21,20 +22,24 @@ class ClosedLoopError:
     e_trans: float  # meters
 
 
-from .liegroup import rotation_angle  # noqa: F401  (re-export, used below)
+def _arm_poses(samples, arm_a, arm_c):
+    """Forward kinematics A, C of every sample, two (m, 4, 4) stacks."""
+    q_a, q_c = joint_readings(samples, arm_a.n)
+    return forward_kinematics(arm_a, q_a), forward_kinematics(arm_c, q_c)
+
+
+def _loop_deviations(samples, X, Y, Z, arm_a, arm_c):
+    """Loop deviations E = (A X B)^-1 Y C Z, (m, 4, 4), with A and C from
+    the given arms: nominal ones score a coordinate-only calibration."""
+    A, C = _arm_poses(samples, arm_a, arm_c)
+    return lie.pose_inv(A @ X @ np.array([s.B_meas for s in samples])) @ Y @ C @ Z
 
 
 def closed_loop(sample, X, Y, Z, arm_a, arm_c):
-    """Loop deviation E = (A X B)^-1 Y C Z for one sample.
-
-    A and C come from forward kinematics of the supplied arms: pass the
-    nominal arms to evaluate a coordinate-only calibration, or the
-    calibrated arms to evaluate a joint calibration.
-    """
-    A = forward_kinematics(arm_a, sample.q_a)
-    C = forward_kinematics(arm_c, sample.q_c)
-    E = lie.pose_inv(A @ X @ sample.B_meas) @ Y @ C @ Z
-    return ClosedLoopError(E, rotation_angle(E[:3, :3]), float(np.linalg.norm(E[:3, 3])))
+    """Loop deviation of one sample with its rotation angle and translation norm."""
+    E = _loop_deviations([sample], X, Y, Z, arm_a, arm_c)[0]
+    return ClosedLoopError(E, float(lie.rotation_angle(E[:3, :3])),
+                           float(np.linalg.norm(E[:3, 3])))
 
 
 @dataclass
@@ -62,9 +67,9 @@ class EvalReport:
 
 
 def evaluate_samples(samples, X, Y, Z, arm_a, arm_c, mode):
-    errs = [closed_loop(s, X, Y, Z, arm_a, arm_c) for s in samples]
-    return EvalReport(mode, np.array([e.e_rot for e in errs]),
-                      np.array([e.e_trans for e in errs]))
+    E = _loop_deviations(samples, X, Y, Z, arm_a, arm_c)
+    return EvalReport(mode, lie.rotation_angle(E[:, :3, :3]),
+                      np.linalg.norm(E[:, :3, 3], axis=-1))
 
 
 def evaluate_dataset(dataset, calib_system, mode="joint"):
@@ -120,7 +125,7 @@ def sphere_fit(points, refine_iters=20):
     return c, r, rms
 
 
-# --- exact minimum enclosing ball (randomized incremental) ------------------
+# --- exact minimum enclosing ball (move-to-front) ----------------------------
 
 def _ball_of(boundary):
     """Smallest ball with all boundary points on its surface (<= 4)."""
@@ -128,50 +133,49 @@ def _ball_of(boundary):
     if k == 0:
         return np.zeros(3), -1.0
     if k == 1:
-        return np.asarray(boundary[0], dtype=float), 0.0
+        return np.array(boundary[0], dtype=float), 0.0
     a = np.asarray(boundary[0], dtype=float)
-    rows = []
-    rhs = []
-    for p in boundary[1:]:
-        p = np.asarray(p, dtype=float)
-        rows.append(p - a)
-        rhs.append((p @ p - a @ a) / 2.0)
-    A = np.vstack(rows)
-    b = np.asarray(rhs)
-    # least-norm center offset within the affine span of the points
-    c, *_ = np.linalg.lstsq(A, b - A @ a, rcond=None)
-    c = a + c
-    return c, float(np.linalg.norm(a - c))
+    A = np.asarray(boundary[1:], dtype=float) - a
+    # least-norm center offset d within the affine span of the points:
+    # |p - a - d| = |d| for every point p means (p - a) . d = |p - a|^2 / 2
+    d, *_ = np.linalg.lstsq(A, 0.5 * (A * A).sum(axis=1), rcond=None)
+    return a + d, float(np.linalg.norm(d))
 
 
-def _in_ball(p, c, r):
-    return np.linalg.norm(p - c) <= r * (1.0 + 1e-12) + 1e-14
+def _mtf_ball(P, order, end, boundary):
+    """Smallest ball of P[order[:end]] with the boundary points on its surface.
 
-
-def _welzl(points, boundary, rng):
-    if not points or len(boundary) == 4:
-        return _ball_of(boundary)
-    p = points[0]
-    c, r = _welzl(points[1:], boundary, rng)
-    if r >= 0 and _in_ball(p, c, r):
-        return c, r
-    return _welzl(points[1:], boundary + [p], rng)
+    Gaertner's move-to-front scan ("Fast and robust smallest enclosing
+    balls", ESA 1999): a point outside the ball joins the boundary for a
+    rescan of the points before it, then moves to the front of ``order``
+    (reordered in place).  Recursion deepens only with the boundary (<= 4).
+    """
+    c, r = _ball_of(boundary)
+    i = 0
+    while len(boundary) < 4 and i < end:
+        outside = np.linalg.norm(P[order[i:end]] - c, axis=1) > r * (1.0 + 1e-12) + 1e-14
+        if not outside.any():
+            break
+        j = i + int(np.argmax(outside))
+        p = order[j]
+        c, r = _mtf_ball(P, order, j, boundary + [P[p]])
+        order[:j + 1] = np.roll(order[:j + 1], 1)
+        i = j + 1
+    return c, r
 
 
 def min_enclosing_ball(points):
     """Exact minimum enclosing ball of 3D points.
 
-    Randomized incremental (Welzl); at most 4 support points determine
-    the ball.  Returns (center, radius).
+    Move-to-front scan over a fixed shuffle of the points; at most 4
+    support points determine the ball.  Returns (center, radius).
     """
-    P = [np.asarray(p, dtype=float) for p in points]
+    P = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(P) == 0:
         raise ValueError("need at least one point")
-    if len(P) == 1:
-        return P[0].copy(), 0.0
     order = list(range(len(P)))
     random.Random(20260810).shuffle(order)
-    c, r = _welzl([P[i] for i in order], [], None)
+    c, r = _mtf_ball(P, np.array(order), len(P), [])
     return c, max(r, 0.0)
 
 
@@ -201,13 +205,11 @@ def ball_consistency(point_clouds, samples, X, Y, arm_a, arm_c):
     fitted per posture, and the minimum enclosing ball of the fitted
     centers gives r_MEB (smaller is better).
     """
-    if len(point_clouds) != len(samples):
-        raise ValueError("need one point cloud per posture sample")
+    if not samples or len(point_clouds) != len(samples):
+        raise ValueError("need one point cloud per posture sample, and at least one posture")
+    A, C = _arm_poses(samples, arm_a, arm_c)
     centers, radii, rmss = [], [], []
-    for i, (cloud, sample) in enumerate(zip(point_clouds, samples)):
-        A = forward_kinematics(arm_a, sample.q_a)
-        C = forward_kinematics(arm_c, sample.q_c)
-        T = lie.pose_inv(C) @ lie.pose_inv(Y) @ A @ X
+    for i, (cloud, T) in enumerate(zip(point_clouds, lie.pose_inv(C) @ lie.pose_inv(Y) @ A @ X)):
         mapped = lie.apply_pose(T, np.asarray(cloud, dtype=float))
         try:
             c, r, rms = sphere_fit(mapped)

@@ -41,14 +41,16 @@ class RobotModel:
 
 
 def forward_kinematics(model, q):
-    """End pose exp(xi^1 q^1) ... exp(xi^n q^n) exp(xi_st)."""
+    """End pose exp(xi^1 q^1) ... exp(xi^n q^n) exp(xi_st); (m, n) joints give (m, 4, 4)."""
     q = np.asarray(q, dtype=float)
-    if q.shape != (model.n,):
+    if q.ndim not in (1, 2) or q.shape[-1] != model.n:
         raise StructureError(f"joint vector length {q.shape} does not match n={model.n}")
-    T = np.eye(4)
-    for k in range(model.n):
-        T = T @ lie.exp_se3(model.joint_twists[k] * q[k])
-    return T @ lie.exp_se3(model.zero_offset)
+    zero = np.broadcast_to(model.zero_offset, q.shape[:-1] + (1, 6))
+    E = lie.exp_se3(np.concatenate([model.joint_twists * q[..., None], zero], axis=-2))
+    T = E[..., 0, :, :]
+    for k in range(1, model.n + 1):
+        T = T @ E[..., k, :, :]
+    return T
 
 
 def perturb_model(model, deltas):
@@ -59,13 +61,10 @@ def perturb_model(model, deltas):
     deltas = np.atleast_2d(np.asarray(deltas, dtype=float))
     if deltas.shape != (model.n, 6):
         raise StructureError(f"expected {model.n} twist deltas, got {deltas.shape}")
-    new_twists = np.empty_like(model.joint_twists)
-    for k in range(model.n):
-        if np.all(deltas[k] == 0.0):
-            new_twists[k] = model.joint_twists[k]
-        else:
-            T = lie.exp_se3(model.joint_twists[k]) @ lie.exp_se3(deltas[k])
-            new_twists[k] = lie.log_se3(T)
+    new_twists = model.joint_twists.copy()
+    moved = np.any(deltas != 0.0, axis=1)
+    new_twists[moved] = lie.log_se3(lie.exp_se3(model.joint_twists[moved])
+                                    @ lie.exp_se3(deltas[moved]))
     return RobotModel(model.name, new_twists, model.zero_offset.copy())
 
 

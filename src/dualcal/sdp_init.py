@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liegroup as lie
+from .chain import joint_readings
 from .errors import DegenerateSolutionError
 from .kinematics import forward_kinematics
 from .numerics import project_rotation, sym_eig, symmetrize
@@ -224,8 +225,9 @@ def build_problem(sensor_arm, tool_arm, samples, alpha=1.0):
     initialization time kinematic error is part of the measurement
     noise.
     """
-    triples = [(forward_kinematics(sensor_arm, s.q_a), s.B_meas,
-                forward_kinematics(tool_arm, s.q_c)) for s in samples]
+    q_a, q_c = joint_readings(samples, sensor_arm.n)
+    triples = zip(forward_kinematics(sensor_arm, q_a), (s.B_meas for s in samples),
+                  forward_kinematics(tool_arm, q_c))
     G = build_residual_stack(triples, alpha)
     return SDPProblem(symmetrize(G.T @ G), build_constraints(), alpha, G)
 

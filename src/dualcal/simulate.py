@@ -138,14 +138,10 @@ def draw_joint_deltas(arm, level, rng):
 
 def pose_deviation(arm_nom, arm_gt, configs):
     """Rotation (rad) and translation (m) FK deviations per config."""
-    rot = np.empty(len(configs))
-    trans = np.empty(len(configs))
-    for i, q in enumerate(configs):
-        Tn = forward_kinematics(arm_nom, q)
-        Tg = forward_kinematics(arm_gt, q)
-        rot[i] = lie.rotation_angle(Tn[:3, :3] @ Tg[:3, :3].T)
-        trans[i] = np.linalg.norm(Tn[:3, 3] - Tg[:3, 3])
-    return rot, trans
+    Tn = forward_kinematics(arm_nom, np.array(configs))
+    Tg = forward_kinematics(arm_gt, np.array(configs))
+    rot = lie.rotation_angle(Tn[:, :3, :3] @ np.swapaxes(Tg[:, :3, :3], -1, -2))
+    return rot, np.linalg.norm(Tn[:, :3, 3] - Tg[:, :3, 3], axis=-1)
 
 
 def perturb_level(arm_a, arm_c, level, rng, report_configs=500):
@@ -154,26 +150,20 @@ def perturb_level(arm_a, arm_c, level, rng, report_configs=500):
     valid configurations."""
     gt_a = perturb_model(arm_a, draw_joint_deltas(arm_a, level, rng))
     gt_c = perturb_model(arm_c, draw_joint_deltas(arm_c, level, rng))
+    def stats(rot, trans):
+        return {"rot_mean_deg": float(np.degrees(rot.mean())),
+                "rot_std_deg": float(np.degrees(rot.std())),
+                "trans_mean_mm": float(1e3 * trans.mean()),
+                "trans_std_mm": float(1e3 * trans.std())}
+
     report = {"level": level.tag}
-    rots, transs = [], []
+    deviations = []
     for name, nom, gt in (("sensor_arm", arm_a, gt_a), ("tool_arm", arm_c, gt_c)):
         configs = [q for q, _ in sample_configurations(report_configs, nom.n, rng,
                                                        d_min=0.0)]
-        rot, trans = pose_deviation(nom, gt, configs)
-        rots.append(rot)
-        transs.append(trans)
-        report[name] = {
-            "rot_mean_deg": float(np.degrees(rot.mean())),
-            "rot_std_deg": float(np.degrees(rot.std())),
-            "trans_mean_mm": float(1e3 * trans.mean()),
-            "trans_std_mm": float(1e3 * trans.std()),
-        }
-    rot = np.concatenate(rots)
-    trans = np.concatenate(transs)
-    report["rot_mean_deg"] = float(np.degrees(rot.mean()))
-    report["rot_std_deg"] = float(np.degrees(rot.std()))
-    report["trans_mean_mm"] = float(1e3 * trans.mean())
-    report["trans_std_mm"] = float(1e3 * trans.std())
+        deviations.append(pose_deviation(nom, gt, configs))
+        report[name] = stats(*deviations[-1])
+    report.update(stats(*(np.concatenate(d) for d in zip(*deviations))))
     return gt_a, gt_c, report
 
 
@@ -205,11 +195,12 @@ def synthesize(system_gt, system_nominal, configs, noise, rng, seed=None,
                kin_tag="custom", noise_tag=None):
     """Measurements B_i = gtB_i * exp(noise twist) over the configs."""
     state_gt = CalibrationState.from_system(system_gt)
-    samples = []
-    for q_a, q_c in configs:
-        gtB = predict_B(state_gt, MeasurementSample(q_a, q_c, np.eye(4)))
-        B = gtB @ lie.exp_se3(noise_twist(noise, rng)) if noise.rot_sigma > 0 or noise.trans_sigma > 0 else gtB
-        samples.append(MeasurementSample(q_a.copy(), q_c.copy(), B))
+    B = predict_B(state_gt, [MeasurementSample(q_a, q_c, np.eye(4)) for q_a, q_c in configs])
+    if noise.rot_sigma > 0 or noise.trans_sigma > 0:
+        # one noise twist per sample, drawn in sample order
+        B = B @ lie.exp_se3(np.array([noise_twist(noise, rng) for _ in configs]))
+    samples = [MeasurementSample(q_a.copy(), q_c.copy(), B_i)
+               for (q_a, q_c), B_i in zip(configs, B)]
     return SyntheticDataset(system_nominal.copy(), system_gt.copy(), samples,
                             seed, kin_tag, noise_tag or noise.tag)
 
@@ -286,6 +277,8 @@ def dataset_from_dict(d):
     for key in ("nominal_system", "samples", "seed", "kin_level", "noise_level"):
         if key not in d:
             raise ValidationError(f"dataset is missing field '{key}'")
+    if not d["samples"]:
+        raise ValidationError("dataset field 'samples' is empty")
     samples = [MeasurementSample(np.array(s["q_a"], dtype=float),
                                  np.array(s["q_c"], dtype=float),
                                  np.array(s["B"], dtype=float))

@@ -4,7 +4,7 @@ import pytest
 from dualcal import liegroup as lie
 from dualcal.chain import (CalibrationState, DualArmSystem, MeasurementSample,
                            identifiability_report, predict_B, residual,
-                           residual_and_jacobian, sample_jacobian, stack)
+                           residual_and_jacobian, stack)
 from dualcal.errors import StructureError, ValidationError
 from dualcal.kinematics import RobotModel, default_arm, forward_kinematics
 from dualcal.simulate import sample_configurations
@@ -74,8 +74,8 @@ def test_jacobian_x_block_at_identity_X(samples):
     system = toy_system()
     state = CalibrationState.from_system(
         DualArmSystem(system.sensor_arm, system.tool_arm, np.eye(4), system.Y, system.Z))
-    jac = sample_jacobian(state, samples[0])
-    assert np.abs(jac.J_x + np.eye(6)).max() < 1e-14
+    _, J = stack(state, samples[:1])
+    assert np.abs(J[:, :6] + np.eye(6)).max() < 1e-14
 
 
 def test_jacobian_finite_difference(gt_state):
@@ -101,15 +101,15 @@ def test_jacobian_structural_decomposition_n1():
         xi_z=np.array([-0.2, 0.1, 0.0, 0.0, 0.06, -0.04]),
         joints_a=xi_a, joints_c=xi_c, xi_st_a=st_a, xi_st_c=st_c)
     q_a, q_c = np.array([0.9]), np.array([-1.3])
-    jac = sample_jacobian(state, MeasurementSample(q_a, q_c, np.eye(4)))
+    _, J = stack(state, [MeasurementSample(q_a, q_c, np.eye(4))])
     prefix = (lie.exp_se3(-state.xi_x) @ lie.exp_se3(-st_a)
               @ lie.exp_se3(-xi_a[0] * q_a[0]) @ lie.exp_se3(state.xi_y))
     expect = lie.adjoint(prefix) @ lie.joint_jacobian(xi_c[0], q_c[0])
-    assert np.abs(jac.J_c[0] - expect).max() < 1e-13
+    assert np.abs(J[:, 24:30] - expect).max() < 1e-13
     # sensor-side block carries the leading minus and a shorter prefix
     prefix_a = lie.exp_se3(-state.xi_x) @ lie.exp_se3(-st_a)
     expect_a = -lie.adjoint(prefix_a) @ lie.joint_jacobian(-xi_a[0], q_a[0])
-    assert np.abs(jac.J_a[0] - expect_a).max() < 1e-13
+    assert np.abs(J[:, 18:24] - expect_a).max() < 1e-13
 
 
 def test_stack_single_sample(gt_state, samples):
@@ -248,3 +248,26 @@ def test_system_requires_matching_joint_counts():
     arm3 = RobotModel("three", arm6.joint_twists[:3], arm6.zero_offset)
     with pytest.raises(ValidationError):
         DualArmSystem(arm6, arm3, np.eye(4), np.eye(4), np.eye(4))
+
+
+def test_forward_kinematics_batched_matches_rows():
+    arm = default_arm()
+    rng = np.random.default_rng(12)
+    q = rng.uniform(-np.pi, np.pi, (7, arm.n))
+    q[0] = 0.0
+    T = forward_kinematics(arm, q)
+    assert T.shape == (7, 4, 4)
+    for i in range(len(q)):
+        assert np.abs(T[i] - forward_kinematics(arm, q[i])).max() <= 1e-12
+    with pytest.raises(StructureError):
+        forward_kinematics(arm, q[:, :5])
+
+
+def test_predict_and_residual_batched_match_single(gt_state, samples):
+    B = predict_B(gt_state, samples)
+    e = residual(gt_state, samples)
+    assert B.shape == (len(samples), 4, 4) and e.shape == (len(samples), 6)
+    for i, s in enumerate(samples):
+        assert np.abs(B[i] - predict_B(gt_state, s)).max() <= 1e-12
+        assert np.abs(e[i] - residual(gt_state, s)).max() <= 1e-12
+    assert np.array_equal(e.ravel(), stack(gt_state, samples)[0])

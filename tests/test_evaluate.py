@@ -5,8 +5,8 @@ from dualcal import liegroup as lie
 from dualcal.chain import CalibrationState, MeasurementSample, predict_B
 from dualcal.errors import RankDeficientError
 from dualcal.evaluate import (ball_consistency, closed_loop, evaluate_dataset,
-                              evaluate_samples, min_enclosing_ball,
-                              rotation_angle, sphere_fit)
+                              evaluate_samples, min_enclosing_ball, sphere_fit)
+from dualcal.liegroup import rotation_angle
 from dualcal.simulate import NoiseLevel, default_system, sample_configurations, synthesize
 from helpers import brute_force_meb, noise_free_samples, toy_system
 
@@ -141,6 +141,18 @@ def test_meb_matches_brute_force():
         dmax = max(np.linalg.norm(p - c) for p in pts)
         assert dmax <= r * (1 + 1e-12) + 1e-12
         assert abs(dmax - r) < 1e-9  # radius attained, nothing outside
+
+
+def test_meb_large_point_set():
+    # deeper than the interpreter's recursion limit for a recursive Welzl
+    pts = np.random.default_rng(0).normal(size=(5000, 3))
+    c, r = min_enclosing_ball(pts)
+    d = np.linalg.norm(pts - c, axis=1)
+    assert d.max() <= r * (1 + 1e-12) + 1e-14
+    support = pts[np.abs(d - r) <= 1e-9 * r]
+    assert len(support) >= 2
+    pairwise = np.linalg.norm(support[:, None] - support[None], axis=-1)
+    assert r >= 0.5 * pairwise.max()
 
 
 def _synthetic_clouds(system, samples, ball_center_E2, radius, rng):

@@ -202,3 +202,51 @@ def test_prismatic_twist_supported():
     J = lie.left_jacobian(xi)
     d = np.array([0.1, 0.2, 0.3, -0.1, 0.05, 0.0])
     assert np.abs(J @ d - _fd_dexp(xi, d)).max() < 1e-5
+
+
+def _mixed_batch():
+    # rotation angles on both sides of every branch seam, plus 0 and near pi
+    thetas = [0.0, 1e-7, lie.SMALL_ANGLE * (1 - 1e-9), lie.SMALL_ANGLE * (1 + 1e-9),
+              lie.JACOBIAN_SMALL_ANGLE * (1 - 1e-12), lie.JACOBIAN_SMALL_ANGLE * (1 + 1e-12),
+              1.0, 3.0]
+    rng = np.random.default_rng(12)
+    xi = rng.uniform(-1, 1, (len(thetas), 6))
+    xi[:, :3] *= np.array(thetas)[:, None] / np.linalg.norm(xi[:, :3], axis=1)[:, None]
+    return xi, rng.uniform(-np.pi, np.pi, len(thetas))
+
+
+def test_batched_kernels_match_per_row_calls():
+    xi, q = _mixed_batch()
+    with np.errstate(all="raise"):
+        T = lie.exp_se3(xi)
+        batched = {
+            "exp_se3": T,
+            "log_se3": lie.log_se3(T),
+            "left_jacobian": lie.left_jacobian(xi),
+            "joint_jacobian": lie.joint_jacobian(xi, q),
+            "adjoint": lie.adjoint(T),
+            "pose_inv": lie.pose_inv(T),
+            "skew": lie.skew(xi[:, :3]),
+        }
+        for i in range(len(xi)):
+            single = {
+                "exp_se3": lie.exp_se3(xi[i]),
+                "log_se3": lie.log_se3(T[i]),
+                "left_jacobian": lie.left_jacobian(xi[i]),
+                "joint_jacobian": lie.joint_jacobian(xi[i], q[i]),
+                "adjoint": lie.adjoint(T[i]),
+                "pose_inv": lie.pose_inv(T[i]),
+                "skew": lie.skew(xi[i, :3]),
+            }
+            for name, value in single.items():
+                assert batched[name][i].shape == value.shape, name
+                assert np.abs(batched[name][i] - value).max() <= 1e-12, (name, i)
+    assert np.abs(batched["log_se3"] - xi).max() < 1e-9
+
+
+def test_batched_log_near_pi_errors():
+    xi, _ = _mixed_batch()
+    T = lie.exp_se3(xi)
+    T[3] = lie.exp_se3(np.array([0, np.pi - 1e-8, 0, 0.1, 0, 0]))
+    with pytest.raises(NearPiRotationError):
+        lie.log_se3(T)

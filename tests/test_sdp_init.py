@@ -162,7 +162,7 @@ def test_extract_noise_free_recovers_truth(noise_free_setup, noise_free_solution
     system, _, problem = noise_free_setup
     w_star, X, Y, Z, rank_ratio = sdp.extract(noise_free_solution.W)
     assert rank_ratio < 1e-6
-    from dualcal.evaluate import rotation_angle
+    from dualcal.liegroup import rotation_angle
     assert np.degrees(rotation_angle(X[:3, :3] @ system.X[:3, :3].T)) < 1e-3
     assert np.degrees(rotation_angle(Y[:3, :3] @ system.Y[:3, :3].T)) < 1e-3
     assert np.degrees(rotation_angle(Z[:3, :3] @ system.Z[:3, :3].T)) < 1e-3
