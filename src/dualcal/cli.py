@@ -21,7 +21,7 @@ from .errors import CalibrationError, ValidationError
 from .liegroup import log_se3
 from .evaluate import ball_consistency, evaluate_dataset
 from .sdp_init import initialize
-from .simulate import (dataset_to_dict, default_system, generate_dataset,
+from .simulate import (dataset_to_dict, default_system, field_array, generate_dataset,
                        load_dataset, system_from_dict, system_to_dict)
 from .solver import SolverConfig, solve
 
@@ -53,13 +53,6 @@ def _write_json(obj, path):
     log.info("wrote %s", path)
 
 
-def _pose_from(obj, name):
-    T = np.asarray(obj, dtype=float)
-    if T.shape != (4, 4):
-        raise ValidationError(f"field '{name}' must be a 4x4 row-major pose")
-    return T
-
-
 def cmd_generate(args):
     system = system_from_dict(_load_json(args.system, "system")) if args.system else default_system()
     ds = generate_dataset(args.samples, args.kin_level, args.noise_level,
@@ -89,9 +82,7 @@ def cmd_calibrate(args):
     nominal = ds.nominal_system
     if args.init:
         d = _load_json(args.init, "init")
-        X = _pose_from(d["X"], "X")
-        Y = _pose_from(d["Y"], "Y")
-        Z = _pose_from(d["Z"], "Z")
+        X, Y, Z = (field_array(d[k], k, (4, 4), "a pose is 4x4 row-major") for k in "XYZ")
         init_record = d
     else:
         init = _run_init(ds, args)

@@ -13,13 +13,13 @@ projection recovers (X, Y, Z), and the SDP optimum certifies the
 recovered candidate through an a-posteriori sub-optimality gap.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import liegroup as lie
 from .chain import joint_readings
-from .errors import DegenerateSolutionError
+from .errors import DegenerateSolutionError, StructureError
 from .kinematics import forward_kinematics
 from .numerics import project_rotation, sym_eig, symmetrize
 
@@ -27,9 +27,6 @@ DIM = 133
 
 # index layout of the lifted vector
 RX0, RY0, K0, TX0, TY0, V0, HOM = 0, 9, 18, 99, 102, 105, 132
-
-CONSTRAINT_FAMILIES = ("Rx_orth", "Rx_hand", "Ry_orth", "Ry_hand",
-                       "K_orth", "K_block", "V_block", "homog")
 
 
 def _vec(M):
@@ -232,25 +229,29 @@ def build_problem(sensor_arm, tool_arm, samples, alpha=1.0):
     return SDPProblem(symmetrize(G.T @ G), build_constraints(), alpha, G)
 
 
-# ---------------------------------------------------------------------------
-# scaled upper-triangle vectorization (svec) so that the affine projection
-# is a least-norm problem in ordinary Euclidean coordinates
+class ConstraintOperator:
+    """A(X) = [<H_j, X>]_j and A*(y) = sum_j y_j H_j, from the flat
+    triplets (row j, flat index, value) of the non-zeros of every H_j."""
 
-_IU = np.triu_indices(DIM)
-_SVEC_SCALE = np.where(_IU[0] == _IU[1], 1.0, np.sqrt(2.0))
-SVEC_DIM = _IU[0].size  # 8911
+    def __init__(self, constraints):
+        flat = [np.flatnonzero(c.H) for c in constraints]
+        self.m = len(constraints)
+        self.rows = np.repeat(np.arange(self.m), [f.size for f in flat])
+        self.flat = np.concatenate(flat)
+        self.vals = np.concatenate([c.H.flat[f] for c, f in zip(constraints, flat)])
 
+    def __call__(self, X):
+        return np.bincount(self.rows, self.vals * X.flat[self.flat], self.m)
 
-def svec(M):
-    return M[_IU] * _SVEC_SCALE
+    def adjoint(self, y):
+        return np.bincount(self.flat, self.vals * y[self.rows], DIM * DIM).reshape(DIM, DIM)
 
-
-def smat(x):
-    vals = x / _SVEC_SCALE
-    W = np.zeros((DIM, DIM))
-    W[_IU] = vals
-    W[_IU[1], _IU[0]] = vals
-    return W
+    def gram(self):
+        """<H_j, H_k> for all pairs, summed over the touched entries only."""
+        touched, col = np.unique(self.flat, return_inverse=True)
+        M = np.zeros((self.m, touched.size))
+        M[self.rows, col] = self.vals
+        return M @ M.T
 
 
 @dataclass
@@ -268,48 +269,41 @@ def solve_sdp(problem, tol_factor=1e-8, max_iters=50000, sigma=None,
               over_relax=1.6, check_every=25):
     """Operator-splitting ADMM for min tr(QW) s.t. tr(H_j W)=rho_j, W>=0.
 
-    Alternates (i) projection onto the affine constraint set through a
-    precomputed factorization of the constraint Gram matrix, (ii) PSD
+    Iterates are symmetric 133x133 matrices.  Alternates (i) projection
+    onto the affine constraint set through the sparse constraint operator
+    and a precomputed factorization of its Gram matrix, (ii) PSD
     projection by eigenvalue clamping, (iii) scaled dual update, with
     over-relaxation and residual balancing.  Stops when both residuals
     drop below tol_factor*(1+|Q|_F).  Non-convergence is reported in the
     result, not raised: the caller may still extract.
     """
     Q = problem.Q
-    cons = problem.constraints
-    qv = svec(Q)
-    A = np.empty((len(cons), SVEC_DIM))
-    b = np.empty(len(cons))
-    for j, c in enumerate(cons):
-        A[j] = svec(c.H)
-        b[j] = c.rho
-    lam_g, V_g = sym_eig(A @ A.T)
-    inv_g = np.where(lam_g > lam_g[0] * 1e-12, 1.0 / np.where(lam_g > 0, lam_g, 1.0), 0.0)
+    if not np.isfinite(Q).all():
+        raise StructureError("objective matrix Q has a non-finite entry")
+    A = ConstraintOperator(problem.constraints)
+    b = np.array([c.rho for c in problem.constraints])
+    G_inv = np.linalg.pinv(A.gram(), rcond=1e-12, hermitian=True)
 
-    def proj_aff(x):
-        r = A @ x - b
-        return x - A.T @ (V_g @ (inv_g * (V_g.T @ r)))
+    def proj_aff(X):
+        return X - A.adjoint(G_inv @ (A(X) - b))
 
-    def proj_psd(x):
-        lam, V = np.linalg.eigh(smat(x))
-        pos = lam > 0
-        if not pos.any():
-            return np.zeros_like(x)
-        W = (V[:, pos] * lam[pos]) @ V[:, pos].T
-        return svec(symmetrize(W))
+    def proj_psd(X):
+        lam, V = np.linalg.eigh(X)
+        pos = lam > 0  # none positive: an empty product, the zero matrix
+        return symmetrize((V[:, pos] * lam[pos]) @ V[:, pos].T)
 
     tol = tol_factor * (1.0 + np.linalg.norm(Q))
     if sigma is None:
         sigma = max(np.linalg.norm(Q) / 20.0, 1e-3)
-    x = proj_aff(np.zeros(SVEC_DIM))
+    x = proj_aff(np.zeros((DIM, DIM)))
     s = proj_psd(x)
-    u = np.zeros(SVEC_DIM)
+    u = np.zeros((DIM, DIM))
     primal = dual = np.inf
     it = 0
     converged = False
     while it < max_iters:
         it += 1
-        x = proj_aff(s - u - qv / sigma)
+        x = proj_aff(s - u - Q / sigma)
         xh = over_relax * x + (1.0 - over_relax) * s
         s_new = proj_psd(xh + u)
         u = u + xh - s_new
@@ -332,7 +326,7 @@ def solve_sdp(problem, tol_factor=1e-8, max_iters=50000, sigma=None,
     # Report the PSD iterate: exactly PSD, affine-feasible within the
     # primal residual, and its objective tr(QS) >= 0 is far less noisy
     # than the affine iterate's near a zero optimum.
-    return SDPResult(smat(s), float(qv @ s), float(primal), float(dual),
+    return SDPResult(s, float(np.sum(Q * s)), float(primal), float(dual),
                      it, converged, tol)
 
 
@@ -410,19 +404,8 @@ class InitResult:
     dual_res: float
 
     def to_dict(self):
-        return {
-            "X": self.X.tolist(),
-            "Y": self.Y.tolist(),
-            "Z": self.Z.tolist(),
-            "eta": self.eta,
-            "abs_gap": self.abs_gap,
-            "p_sdp": self.p_sdp,
-            "rank_ratio": self.rank_ratio,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "primal_res": self.primal_res,
-            "dual_res": self.dual_res,
-        }
+        return {**asdict(self), "X": self.X.tolist(), "Y": self.Y.tolist(),
+                "Z": self.Z.tolist()}
 
 
 def initialize(sensor_arm, tool_arm, samples, alpha=1.0, tol_factor=1e-10,

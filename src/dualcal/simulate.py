@@ -273,19 +273,45 @@ def dataset_to_dict(ds, blind=False):
     }
 
 
+def field_array(obj, name, shape, expected):
+    """obj as a finite float array of `shape`, else a ValidationError naming it."""
+    try:
+        v = np.array(obj, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} is not an array of numbers") from None
+    if v.shape != shape:
+        raise ValidationError(f"{name} has {v.size} values, {expected}")
+    if not np.isfinite(v).all():
+        raise ValidationError(f"{name} has a non-finite value")
+    return v
+
+
+def _sample_field(raw, key, shape, expected):
+    """Field `key` of every sample, stacked; a failure names the first bad sample."""
+    try:
+        return field_array([s[key] for s in raw], f"samples[:].{key}", (len(raw),) + shape, expected)
+    except (KeyError, TypeError, ValidationError):
+        for i, s in enumerate(raw):
+            if not isinstance(s, dict) or key not in s:
+                raise ValidationError(f"samples[{i}] is missing field '{key}'") from None
+            field_array(s[key], f"samples[{i}].{key}", shape, expected)
+        raise
+
+
 def dataset_from_dict(d):
     for key in ("nominal_system", "samples", "seed", "kin_level", "noise_level"):
         if key not in d:
             raise ValidationError(f"dataset is missing field '{key}'")
     if not d["samples"]:
         raise ValidationError("dataset field 'samples' is empty")
-    samples = [MeasurementSample(np.array(s["q_a"], dtype=float),
-                                 np.array(s["q_c"], dtype=float),
-                                 np.array(s["B"], dtype=float))
-               for s in d["samples"]]
+    nominal = system_from_dict(d["nominal_system"])
+    na, nc = nominal.sensor_arm.n, nominal.tool_arm.n
+    samples = map(MeasurementSample,
+                  _sample_field(d["samples"], "q_a", (na,), f"the sensor arm has {na} joints"),
+                  _sample_field(d["samples"], "q_c", (nc,), f"the tool arm has {nc} joints"),
+                  _sample_field(d["samples"], "B", (4, 4), "a pose is 4x4 row-major"))
     gt = system_from_dict(d["gt_system"]) if d.get("gt_system") else None
-    return SyntheticDataset(system_from_dict(d["nominal_system"]), gt, samples,
-                            d["seed"], d["kin_level"], d["noise_level"])
+    return SyntheticDataset(nominal, gt, list(samples), d["seed"], d["kin_level"], d["noise_level"])
 
 
 def save_dataset(ds, path, blind=False):

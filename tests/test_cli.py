@@ -173,3 +173,25 @@ def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         run("generate", "--frobnicate", "1")
     assert exc.value.code == 2
+
+
+def run_init_on_edited_data(workdir, tmp_path, edit):
+    d = json.loads((workdir / "data.json").read_text())
+    edit(d["samples"])
+    data = tmp_path / "bad.json"
+    data.write_text(json.dumps(d))
+    return run("init", "--data", str(data), "--out", str(tmp_path / "x.json"))
+
+
+def test_short_joint_vector_exits_2_naming_field(workdir, tmp_path, capsys):
+    def edit(samples):
+        samples[3]["q_a"] = samples[3]["q_a"][:5]
+    assert run_init_on_edited_data(workdir, tmp_path, edit) == 2
+    assert "samples[3].q_a has 5 values, the sensor arm has 6 joints" in capsys.readouterr().err
+
+
+def test_nan_joint_reading_exits_2_naming_field(workdir, tmp_path, capsys):
+    def edit(samples):
+        samples[2]["q_c"][1] = float("nan")
+    assert run_init_on_edited_data(workdir, tmp_path, edit) == 2
+    assert "samples[2].q_c has a non-finite value" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 from dualcal import liegroup as lie
 from dualcal import sdp_init as sdp
 from dualcal.chain import CalibrationState, MeasurementSample, predict_B
-from dualcal.errors import DegenerateSolutionError
+from dualcal.errors import DegenerateSolutionError, StructureError
 from dualcal.simulate import noise_level, noise_twist
 from helpers import noise_free_samples, rand_pose, toy_system
 
@@ -136,13 +136,28 @@ def test_constraints_detect_broken_kronecker_structure(constraints):
     assert viol > 1e-2  # orthogonal but not a Kronecker product of rotations
 
 
-def test_svec_isometry():
-    rng = np.random.default_rng(6)
+def test_constraint_operator_matches_dense_constraints(constraints):
     from dualcal.numerics import symmetrize
-    A = symmetrize(rng.standard_normal((133, 133)))
-    B = symmetrize(rng.standard_normal((133, 133)))
-    assert abs(sdp.svec(A) @ sdp.svec(B) - np.trace(A @ B)) < 1e-9
-    assert np.abs(sdp.smat(sdp.svec(A)) - A).max() < 1e-14
+    op = sdp.ConstraintOperator(constraints)
+    assert op.flat.size == sum(np.count_nonzero(c.H) for c in constraints)
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        X = symmetrize(rng.standard_normal((133, 133)))
+        y = rng.standard_normal(len(constraints))
+        AX = op(X)
+        assert np.abs(AX - [np.sum(c.H * X) for c in constraints]).max() < 1e-12
+        # adjoint identity <A(X), y> = <X, A*(y)>
+        assert abs(AX @ y - np.sum(X * op.adjoint(y))) < 1e-12 * max(1.0, abs(AX @ y))
+    G = np.array([[np.sum(a.H * b.H) for b in constraints] for a in constraints])
+    assert np.abs(op.gram() - G).max() < 1e-12
+
+
+def test_solve_rejects_non_finite_objective(noise_free_setup):
+    _, _, problem = noise_free_setup
+    Q = problem.Q.copy()
+    Q[5, 7] = Q[7, 5] = np.nan
+    with pytest.raises(StructureError):
+        sdp.solve_sdp(sdp.SDPProblem(Q, problem.constraints), max_iters=10)
 
 
 def test_solve_noise_free_tight(noise_free_setup, noise_free_solution):
