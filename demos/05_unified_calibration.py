@@ -9,12 +9,9 @@ initialization against the unified result.
 
 import numpy as np
 
-from dualcal import liegroup as lie
-from dualcal import sdp_init as sdp
-from dualcal.chain import CalibrationState
 from dualcal.evaluate import evaluate_samples
 from dualcal.simulate import generate_dataset
-from dualcal.solver import SolverConfig, solve
+from dualcal.solver import SolverConfig, calibrate
 
 ds = generate_dataset(m=120, kin_tag="H", noise_tag="M", seed=11)
 cal, test = ds.samples[:80], ds.samples[80:]
@@ -22,17 +19,9 @@ nominal = ds.nominal_system
 print(f"kinematic level H, measurement noise M; {len(cal)} calibration / "
       f"{len(test)} held-out samples")
 
-init = sdp.initialize(nominal.sensor_arm, nominal.tool_arm, cal)
+init, final, trace = calibrate(nominal, cal, config=SolverConfig(damping=1e-3, tol_inf=1e-8))
 print(f"SDP init: eta = {init.eta:.2e}, rank ratio = {init.rank_ratio:.2e}, "
       f"{init.iterations} ADMM iterations")
-
-state0 = CalibrationState(
-    xi_x=lie.log_se3(init.X), xi_y=lie.log_se3(init.Y), xi_z=lie.log_se3(init.Z),
-    joints_a=nominal.sensor_arm.joint_twists,
-    joints_c=nominal.tool_arm.joint_twists,
-    xi_st_a=nominal.sensor_arm.zero_offset,
-    xi_st_c=nominal.tool_arm.zero_offset)
-final, trace = solve(state0, cal, SolverConfig(damping=1e-3, tol_inf=1e-8))
 print(f"unified refinement: {trace.iterations} iterations, |e| "
       f"{trace.residual_norms[0]:.3e} -> {trace.residual_norms[-1]:.3e}")
 

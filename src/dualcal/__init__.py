@@ -8,16 +8,16 @@ certifiably correct SDP initialization for the coordinates.
 
 from .chain import (CalibrationState, DualArmSystem, MeasurementSample,
                     identifiability_report, predict_B, residual, stack)
-from .evaluate import (ball_consistency, closed_loop, evaluate_dataset,
-                       evaluate_samples, min_enclosing_ball, sphere_fit)
+from .evaluate import (ball_consistency, evaluate_dataset, evaluate_samples,
+                       min_enclosing_ball, sphere_fit)
 from .kinematics import RobotModel, default_arm, forward_kinematics, perturb_model
 from .liegroup import (adjoint, exp_se3, hat, joint_jacobian, left_jacobian,
                        log_se3, vee)
-from .sdp_init import (build_constraints, build_objective, build_problem,
-                       certify, extract, initialize, lift, solve_sdp)
+from .sdp_init import (build_constraints, build_problem, certify, extract,
+                       initialize, lift, solve_sdp)
 from .simulate import (default_system, generate_dataset, kin_level,
                        load_dataset, noise_level, perturb_level,
                        sample_configurations, save_dataset, synthesize)
-from .solver import SolverConfig, SolveTrace, solve, step
+from .solver import SolverConfig, SolveTrace, calibrate, solve, step
 
 __version__ = "0.1.0"

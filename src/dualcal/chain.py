@@ -9,7 +9,6 @@ left-trivialized residual; columns follow the layout
 """
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -248,12 +247,6 @@ def stack(state, samples):
     B, J = _chain(state, samples, jacobian=True)
     B_meas = np.array([s.B_meas for s in samples])
     return lie.log_se3(B @ lie.pose_inv(B_meas)).ravel(), J
-
-
-def residual_and_jacobian(state, sample):
-    """:func:`stack` on one sample: residual (6,) and ``jac.full``, its 6 Jacobian rows."""
-    e, J = stack(state, [sample])
-    return e, SimpleNamespace(full=J)
 
 
 @dataclass

@@ -18,12 +18,11 @@ import numpy as np
 from .chain import (CalibrationState, MeasurementSample, identifiability_report,
                     residual, stack)
 from .errors import CalibrationError, ValidationError
-from .liegroup import log_se3
 from .evaluate import ball_consistency, evaluate_dataset
 from .sdp_init import initialize
-from .simulate import (dataset_to_dict, default_system, field_array, generate_dataset,
-                       load_dataset, system_from_dict, system_to_dict)
-from .solver import SolverConfig, solve
+from .simulate import (_sample_field, dataset_to_dict, default_system, field_array,
+                       generate_dataset, load_dataset, system_from_dict, system_to_dict)
+from .solver import SolverConfig, calibrate
 
 log = logging.getLogger("dualcal")
 
@@ -61,40 +60,31 @@ def cmd_generate(args):
     return 0
 
 
-def _run_init(ds, args):
-    log.info("solving SDP initialization (m=%d samples)", len(ds.samples))
-    init = initialize(ds.nominal_system.sensor_arm, ds.nominal_system.tool_arm,
-                      ds.samples, alpha=args.alpha, tol_factor=args.sdp_tol,
-                      max_iters=args.sdp_max_iters)
-    log.info("init: eta=%.3e rank_ratio=%.3e iters=%d", init.eta,
-             init.rank_ratio, init.iterations)
-    return init
+def _sdp_options(args):
+    return {"alpha": args.alpha, "tol_factor": args.sdp_tol, "max_iters": args.sdp_max_iters}
 
 
 def cmd_init(args):
     ds = load_dataset(args.data)
-    _write_json(_run_init(ds, args).to_dict(), args.out)
+    nominal = ds.nominal_system
+    init = initialize(nominal.sensor_arm, nominal.tool_arm, ds.samples, **_sdp_options(args))
+    _write_json(init.to_dict(), args.out)
     return 0
 
 
 def cmd_calibrate(args):
     ds = load_dataset(args.data)
     nominal = ds.nominal_system
+    coords = init_record = None
     if args.init:
-        d = _load_json(args.init, "init")
-        X, Y, Z = (field_array(d[k], k, (4, 4), "a pose is 4x4 row-major") for k in "XYZ")
-        init_record = d
-    else:
-        init = _run_init(ds, args)
-        X, Y, Z = init.X, init.Y, init.Z
-        init_record = init.to_dict()
-    xi_x, xi_y, xi_z = log_se3(np.array([X, Y, Z]))
-    state0 = CalibrationState(xi_x, xi_y, xi_z,
-                              nominal.sensor_arm.joint_twists, nominal.tool_arm.joint_twists,
-                              nominal.sensor_arm.zero_offset, nominal.tool_arm.zero_offset)
+        init_record = _load_json(args.init, "init")
+        coords = [field_array(init_record[k], k, (4, 4), "a pose is 4x4 row-major")
+                  for k in "XYZ"]
     config = SolverConfig(damping=args.damping, tol_inf=args.tol,
                           max_iters=args.max_iters, update_mode=args.update_mode)
-    final, trace = solve(state0, ds.samples, config)
+    init, final, trace = calibrate(nominal, ds.samples, coords, config, **_sdp_options(args))
+    if init is not None:
+        init_record = init.to_dict()
     system = final.to_system((nominal.sensor_arm.name, nominal.tool_arm.name))
     out = system_to_dict(system)
     out["trace"] = trace.to_dict()
@@ -141,18 +131,6 @@ def cmd_identifiability(args):
 
 def cmd_ball_eval(args):
     calib = _load_calib_system(args.calib)
-    d = _load_json(args.clouds, "clouds")
-    if "postures" not in d:
-        raise ValidationError("clouds file is missing field 'postures'")
-    samples, clouds = [], []
-    for i, p in enumerate(d["postures"]):
-        for key in ("q_a", "q_c", "points"):
-            if key not in p:
-                raise ValidationError(f"posture {i} is missing field '{key}'")
-        samples.append(MeasurementSample(np.array(p["q_a"], dtype=float),
-                                         np.array(p["q_c"], dtype=float),
-                                         np.eye(4)))
-        clouds.append(np.array(p["points"], dtype=float))
     if args.nominal_kinematics:
         if not args.data:
             raise ValidationError("--nominal-kinematics needs --data for the nominal arms")
@@ -160,6 +138,24 @@ def cmd_ball_eval(args):
         arm_a, arm_c = nominal.sensor_arm, nominal.tool_arm
     else:
         arm_a, arm_c = calib.sensor_arm, calib.tool_arm
+    d = _load_json(args.clouds, "clouds")
+    if "postures" not in d:
+        raise ValidationError("clouds file is missing field 'postures'")
+    postures = d["postures"]
+    if not postures:
+        raise ValidationError("clouds field 'postures' is empty")
+    na, nc = arm_a.n, arm_c.n
+    q_a = _sample_field(postures, "q_a", (na,), f"the sensor arm has {na} joints", "postures")
+    q_c = _sample_field(postures, "q_c", (nc,), f"the tool arm has {nc} joints", "postures")
+    samples = [MeasurementSample(a, c, np.eye(4)) for a, c in zip(q_a, q_c)]
+    clouds = []
+    for i, p in enumerate(postures):
+        if "points" not in p:
+            raise ValidationError(f"postures[{i}] is missing field 'points'")
+        points = p["points"]
+        clouds.append(field_array(points, f"postures[{i}].points",
+                                  (len(points) if isinstance(points, list) else -1, 3),
+                                  "a cloud is a list of [x, y, z] points"))
     result = ball_consistency(clouds, samples, calib.X, calib.Y, arm_a, arm_c)
     _write_json(result.to_dict(), args.out)
     log.info("r_MEB = %.4f mm", 1e3 * result.r_meb)

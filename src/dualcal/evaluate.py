@@ -15,13 +15,6 @@ from .errors import RankDeficientError
 from .kinematics import forward_kinematics
 
 
-@dataclass
-class ClosedLoopError:
-    E: np.ndarray
-    e_rot: float    # radians
-    e_trans: float  # meters
-
-
 def _arm_poses(samples, arm_a, arm_c):
     """Forward kinematics A, C of every sample, two (m, 4, 4) stacks."""
     q_a, q_c = joint_readings(samples, arm_a.n)
@@ -33,13 +26,6 @@ def _loop_deviations(samples, X, Y, Z, arm_a, arm_c):
     the given arms: nominal ones score a coordinate-only calibration."""
     A, C = _arm_poses(samples, arm_a, arm_c)
     return lie.pose_inv(A @ X @ np.array([s.B_meas for s in samples])) @ Y @ C @ Z
-
-
-def closed_loop(sample, X, Y, Z, arm_a, arm_c):
-    """Loop deviation of one sample with its rotation angle and translation norm."""
-    E = _loop_deviations([sample], X, Y, Z, arm_a, arm_c)[0]
-    return ClosedLoopError(E, float(lie.rotation_angle(E[:3, :3])),
-                           float(np.linalg.norm(E[:3, 3])))
 
 
 @dataclass

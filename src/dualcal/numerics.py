@@ -32,54 +32,12 @@ def sym_eig(M):
     return lam[::-1].copy(), V[:, ::-1].copy()
 
 
-def svd3(M):
-    """SVD of a 3x3 matrix via the eigendecomposition of M^T M.
-
-    Returns (U, s, V) with M = U diag(s) V^T, U and V orthogonal and s
-    nonnegative descending.  Columns of U with negligible singular value
-    are completed orthonormally (rank-deficient M), so U stays exactly
-    orthogonal up to roundoff.
-    """
-    M = np.asarray(M, dtype=float)
-    lam, V = sym_eig(M.T @ M)
-    s = np.sqrt(np.clip(lam, 0.0, None))
-    scale = max(s[0], 1.0)
-    U = np.zeros((3, 3))
-    filled = []
-    for i in range(3):
-        u = M @ V[:, i]
-        if s[i] > 1e-13 * scale:
-            u = u / s[i]
-            for j in filled:  # re-orthogonalize against earlier columns
-                u -= (U[:, j] @ u) * U[:, j]
-            U[:, i] = u / np.linalg.norm(u)
-            filled.append(i)
-    missing = [i for i in range(3) if i not in filled]
-    if len(missing) == 1:
-        # cross product of the two unit columns completes the basis
-        i = missing[0]
-        U[:, i] = np.cross(U[:, (i + 1) % 3], U[:, (i + 2) % 3])
-    elif len(missing) == 2:
-        base = U[:, filled[0]] if filled else np.array([1.0, 0.0, 0.0])
-        aux = np.array([1.0, 0.0, 0.0])
-        if abs(base @ aux) > 0.9:
-            aux = np.array([0.0, 1.0, 0.0])
-        u1 = np.cross(base, aux)
-        u1 /= np.linalg.norm(u1)
-        u2 = np.cross(base, u1)
-        U[:, missing[0]] = u1
-        U[:, missing[1]] = u2
-    elif len(missing) == 3:
-        U = np.eye(3)
-    return U, s, V
-
-
 def project_rotation(M):
     """Nearest rotation to a 3x3 matrix (orthogonal Procrustes with
     determinant repair)."""
-    U, _, V = svd3(M)
-    D = np.diag([1.0, 1.0, np.sign(np.linalg.det(U @ V.T))])
-    return U @ D @ V.T
+    U, _, Vt = np.linalg.svd(M)
+    D = np.diag([1.0, 1.0, np.sign(np.linalg.det(U @ Vt))])
+    return U @ D @ Vt
 
 
 def numeric_rank(singular_values, rel_threshold=1e-8):

@@ -13,6 +13,7 @@ projection recovers (X, Y, Z), and the SDP optimum certifies the
 recovered candidate through an a-posteriori sub-optimality gap.
 """
 
+import logging
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -22,6 +23,8 @@ from .chain import joint_readings
 from .errors import DegenerateSolutionError, StructureError
 from .kinematics import forward_kinematics
 from .numerics import project_rotation, sym_eig, symmetrize
+
+log = logging.getLogger("dualcal")
 
 DIM = 133
 
@@ -84,16 +87,6 @@ def build_residual_stack(pose_triples, alpha=1.0):
         rows.append(omega_f(A, B, C))
         rows.append(alpha * omega_g(A, B, C))
     return np.vstack(rows)
-
-
-def build_objective(pose_triples, alpha=1.0):
-    """Q = sum_i Of_i^T Of_i + alpha^2 Og_i^T Og_i over (A, B, C) triples.
-
-    Translations are in meters; alpha weights the translation residual
-    against the (dimensionless) rotation residual.
-    """
-    G = build_residual_stack(pose_triples, alpha)
-    return symmetrize(G.T @ G)
 
 
 @dataclass
@@ -211,8 +204,7 @@ def build_constraints():
 class SDPProblem:
     Q: np.ndarray
     constraints: list
-    alpha: float = 1.0
-    residual_stack: np.ndarray = None  # optional rows G with Q = G^T G
+    residual_stack: np.ndarray  # rows G with Q = G^T G
 
 
 def build_problem(sensor_arm, tool_arm, samples, alpha=1.0):
@@ -226,7 +218,7 @@ def build_problem(sensor_arm, tool_arm, samples, alpha=1.0):
     triples = zip(forward_kinematics(sensor_arm, q_a), (s.B_meas for s in samples),
                   forward_kinematics(tool_arm, q_c))
     G = build_residual_stack(triples, alpha)
-    return SDPProblem(symmetrize(G.T @ G), build_constraints(), alpha, G)
+    return SDPProblem(symmetrize(G.T @ G), build_constraints(), G)
 
 
 class ConstraintOperator:
@@ -365,23 +357,20 @@ def extract(W):
     return lift(X, Y, Z), X, Y, Z, rank_ratio
 
 
-def certify(w_star, Q, p_sdp, residual_stack=None):
+def certify(w_star, Q, p_sdp, residual_stack):
     """A-posteriori sub-optimality gap of a feasible candidate.
 
-    Returns (eta, abs_gap, p_certified).  When the residual stack G is
-    available the candidate objective is evaluated as |G w|^2 (a sum of
-    squares, exact near zero cost); otherwise as w^T Q w.  The reported
+    Returns (eta, abs_gap, p_certified).  The candidate objective is
+    evaluated through the residual stack G as |G w|^2 (a sum of squares,
+    exact near zero cost, where w^T Q w cancels).  The reported
     lower bound is clamped to [0, objective]: the candidate is feasible
     for the QCQP so its objective upper-bounds the true SDP optimum, and
     Q PSD lower-bounds it by zero, so both clamps only remove solver
     noise.  The denominator floor 1e-12*tr(Q) guards the noise-free case
     where the optimum itself vanishes.
     """
-    if residual_stack is not None:
-        r = residual_stack @ w_star
-        obj = float(r @ r)
-    else:
-        obj = float(w_star @ (Q @ w_star))
+    r = residual_stack @ w_star
+    obj = float(r @ r)
     p_cert = max(min(float(p_sdp), obj), 0.0)
     floor = 1e-12 * float(np.trace(Q))
     abs_gap = obj - p_cert
@@ -415,10 +404,16 @@ def initialize(sensor_arm, tool_arm, samples, alpha=1.0, tol_factor=1e-10,
     tol_factor defaults tighter than the bare solver so that the
     certificate stays sharp in the near-zero-optimum (low noise) regime.
     """
+    log.info("solving SDP initialization (m=%d samples)", len(samples))
     problem = build_problem(sensor_arm, tool_arm, samples, alpha)
     res = solve_sdp(problem, tol_factor=tol_factor, max_iters=max_iters)
     w_star, X, Y, Z, rank_ratio = extract(res.W)
     eta, abs_gap, p_cert = certify(w_star, problem.Q, res.p_sdp,
                                    problem.residual_stack)
+    log.info("init: eta=%.3e rank_ratio=%.3e iters=%d", eta, rank_ratio, res.iterations)
+    if not res.converged:
+        log.warning("SDP initialization: ADMM did not converge in %d iterations "
+                    "(primal %.3e, dual %.3e, tolerance %.3e)",
+                    res.iterations, res.primal_res, res.dual_res, res.tol)
     return InitResult(X, Y, Z, eta, abs_gap, p_cert, rank_ratio,
                       res.iterations, res.converged, res.primal_res, res.dual_res)

@@ -286,15 +286,17 @@ def field_array(obj, name, shape, expected):
     return v
 
 
-def _sample_field(raw, key, shape, expected):
-    """Field `key` of every sample, stacked; a failure names the first bad sample."""
+def _sample_field(raw, key, shape, expected, prefix="samples"):
+    """Field `key` of every entry of the list `prefix`, stacked; a failure
+    names the first bad entry."""
     try:
-        return field_array([s[key] for s in raw], f"samples[:].{key}", (len(raw),) + shape, expected)
+        return field_array([s[key] for s in raw], f"{prefix}[:].{key}", (len(raw),) + shape,
+                           expected)
     except (KeyError, TypeError, ValidationError):
         for i, s in enumerate(raw):
             if not isinstance(s, dict) or key not in s:
-                raise ValidationError(f"samples[{i}] is missing field '{key}'") from None
-            field_array(s[key], f"samples[{i}].{key}", shape, expected)
+                raise ValidationError(f"{prefix}[{i}] is missing field '{key}'") from None
+            field_array(s[key], f"{prefix}[{i}].{key}", shape, expected)
         raise
 
 

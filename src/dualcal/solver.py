@@ -1,11 +1,15 @@
 """Damped Gauss-Newton refinement of the full calibration state."""
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import stack
+from .chain import CalibrationState, DualArmSystem, stack
 from .numerics import solve_damped_normal
+from .sdp_init import initialize
+
+log = logging.getLogger("dualcal")
 
 
 @dataclass
@@ -76,4 +80,26 @@ def solve(initial_state, samples, config=None):
         if step_inf <= config.tol_inf:
             trace.converged = True
             break
+    if not trace.converged:
+        log.warning("Gauss-Newton did not converge in %d iterations "
+                    "(last |delta|_inf %.3e, tolerance %.3e)",
+                    trace.iterations, trace.step_norms[-1], config.tol_inf)
     return state, trace
+
+
+def calibrate(nominal, samples, coords=None, config=None, **sdp_options):
+    """The unified calibration: SDP estimate of X, Y, Z, then Gauss-Newton
+    over the coordinates and both arms' joint twists.
+
+    nominal is the DualArmSystem whose arms start the refinement.
+    coords=(X, Y, Z) replaces the SDP, and init is then None;
+    sdp_options go to sdp_init.initialize.  Returns (init, final_state, trace).
+    """
+    init = None
+    if coords is None:
+        init = initialize(nominal.sensor_arm, nominal.tool_arm, samples, **sdp_options)
+        coords = init.X, init.Y, init.Z
+    start = CalibrationState.from_system(
+        DualArmSystem(nominal.sensor_arm, nominal.tool_arm, *coords))
+    final, trace = solve(start, samples, config)
+    return init, final, trace

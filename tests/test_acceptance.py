@@ -16,6 +16,7 @@ import pytest
 
 from dualcal import liegroup as lie
 from dualcal import sdp_init as sdp
+from dualcal import solver
 from dualcal.chain import (CalibrationState, MeasurementSample,
                            identifiability_report, predict_B, stack)
 from dualcal.cli import main as cli_main
@@ -25,7 +26,7 @@ from dualcal.kinematics import forward_kinematics
 from dualcal.simulate import (generate_dataset, kin_level, level_targets,
                               noise_level, noise_twist, perturb_level,
                               sample_configurations)
-from dualcal.solver import SolverConfig, solve
+from dualcal.solver import SolverConfig
 from helpers import (brute_force_meb, fd_jacobian_columns, noise_free_samples,
                      rand_twist, toy_system)
 
@@ -50,17 +51,8 @@ def split_dataset(m_cal, m_test, kin_tag, noise_tag, seed):
 
 
 def calibrate(ds, samples, tol=1e-8, sdp_tol=1e-10):
-    nominal = ds.nominal_system
-    init = sdp.initialize(nominal.sensor_arm, nominal.tool_arm, samples,
-                          tol_factor=sdp_tol)
-    state0 = CalibrationState(
-        xi_x=lie.log_se3(init.X), xi_y=lie.log_se3(init.Y), xi_z=lie.log_se3(init.Z),
-        joints_a=nominal.sensor_arm.joint_twists,
-        joints_c=nominal.tool_arm.joint_twists,
-        xi_st_a=nominal.sensor_arm.zero_offset,
-        xi_st_c=nominal.tool_arm.zero_offset)
-    final, trace = solve(state0, samples, SolverConfig(tol_inf=tol))
-    return init, final, trace
+    return solver.calibrate(ds.nominal_system, samples, config=SolverConfig(tol_inf=tol),
+                            tol_factor=sdp_tol)
 
 
 def test_criterion_1_lie_kernels():

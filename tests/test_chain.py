@@ -3,8 +3,7 @@ import pytest
 
 from dualcal import liegroup as lie
 from dualcal.chain import (CalibrationState, DualArmSystem, MeasurementSample,
-                           identifiability_report, predict_B, residual,
-                           residual_and_jacobian, stack)
+                           identifiability_report, predict_B, residual, stack)
 from dualcal.errors import StructureError, ValidationError
 from dualcal.kinematics import RobotModel, default_arm, forward_kinematics
 from dualcal.simulate import sample_configurations
@@ -112,13 +111,6 @@ def test_jacobian_structural_decomposition_n1():
     assert np.abs(J[:, 18:24] - expect_a).max() < 1e-13
 
 
-def test_stack_single_sample(gt_state, samples):
-    e, J = stack(gt_state, samples[:1])
-    ei, jac = residual_and_jacobian(gt_state, samples[0])
-    assert np.array_equal(e, ei)
-    assert np.array_equal(J, jac.full)
-
-
 def test_stack_identical_samples_identical_rows(gt_state, samples):
     pair = [samples[0], samples[0]]
     e, J = stack(gt_state, pair)
@@ -129,8 +121,8 @@ def test_stack_identical_samples_identical_rows(gt_state, samples):
 def test_stack_block_extraction(gt_state, samples):
     e, J = stack(gt_state, samples[:5])
     for i in range(5):
-        ei, jac = residual_and_jacobian(gt_state, samples[i])
-        assert np.array_equal(J[6 * i:6 * i + 6], jac.full)
+        ei, Ji = stack(gt_state, [samples[i]])
+        assert np.array_equal(J[6 * i:6 * i + 6], Ji)
         assert np.array_equal(e[6 * i:6 * i + 6], ei)
 
 

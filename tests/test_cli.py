@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -122,7 +123,8 @@ def test_identifiability_command(workdir, tmp_path):
     assert d["excitation_violations"] == []
 
 
-def test_ball_eval_command(workdir, calib_file, tmp_path):
+@pytest.fixture(scope="module")
+def postures(workdir):
     ds = load_dataset(workdir / "data.json")
     system = ds.gt_system
     state = CalibrationState.from_system(system)
@@ -139,12 +141,19 @@ def test_ball_eval_command(workdir, calib_file, tmp_path):
         pts = lie.apply_pose(T, pts_E2)
         postures.append({"q_a": s.q_a.tolist(), "q_c": s.q_c.tolist(),
                          "points": pts.tolist()})
+    return postures
+
+
+def run_ball_eval(postures, calib_file, tmp_path):
     clouds = tmp_path / "clouds.json"
     clouds.write_text(json.dumps({"postures": postures}))
-    rep = tmp_path / "ball.json"
-    assert run("ball-eval", "--clouds", str(clouds),
-               "--calib", str(calib_file), "--out", str(rep)) == 0
-    d = json.loads(rep.read_text())
+    return run("ball-eval", "--clouds", str(clouds), "--calib", str(calib_file),
+               "--out", str(tmp_path / "ball.json"))
+
+
+def test_ball_eval_command(postures, calib_file, tmp_path):
+    assert run_ball_eval(postures, calib_file, tmp_path) == 0
+    d = json.loads((tmp_path / "ball.json").read_text())
     # calibrated chain aligns the clouds to well under a millimeter
     assert d["r_meb_mm"] < 0.2
     assert len(d["centers"]) == 8
@@ -195,3 +204,27 @@ def test_nan_joint_reading_exits_2_naming_field(workdir, tmp_path, capsys):
         samples[2]["q_c"][1] = float("nan")
     assert run_init_on_edited_data(workdir, tmp_path, edit) == 2
     assert "samples[2].q_c has a non-finite value" in capsys.readouterr().err
+
+
+def short_q_a(postures):
+    postures[3]["q_a"] = postures[3]["q_a"][:5]
+
+
+def nan_q_c(postures):
+    postures[2]["q_c"][1] = float("nan")
+
+
+def nan_point(postures):
+    postures[5]["points"][7][0] = float("nan")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (short_q_a, "postures[3].q_a has 5 values, the sensor arm has 6 joints"),
+    (nan_q_c, "postures[2].q_c has a non-finite value"),
+    (nan_point, "postures[5].points has a non-finite value"),
+], ids=["short-q_a", "nan-q_c", "nan-points"])
+def test_bad_posture_exits_2_naming_field(postures, calib_file, tmp_path, capsys, edit, message):
+    bad = copy.deepcopy(postures)
+    edit(bad)
+    assert run_ball_eval(bad, calib_file, tmp_path) == 2
+    assert message in capsys.readouterr().err

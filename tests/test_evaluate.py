@@ -4,8 +4,8 @@ import pytest
 from dualcal import liegroup as lie
 from dualcal.chain import CalibrationState, MeasurementSample, predict_B
 from dualcal.errors import RankDeficientError
-from dualcal.evaluate import (ball_consistency, closed_loop, evaluate_dataset,
-                              evaluate_samples, min_enclosing_ball, sphere_fit)
+from dualcal.evaluate import (ball_consistency, evaluate_dataset, evaluate_samples,
+                              min_enclosing_ball, sphere_fit)
 from dualcal.liegroup import rotation_angle
 from dualcal.simulate import NoiseLevel, default_system, sample_configurations, synthesize
 from helpers import brute_force_meb, noise_free_samples, toy_system
@@ -22,10 +22,10 @@ def setup():
 def test_closed_loop_zero_for_perfect_parameters(setup):
     system, _, samples = setup
     for s in samples:
-        err = closed_loop(s, system.X, system.Y, system.Z,
-                          system.sensor_arm, system.tool_arm)
-        assert err.e_rot < 1e-12
-        assert err.e_trans < 1e-12
+        err = evaluate_samples([s], system.X, system.Y, system.Z,
+                               system.sensor_arm, system.tool_arm, "joint")
+        assert err.e_rot[0] < 1e-12
+        assert err.e_trans[0] < 1e-12
 
 
 def test_closed_loop_detects_injected_deviation(setup):
@@ -38,10 +38,10 @@ def test_closed_loop_detects_injected_deviation(setup):
     delta = np.concatenate([dw, dr])
     s = samples[0]
     bumped = MeasurementSample(s.q_a, s.q_c, s.B_meas @ lie.exp_se3(delta))
-    err = closed_loop(bumped, system.X, system.Y, system.Z,
-                      system.sensor_arm, system.tool_arm)
-    assert abs(err.e_rot - 0.01) < 0.01 * 0.05
-    assert abs(err.e_trans - 0.002) < 0.002 * 0.05
+    err = evaluate_samples([bumped], system.X, system.Y, system.Z,
+                           system.sensor_arm, system.tool_arm, "joint")
+    assert abs(err.e_rot[0] - 0.01) < 0.01 * 0.05
+    assert abs(err.e_trans[0] - 0.002) < 0.002 * 0.05
 
 
 def test_rotation_angle_half_turn_edge():

@@ -3,7 +3,7 @@ import pytest
 
 from dualcal.errors import RankDeficientError
 from dualcal.numerics import (numeric_rank, project_rotation, solve_damped_normal,
-                              svd3, sym_eig, symmetrize)
+                              sym_eig, symmetrize)
 from helpers import gauss_solve
 
 
@@ -36,46 +36,12 @@ def test_sym_eig_orthonormality_up_to_dim_150():
         assert np.linalg.norm(V.T @ V - np.eye(dim)) < 1e-12
 
 
-def test_svd3_identity():
-    U, s, V = svd3(np.eye(3))
-    assert np.allclose(s, [1, 1, 1])
-    assert np.abs(U @ np.diag(s) @ V.T - np.eye(3)).max() < 1e-12
-
-
-def test_svd3_diagonal_with_zero():
-    M = np.diag([2.0, 1.0, 0.0])
-    U, s, V = svd3(M)
-    assert np.allclose(s, [2.0, 1.0, 0.0], atol=1e-12)
-    assert np.abs(U @ np.diag(s) @ V.T - M).max() < 1e-12
-    assert np.abs(U.T @ U - np.eye(3)).max() < 1e-12
-
-
-def test_svd3_random_reconstruction():
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        M = rng.standard_normal((3, 3))
-        U, s, V = svd3(M)
-        assert np.linalg.norm(U @ np.diag(s) @ V.T - M) < 1e-12 * max(1, np.linalg.norm(M))
-        assert np.abs(U.T @ U - np.eye(3)).max() < 1e-12
-        assert np.abs(V.T @ V - np.eye(3)).max() < 1e-12
-        assert np.all(s >= 0) and s[0] >= s[1] >= s[2]
-        assert abs(abs(np.linalg.det(U) * np.linalg.det(V)) - 1.0) < 1e-9
-
-
-def test_svd3_rank_one():
-    u = np.array([1.0, 2.0, -1.0])
-    v = np.array([0.5, 0.0, 2.0])
-    M = np.outer(u, v)
-    U, s, V = svd3(M)
-    assert s[1] < 1e-12 and s[2] < 1e-12
-    assert np.linalg.norm(U @ np.diag(s) @ V.T - M) < 1e-12 * np.linalg.norm(M)
-    assert np.abs(U.T @ U - np.eye(3)).max() < 1e-10
-
-
 def test_project_rotation_det_plus_one():
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        M = rng.standard_normal((3, 3))
+    rank_deficient = [np.outer([1.0, 2.0, -1.0], [0.5, 0.0, 2.0]),  # rank 1
+                      np.diag([2.0, 1.0, 0.0]),                      # rank 2
+                      np.zeros((3, 3))]
+    for M in [rng.standard_normal((3, 3)) for _ in range(50)] + rank_deficient:
         R = project_rotation(M)
         assert np.abs(R.T @ R - np.eye(3)).max() < 1e-12
         assert np.linalg.det(R) > 0.99

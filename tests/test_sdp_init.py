@@ -1,3 +1,4 @@
+import logging
 from collections import Counter
 
 import numpy as np
@@ -80,20 +81,18 @@ def test_objective_matches_direct_evaluation():
     rng = np.random.default_rng(2)
     triples = [(rand_pose(rng), rand_pose(rng), rand_pose(rng)) for _ in range(7)]
     for alpha in (1.0, 0.5):
-        Q = sdp.build_objective(triples, alpha)
+        G = sdp.build_residual_stack(triples, alpha)
         X, Y, Z = rand_pose(rng), rand_pose(rng), rand_pose(rng)
-        w = sdp.lift(X, Y, Z)
+        r = G @ sdp.lift(X, Y, Z)
         direct = direct_objective(X, Y, Z, triples, alpha)
-        assert abs(w @ Q @ w - direct) < 1e-9 * max(1.0, direct)
-    # PSD
-    lam = np.linalg.eigvalsh(sdp.build_objective(triples))
-    assert lam.min() > -1e-9
+        assert abs(r @ r - direct) < 1e-9 * max(1.0, direct)
 
 
 def test_objective_zero_at_ground_truth(noise_free_setup):
     system, _, problem = noise_free_setup
     w = sdp.lift(system.X, system.Y, system.Z)
     assert w @ problem.Q @ w < 1e-12 * np.trace(problem.Q)
+    assert np.linalg.eigvalsh(problem.Q).min() > -1e-9  # PSD
 
 
 def test_constraint_counts_and_families(constraints):
@@ -157,7 +156,8 @@ def test_solve_rejects_non_finite_objective(noise_free_setup):
     Q = problem.Q.copy()
     Q[5, 7] = Q[7, 5] = np.nan
     with pytest.raises(StructureError):
-        sdp.solve_sdp(sdp.SDPProblem(Q, problem.constraints), max_iters=10)
+        sdp.solve_sdp(sdp.SDPProblem(Q, problem.constraints, problem.residual_stack),
+                      max_iters=10)
 
 
 def test_solve_noise_free_tight(noise_free_setup, noise_free_solution):
@@ -255,3 +255,12 @@ def test_initialize_pipeline_to_dict(noise_free_setup):
     assert d["converged"]
     assert d["rank_ratio"] < 1e-6
     assert d["eta"] <= 1e-6
+
+
+def test_initialize_warns_when_admm_does_not_converge(noise_free_setup, caplog):
+    system, samples, _ = noise_free_setup
+    with caplog.at_level(logging.WARNING, logger="dualcal"):
+        init = sdp.initialize(system.sensor_arm, system.tool_arm, samples, max_iters=25)
+    assert not init.converged
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1 and "did not converge" in warnings[0].getMessage()

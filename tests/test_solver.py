@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from dualcal import liegroup as lie
 from dualcal.chain import CalibrationState, DualArmSystem, MeasurementSample, predict_B, stack
 from dualcal.errors import RankDeficientError
 from dualcal.kinematics import perturb_model
-from dualcal.solver import SolverConfig, solve, step
+from dualcal.solver import SolverConfig, calibrate, solve, step
 from helpers import noise_free_samples, toy_system
 
 
@@ -136,3 +138,36 @@ def test_config_validation():
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
         SolverConfig(update_mode="fancy")
+
+
+def test_solve_warns_only_when_not_converged(setup, caplog):
+    gt, samples = setup
+    start = gt.apply_delta(np.full(gt.dim, 1e-4))
+    with caplog.at_level(logging.WARNING, logger="dualcal"):
+        _, trace = solve(start, samples, SolverConfig(tol_inf=1e-9))
+        assert trace.converged and not caplog.records
+        _, trace = solve(start, samples, SolverConfig(tol_inf=1e-9, max_iters=1))
+    assert not trace.converged
+    assert len(caplog.records) == 1 and "did not converge" in caplog.records[0].getMessage()
+
+
+def test_calibrate_from_given_coords_skips_sdp(monkeypatch):
+    # data from perturbed arms; the refinement starts at the true X, Y, Z
+    # and the nominal arms, and no SDP runs when the coordinates are given
+    rng = np.random.default_rng(6)
+    nominal = toy_system()
+    gt_system = DualArmSystem(
+        perturb_model(nominal.sensor_arm, rng.normal(0, 5e-4, (6, 6))),
+        perturb_model(nominal.tool_arm, rng.normal(0, 5e-4, (6, 6))),
+        nominal.X, nominal.Y, nominal.Z)
+    samples = noise_free_samples(CalibrationState.from_system(gt_system), rng, 60)
+
+    def no_sdp(*args, **kwargs):
+        raise AssertionError("the SDP ran although coordinates were given")
+    monkeypatch.setattr("dualcal.solver.initialize", no_sdp)
+    init, final, trace = calibrate(nominal, samples, (nominal.X, nominal.Y, nominal.Z),
+                                   SolverConfig(tol_inf=1e-12))
+    assert init is None
+    assert trace.converged
+    e, _ = stack(final, samples)
+    assert np.linalg.norm(e) < 1e-10
