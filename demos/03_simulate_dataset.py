@@ -8,7 +8,7 @@ top.
 
 import numpy as np
 
-from dualcal.chain import CalibrationState, stack
+from dualcal.chain import stack
 from dualcal.simulate import dataset_to_dict, generate_dataset, save_dataset
 
 ds = generate_dataset(m=40, kin_tag="M", noise_tag="M", seed=42)
@@ -18,14 +18,12 @@ rep = ds.reports["kinematic_deviation"]
 print(f"induced kinematic deviation: {rep['rot_mean_deg']:.3f} deg / "
       f"{rep['trans_mean_mm']:.3f} mm (mean over both arms)")
 
-# the ground-truth state fits the noise-free part of the chain; with
+# the ground-truth system fits the noise-free part of the chain; with
 # measurement noise the residual at ground truth reflects pure noise
-gt_state = CalibrationState.from_system(ds.gt_system)
-e, _ = stack(gt_state, ds.samples)
+e, _ = stack(ds.gt_system, ds.samples)
 print(f"residual at ground truth (pure measurement noise): |e| = {np.linalg.norm(e):.3e}")
 
-nom_state = CalibrationState.from_system(ds.nominal_system)
-e_nom, _ = stack(nom_state, ds.samples)
+e_nom, _ = stack(ds.nominal_system, ds.samples)
 print(f"residual at the nominal parameters:               |e| = {np.linalg.norm(e_nom):.3e}")
 
 save_dataset(ds, "/tmp/dualcal_demo_dataset.json")

@@ -1,7 +1,7 @@
 """Full pipeline: SDP initialization + unified coordinate/kinematic refinement.
 
 The damped Gauss-Newton stage jointly updates the three coordinate
-twists and all 12 joint twists (12n+18 = 90 parameters for two 6-DoF
+poses and all 12 joint twists (12n+18 = 90 parameters for two 6-DoF
 arms) against the closed-loop error of every sample.  Closed-loop
 deviations on held-out samples compare the coordinate-only
 initialization against the unified result.
@@ -19,7 +19,7 @@ nominal = ds.nominal_system
 print(f"kinematic level H, measurement noise M; {len(cal)} calibration / "
       f"{len(test)} held-out samples")
 
-init, final, trace = calibrate(nominal, cal, config=SolverConfig(damping=1e-3, tol_inf=1e-8))
+init, system, trace = calibrate(nominal, cal, config=SolverConfig(damping=1e-3, tol_inf=1e-8))
 print(f"SDP init: eta = {init.eta:.2e}, rank ratio = {init.rank_ratio:.2e}, "
       f"{init.iterations} ADMM iterations")
 print(f"unified refinement: {trace.iterations} iterations, |e| "
@@ -27,7 +27,6 @@ print(f"unified refinement: {trace.iterations} iterations, |e| "
 
 rep_init = evaluate_samples(test, init.X, init.Y, init.Z,
                             nominal.sensor_arm, nominal.tool_arm, "coordinate_only")
-system = final.to_system()
 rep_unified = evaluate_samples(test, system.X, system.Y, system.Z,
                                system.sensor_arm, system.tool_arm, "joint")
 print("\nheld-out closed-loop deviations (mean over 40 samples):")

@@ -10,7 +10,6 @@ calibration (smaller = more consistent).
 import numpy as np
 
 from dualcal import liegroup as lie
-from dualcal.chain import CalibrationState
 from dualcal.evaluate import ball_consistency
 from dualcal.kinematics import forward_kinematics
 from dualcal.simulate import default_system, generate_dataset

@@ -6,8 +6,8 @@ twists of both arms from closed-loop pose measurements, with a
 certifiably correct SDP initialization for the coordinates.
 """
 
-from .chain import (CalibrationState, DualArmSystem, MeasurementSample,
-                    identifiability_report, predict_B, residual, stack)
+from .chain import (DualArmSystem, MeasurementSample, identifiability_report,
+                    predict_B, residual, stack)
 from .evaluate import (ball_consistency, evaluate_dataset, evaluate_samples,
                        min_enclosing_ball, sphere_fit)
 from .kinematics import RobotModel, default_arm, forward_kinematics, perturb_model

@@ -15,9 +15,8 @@ import sys
 
 import numpy as np
 
-from .chain import (CalibrationState, MeasurementSample, identifiability_report,
-                    residual, stack)
-from .errors import CalibrationError, ValidationError
+from .chain import MeasurementSample, identifiability_report, residual, stack
+from .errors import CalibrationError, RankDeficientError, ValidationError
 from .evaluate import ball_consistency, evaluate_dataset
 from .sdp_init import initialize
 from .simulate import (_sample_field, dataset_to_dict, default_system, field_array,
@@ -78,15 +77,18 @@ def cmd_calibrate(args):
     coords = init_record = None
     if args.init:
         init_record = _load_json(args.init, "init")
+        if not isinstance(init_record, dict):
+            raise ValidationError(f"init file {args.init} is not a JSON object")
+        for k in "XYZ":
+            if k not in init_record:
+                raise ValidationError(f"init is missing field '{k}'")
         coords = [field_array(init_record[k], k, (4, 4), "a pose is 4x4 row-major")
                   for k in "XYZ"]
-    config = SolverConfig(damping=args.damping, tol_inf=args.tol,
-                          max_iters=args.max_iters, update_mode=args.update_mode)
+    config = SolverConfig(damping=args.damping, tol_inf=args.tol, max_iters=args.max_iters)
     init, final, trace = calibrate(nominal, ds.samples, coords, config, **_sdp_options(args))
     if init is not None:
         init_record = init.to_dict()
-    system = final.to_system((nominal.sensor_arm.name, nominal.tool_arm.name))
-    out = system_to_dict(system)
+    out = system_to_dict(final)
     out["trace"] = trace.to_dict()
     out["final_residual_norm"] = float(np.linalg.norm(residual(final, ds.samples)))
     out["init"] = init_record
@@ -122,8 +124,7 @@ def cmd_evaluate(args):
 def cmd_identifiability(args):
     ds = load_dataset(args.data)
     source = _load_calib_system(args.calib) if args.calib else ds.nominal_system
-    state = CalibrationState.from_system(source)
-    _, J = stack(state, ds.samples)
+    _, J = stack(source, ds.samples)
     report = identifiability_report(J, ds.samples, q_min=args.q_min)
     _write_json(report.to_dict(), args.out)
     return 0
@@ -156,7 +157,11 @@ def cmd_ball_eval(args):
         clouds.append(field_array(points, f"postures[{i}].points",
                                   (len(points) if isinstance(points, list) else -1, 3),
                                   "a cloud is a list of [x, y, z] points"))
-    result = ball_consistency(clouds, samples, calib.X, calib.Y, arm_a, arm_c)
+    try:
+        result = ball_consistency(clouds, samples, calib.X, calib.Y, arm_a, arm_c)
+    except RankDeficientError as exc:
+        raise ValidationError(f"postures[{exc.posture}].points do not determine a sphere: "
+                              "need 4 or more points, not all in one plane") from None
     _write_json(result.to_dict(), args.out)
     log.info("r_MEB = %.4f mm", 1e3 * result.r_meb)
     return 0
@@ -199,8 +204,6 @@ def build_parser():
     c.add_argument("--tol", type=float, default=1e-3,
                    help="stop when |increment|_inf falls below this")
     c.add_argument("--max-iters", type=int, default=100)
-    c.add_argument("--update-mode", default="additive",
-                   choices=("additive", "multiplicative"))
     add_sdp_args(c)
     c.set_defaults(func=cmd_calibrate)
 

@@ -201,6 +201,7 @@ def ball_consistency(point_clouds, samples, X, Y, arm_a, arm_c):
             c, r, rms = sphere_fit(mapped)
         except RankDeficientError as exc:
             exc.args = (f"sphere fit degenerate at posture {i}: {exc.args[0]}",)
+            exc.posture = i
             raise
         centers.append(c)
         radii.append(r)

@@ -34,6 +34,7 @@ JACOBIAN_SMALL_ANGLE = 8e-2
 _PI_MARGIN = 1e-6
 
 _I3, _I6 = np.eye(3), np.eye(6)
+_E4 = np.array([0.0, 0.0, 0.0, 1.0])  # bottom row of a pose
 
 
 def skew(w):
@@ -96,8 +97,9 @@ def is_pose(T, tol=1e-9):
     if T.shape != (4, 4):
         return False
     R = T[:3, :3]
-    ortho = np.linalg.norm(R.T @ R - np.eye(3)) < tol
-    return ortho and np.linalg.det(R) > 0 and np.allclose(T[3], [0, 0, 0, 1])
+    ortho = np.linalg.norm(R.T @ R - _I3) < tol
+    # the bottom row within np.allclose's default tolerances, at a fraction of its cost
+    return ortho and np.linalg.det(R) > 0 and (np.abs(T[3] - _E4) <= 1e-8 + 1e-5 * _E4).all()
 
 
 def apply_pose(T, points):

@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 
 from . import liegroup as lie
-from .chain import DualArmSystem, MeasurementSample, CalibrationState, predict_B
+from .chain import DualArmSystem, MeasurementSample, predict_B
 from .errors import InfeasibleSamplingError, ValidationError
 from .kinematics import forward_kinematics, model_from_dict, model_to_dict, perturb_model
 
@@ -194,8 +194,7 @@ class SyntheticDataset:
 def synthesize(system_gt, system_nominal, configs, noise, rng, seed=None,
                kin_tag="custom", noise_tag=None):
     """Measurements B_i = gtB_i * exp(noise twist) over the configs."""
-    state_gt = CalibrationState.from_system(system_gt)
-    B = predict_B(state_gt, [MeasurementSample(q_a, q_c, np.eye(4)) for q_a, q_c in configs])
+    B = predict_B(system_gt, [MeasurementSample(q_a, q_c, np.eye(4)) for q_a, q_c in configs])
     if noise.rot_sigma > 0 or noise.trans_sigma > 0:
         # one noise twist per sample, drawn in sample order
         B = B @ lie.exp_se3(np.array([noise_twist(noise, rng) for _ in configs]))
@@ -209,8 +208,7 @@ def default_system():
     """Nominal dual-arm setup used by the bundled simulations.
 
     Two UR5-like arms with bases 1.2 m apart and rotated 2.3 rad about
-    the vertical (kept clear of the pi-rotation logarithm singularity),
-    plus small flange-to-sensor and flange-to-tool offsets.
+    the vertical, plus small flange-to-sensor and flange-to-tool offsets.
     """
     from .kinematics import default_arm
     X = lie.exp_se3(np.array([0.10, -0.05, 0.15, 0.05, -0.03, 0.08]))

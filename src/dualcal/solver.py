@@ -1,11 +1,12 @@
-"""Damped Gauss-Newton refinement of the full calibration state."""
+"""Damped Gauss-Newton refinement of X, Y, Z and both arms' joint twists."""
 
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import CalibrationState, DualArmSystem, stack
+from .chain import DualArmSystem, stack
+from .errors import StructureError
 from .numerics import solve_damped_normal
 from .sdp_init import initialize
 
@@ -17,15 +18,12 @@ class SolverConfig:
     damping: float = 1e-3
     tol_inf: float = 1e-3       # infinity-norm threshold on the increment
     max_iters: int = 100
-    update_mode: str = "additive"  # or "multiplicative"
 
     def __post_init__(self):
         if self.tol_inf <= 0:
             raise ValueError("tol_inf must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.update_mode not in ("additive", "multiplicative"):
-            raise ValueError(f"unknown update mode '{self.update_mode}'")
 
 
 @dataclass
@@ -46,19 +44,22 @@ class SolveTrace:
         }
 
 
-def step(state, samples, config):
+def step(system, samples, config):
     """One damped Gauss-Newton step.
 
-    The residual model is e(xi + d) ~ e(xi) + J d, so the increment
-    minimizes |e + J d|^2 + damping*|d|^2, i.e. it solves
-    (J^T J + damping I) d = -J^T e.  Returns (new_state, delta, e).
+    The residual model is e(system.apply_delta(d)) ~ e + J d, so the
+    increment minimizes |e + J d|^2 + damping*|d|^2, i.e. it solves
+    (J^T J + damping I) d = -J^T e.  Returns (new_system, delta, e).
+    Raises StructureError when e or J is not finite.
     """
-    e, J = stack(state, samples)
+    e, J = stack(system, samples)
+    if not (np.isfinite(e).all() and np.isfinite(J).all()):
+        raise StructureError("residual or Jacobian is not finite")
     delta = solve_damped_normal(J, -e, config.damping)
-    return state.apply_delta(delta, config.update_mode), delta, e
+    return system.apply_delta(delta), delta, e
 
 
-def solve(initial_state, samples, config=None):
+def solve(initial, samples, config=None):
     """Iterate until |delta|_inf <= tol_inf or max_iters.
 
     The trace records |e|, |delta|_inf and the damping per iteration;
@@ -67,16 +68,15 @@ def solve(initial_state, samples, config=None):
     """
     if config is None:
         config = SolverConfig()
-    state = initial_state.copy()
+    system = initial
     trace = SolveTrace()
     for _ in range(config.max_iters):
-        new_state, delta, e = step(state, samples, config)
+        system, delta, e = step(system, samples, config)
         step_inf = float(np.abs(delta).max())
         trace.residual_norms.append(float(np.linalg.norm(e)))
         trace.step_norms.append(step_inf)
         trace.dampings.append(config.damping)
         trace.iterations += 1
-        state = new_state
         if step_inf <= config.tol_inf:
             trace.converged = True
             break
@@ -84,7 +84,7 @@ def solve(initial_state, samples, config=None):
         log.warning("Gauss-Newton did not converge in %d iterations "
                     "(last |delta|_inf %.3e, tolerance %.3e)",
                     trace.iterations, trace.step_norms[-1], config.tol_inf)
-    return state, trace
+    return system, trace
 
 
 def calibrate(nominal, samples, coords=None, config=None, **sdp_options):
@@ -93,13 +93,12 @@ def calibrate(nominal, samples, coords=None, config=None, **sdp_options):
 
     nominal is the DualArmSystem whose arms start the refinement.
     coords=(X, Y, Z) replaces the SDP, and init is then None;
-    sdp_options go to sdp_init.initialize.  Returns (init, final_state, trace).
+    sdp_options go to sdp_init.initialize.  Returns (init, final_system, trace).
     """
     init = None
     if coords is None:
         init = initialize(nominal.sensor_arm, nominal.tool_arm, samples, **sdp_options)
         coords = init.X, init.Y, init.Z
-    start = CalibrationState.from_system(
-        DualArmSystem(nominal.sensor_arm, nominal.tool_arm, *coords))
+    start = DualArmSystem(nominal.sensor_arm, nominal.tool_arm, *coords)
     final, trace = solve(start, samples, config)
     return init, final, trace

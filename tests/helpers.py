@@ -8,8 +8,7 @@ brute-force geometry give reference values the library must reproduce.
 import numpy as np
 
 from dualcal import liegroup as lie
-from dualcal.chain import (CalibrationState, DualArmSystem, MeasurementSample,
-                           predict_B)
+from dualcal.chain import DualArmSystem, MeasurementSample, predict_B
 from dualcal.kinematics import default_arm
 
 
@@ -65,7 +64,7 @@ def valid_config(rng, n, q_min=0.15):
 
 
 def toy_system(rng=None):
-    """Dual UR5-like system with safe (below-pi) coordinate twists."""
+    """Dual UR5-like system with the default_system coordinates."""
     arm_a = default_arm("sensor_arm")
     arm_c = default_arm("tool_arm")
     X = lie.exp_se3(np.array([0.10, -0.05, 0.15, 0.05, -0.03, 0.08]))
@@ -74,30 +73,31 @@ def toy_system(rng=None):
     return DualArmSystem(arm_a, arm_c, X, Y, Z)
 
 
-def noise_free_samples(state, rng, m, n=6):
-    """Samples whose B is exactly consistent with the given state."""
+def noise_free_samples(system, rng, m, n=6):
+    """Samples whose B is exactly consistent with the given system."""
     out = []
     for _ in range(m):
         q_a = valid_config(rng, n)
         q_c = valid_config(rng, n)
-        B = predict_B(state, MeasurementSample(q_a, q_c, np.eye(4)))
+        B = predict_B(system, MeasurementSample(q_a, q_c, np.eye(4)))
         out.append(MeasurementSample(q_a, q_c, B))
     return out
 
 
-def fd_jacobian_columns(state, samples, h=1e-6):
+def fd_jacobian_columns(system, samples, h=1e-6):
     """Defining finite differences of the stacked Jacobian.
 
-    Central difference of vee(log(B'(xi+h e_col) B'(xi-h e_col)^-1))/2h,
-    the quantity the analytical Jacobian is defined to produce.
+    Central difference of vee(log(B'(+h e_col) B'(-h e_col)^-1))/2h, with
+    B'(d) predicted by system.apply_delta(d): the quantity the analytical
+    Jacobian is defined to produce.
     """
-    dim = state.dim
+    dim = system.dim
     J = np.empty((6 * len(samples), dim))
     for col in range(dim):
         d = np.zeros(dim)
         d[col] = h
-        sp = state.apply_delta(d)
-        sm = state.apply_delta(-d)
+        sp = system.apply_delta(d)
+        sm = system.apply_delta(-d)
         for i, sample in enumerate(samples):
             Bp = predict_B(sp, sample)
             Bm = predict_B(sm, sample)

@@ -17,12 +17,12 @@ import pytest
 from dualcal import liegroup as lie
 from dualcal import sdp_init as sdp
 from dualcal import solver
-from dualcal.chain import (CalibrationState, MeasurementSample,
+from dualcal.chain import (DualArmSystem, MeasurementSample,
                            identifiability_report, predict_B, stack)
 from dualcal.cli import main as cli_main
 from dualcal.evaluate import (ball_consistency, evaluate_samples,
                               min_enclosing_ball, sphere_fit)
-from dualcal.kinematics import forward_kinematics
+from dualcal.kinematics import RobotModel, forward_kinematics
 from dualcal.simulate import (generate_dataset, kin_level, level_targets,
                               noise_level, noise_twist, perturb_level,
                               sample_configurations)
@@ -103,17 +103,17 @@ def test_criterion_2_jacobian_finite_difference():
     for _ in range(200):
         joints_a = np.array([rand_twist(rng, 1.5, 0.6) for _ in range(6)])
         joints_c = np.array([rand_twist(rng, 1.5, 0.6) for _ in range(6)])
-        state = CalibrationState(
-            xi_x=rand_twist(rng, 1.0, 0.3), xi_y=rand_twist(rng, 2.0, 1.0),
-            xi_z=rand_twist(rng, 1.0, 0.3), joints_a=joints_a, joints_c=joints_c,
-            xi_st_a=rand_twist(rng, 0.5, 0.5), xi_st_c=rand_twist(rng, 0.5, 0.5))
+        X, Y, Z = lie.exp_se3(np.array([rand_twist(rng, 1.0, 0.3), rand_twist(rng, 2.0, 1.0),
+                                        rand_twist(rng, 1.0, 0.3)]))
+        system = DualArmSystem(RobotModel("a", joints_a, rand_twist(rng, 0.5, 0.5)),
+                               RobotModel("c", joints_c, rand_twist(rng, 0.5, 0.5)), X, Y, Z)
         samples = [MeasurementSample(rng.uniform(-np.pi, np.pi, 6),
                                      rng.uniform(-np.pi, np.pi, 6), np.eye(4))
                    for _ in range(2)]
-        samples = [MeasurementSample(s.q_a, s.q_c, predict_B(state, s))
+        samples = [MeasurementSample(s.q_a, s.q_c, predict_B(system, s))
                    for s in samples]
-        _, J = stack(state, samples)
-        fd = fd_jacobian_columns(state, samples)
+        _, J = stack(system, samples)
+        fd = fd_jacobian_columns(system, samples)
         scale = np.maximum(np.abs(J).max(axis=0), 1e-9)
         worst = max(worst, (np.abs(J - fd).max(axis=0) / scale).max())
     dt = time.perf_counter() - t0
@@ -126,8 +126,7 @@ def test_criterion_2_jacobian_finite_difference():
 def test_criterion_3_noise_free_exact_recovery():
     t0 = time.perf_counter()
     ds, cal, test = split_dataset(80, 40, "M", "none", seed=300)
-    init, final, trace = calibrate(ds, cal, tol=1e-12)
-    system = final.to_system()
+    init, system, trace = calibrate(ds, cal, tol=1e-12)
     rep = evaluate_samples(test, system.X, system.Y, system.Z,
                            system.sensor_arm, system.tool_arm, "joint")
     dt = time.perf_counter() - t0
@@ -198,12 +197,11 @@ def test_criterion_6_trend_reproduction():
         e_sdp, e_uni = [], []
         for s in range(10):
             ds, cal, test = split_dataset(80, 40, tag, "M", seed=6000 + 100 * li + s)
-            init, final, trace = calibrate(ds, cal, tol=1e-8)
+            init, system, trace = calibrate(ds, cal, tol=1e-8)
             nominal = ds.nominal_system
             rep_sdp = evaluate_samples(test, init.X, init.Y, init.Z,
                                        nominal.sensor_arm, nominal.tool_arm,
                                        "coordinate_only")
-            system = final.to_system()
             rep_uni = evaluate_samples(test, system.X, system.Y, system.Z,
                                        system.sensor_arm, system.tool_arm, "joint")
             e_sdp.append(rep_sdp.e_trans.mean())
@@ -222,12 +220,12 @@ def test_criterion_6_trend_reproduction():
 
 def test_criterion_7_identifiability_diagnostics():
     t0 = time.perf_counter()
-    gt_state = CalibrationState.from_system(toy_system())
+    gt_system = toy_system()
     rng = np.random.default_rng(700)
     configs = sample_configurations(80, 6, rng)
-    samples = [MeasurementSample(qa, qc, predict_B(gt_state, MeasurementSample(qa, qc, np.eye(4))))
+    samples = [MeasurementSample(qa, qc, predict_B(gt_system, MeasurementSample(qa, qc, np.eye(4))))
                for qa, qc in configs]
-    _, J = stack(gt_state, samples)
+    _, J = stack(gt_system, samples)
     rep = identifiability_report(J, samples)
 
     pinned = []
@@ -235,8 +233,8 @@ def test_criterion_7_identifiability_diagnostics():
         qa = s.q_a.copy()
         qa[2] = 0.0
         pinned.append(MeasurementSample(qa, s.q_c,
-                                        predict_B(gt_state, MeasurementSample(qa, s.q_c, np.eye(4)))))
-    _, Jp = stack(gt_state, pinned)
+                                        predict_B(gt_system, MeasurementSample(qa, s.q_c, np.eye(4)))))
+    _, Jp = stack(gt_system, pinned)
     rep_pinned = identifiability_report(Jp, pinned)
     clause_b = (not rep_pinned.well_posed) and rep_pinned.excitation_violations
     dt = time.perf_counter() - t0
@@ -311,8 +309,7 @@ def test_criterion_9_evaluation_kernels():
     sphere_ok = np.abs(c - center).max() < 1e-10 and abs(r - 0.0254) < 1e-10
 
     system = toy_system()
-    state = CalibrationState.from_system(system)
-    samples = noise_free_samples(state, rng, 10)
+    samples = noise_free_samples(system, rng, 10)
     ball_center = np.array([0.02, -0.01, 0.05])
     clouds = []
     for s in samples:

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from dualcal import liegroup as lie
-from dualcal.chain import CalibrationState
 from dualcal.cli import main
 from dualcal.kinematics import forward_kinematics
-from dualcal.simulate import load_dataset, system_to_dict
+from dualcal.simulate import default_system, load_dataset, system_to_dict
 
 
 def run(*argv):
@@ -77,6 +76,23 @@ def test_calibrate_output(calib_file):
     assert d["final_residual_norm"] < 1e-9
 
 
+def drop_z(record):
+    del record["Z"]
+    return record
+
+
+@pytest.mark.parametrize("edit, message", [
+    (drop_z, "init is missing field 'Z'"),
+    (lambda record: [record["X"], record["Y"], record["Z"]], "is not a JSON object"),
+], ids=["missing-Z", "not-an-object"])
+def test_bad_init_file_exits_2_naming_field(workdir, init_file, tmp_path, capsys, edit, message):
+    bad = tmp_path / "bad_init.json"
+    bad.write_text(json.dumps(edit(json.loads(init_file.read_text()))))
+    assert run("calibrate", "--data", str(workdir / "data.json"), "--init", str(bad),
+               "--out", str(tmp_path / "calib.json")) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_calibrate_without_init_records_eta(workdir, tmp_path):
     out = tmp_path / "calib_auto.json"
     assert run("calibrate", "--data", str(workdir / "data.json"),
@@ -127,7 +143,6 @@ def test_identifiability_command(workdir, tmp_path):
 def postures(workdir):
     ds = load_dataset(workdir / "data.json")
     system = ds.gt_system
-    state = CalibrationState.from_system(system)
     rng = np.random.default_rng(0)
     center = np.array([0.02, -0.01, 0.05])
     postures = []
@@ -218,13 +233,45 @@ def nan_point(postures):
     postures[5]["points"][7][0] = float("nan")
 
 
+def three_points(postures):
+    postures[4]["points"] = postures[4]["points"][:3]
+
+
+def coplanar_points(postures):
+    for p in postures[6]["points"]:
+        p[2] = 0.25
+
+
 @pytest.mark.parametrize("edit, message", [
     (short_q_a, "postures[3].q_a has 5 values, the sensor arm has 6 joints"),
     (nan_q_c, "postures[2].q_c has a non-finite value"),
     (nan_point, "postures[5].points has a non-finite value"),
-], ids=["short-q_a", "nan-q_c", "nan-points"])
+    (three_points, "postures[4].points do not determine a sphere"),
+    (coplanar_points, "postures[6].points do not determine a sphere"),
+], ids=["short-q_a", "nan-q_c", "nan-points", "three-points", "coplanar-points"])
 def test_bad_posture_exits_2_naming_field(postures, calib_file, tmp_path, capsys, edit, message):
     bad = copy.deepcopy(postures)
     edit(bad)
     assert run_ball_eval(bad, calib_file, tmp_path) == 2
     assert message in capsys.readouterr().err
+
+
+def test_facing_arms_pipeline(tmp_path):
+    # the tool arm's base faces the sensor arm's: Y rotates pi about the
+    # vertical, where the SE(3) logarithm is singular
+    system = system_to_dict(default_system())
+    system["Y"] = [[-1.0, 0.0, 0.0, 1.2], [0.0, -1.0, 0.0, 0.0],
+                   [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+    (tmp_path / "system.json").write_text(json.dumps(system))
+    files = {name: str(tmp_path / f"{name}.json")
+             for name in ("system", "data", "calib", "report", "ident")}
+    assert run("generate", "--system", files["system"], "--samples", "80",
+               "--kin-level", "M", "--noise-level", "M", "--seed", "7",
+               "--out", files["data"]) == 0
+    assert run("calibrate", "--data", files["data"], "--out", files["calib"]) == 0
+    assert json.loads((tmp_path / "calib.json").read_text())["trace"]["converged"] is True
+    assert run("evaluate", "--data", files["data"], "--calib", files["calib"],
+               "--out", files["report"]) == 0
+    assert run("identifiability", "--data", files["data"], "--calib", files["calib"],
+               "--out", files["ident"]) == 0
+    assert json.loads((tmp_path / "ident.json").read_text())["rank"] == 12 * 6 + 6

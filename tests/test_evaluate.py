@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dualcal import liegroup as lie
-from dualcal.chain import CalibrationState, MeasurementSample, predict_B
+from dualcal.chain import MeasurementSample
 from dualcal.errors import RankDeficientError
 from dualcal.evaluate import (ball_consistency, evaluate_dataset, evaluate_samples,
                               min_enclosing_ball, sphere_fit)
@@ -14,13 +14,12 @@ from helpers import brute_force_meb, noise_free_samples, toy_system
 @pytest.fixture(scope="module")
 def setup():
     system = toy_system()
-    state = CalibrationState.from_system(system)
-    samples = noise_free_samples(state, np.random.default_rng(0), 15)
-    return system, state, samples
+    samples = noise_free_samples(system, np.random.default_rng(0), 15)
+    return system, samples
 
 
 def test_closed_loop_zero_for_perfect_parameters(setup):
-    system, _, samples = setup
+    system, samples = setup
     for s in samples:
         err = evaluate_samples([s], system.X, system.Y, system.Z,
                                system.sensor_arm, system.tool_arm, "joint")
@@ -29,7 +28,7 @@ def test_closed_loop_zero_for_perfect_parameters(setup):
 
 
 def test_closed_loop_detects_injected_deviation(setup):
-    system, _, samples = setup
+    system, samples = setup
     rng = np.random.default_rng(1)
     dw = rng.normal(size=3)
     dw *= 0.01 / np.linalg.norm(dw)
@@ -70,7 +69,7 @@ def test_rotation_angle_conjugation_invariant():
 
 
 def test_evaluate_dataset_modes(setup):
-    system, _, _ = setup
+    system, _ = setup
     rng = np.random.default_rng(4)
     nominal = default_system()
     configs = sample_configurations(10, 6, rng)
@@ -157,7 +156,6 @@ def test_meb_large_point_set():
 
 def _synthetic_clouds(system, samples, ball_center_E2, radius, rng):
     """Exact sphere point clouds rendered into the sensor frame."""
-    state = CalibrationState.from_system(system)
     clouds = []
     for s in samples:
         dirs = rng.normal(size=(120, 3))
@@ -173,7 +171,7 @@ def _synthetic_clouds(system, samples, ball_center_E2, radius, rng):
 
 
 def test_ball_consistency_perfect_calibration(setup):
-    system, _, samples = setup
+    system, samples = setup
     rng = np.random.default_rng(8)
     center = np.array([0.02, -0.01, 0.05])
     clouds = _synthetic_clouds(system, samples[:10], center, 0.0254, rng)
@@ -185,7 +183,7 @@ def test_ball_consistency_perfect_calibration(setup):
 
 
 def test_ball_consistency_sensitive_to_miscalibration(setup):
-    system, _, samples = setup
+    system, samples = setup
     rng = np.random.default_rng(9)
     clouds = _synthetic_clouds(system, samples[:10], np.array([0.02, -0.01, 0.05]),
                                0.0254, rng)

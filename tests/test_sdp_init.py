@@ -6,7 +6,7 @@ import pytest
 
 from dualcal import liegroup as lie
 from dualcal import sdp_init as sdp
-from dualcal.chain import CalibrationState, MeasurementSample, predict_B
+from dualcal.chain import MeasurementSample
 from dualcal.errors import DegenerateSolutionError, StructureError
 from dualcal.simulate import noise_level, noise_twist
 from helpers import noise_free_samples, rand_pose, toy_system
@@ -30,8 +30,7 @@ def constraints():
 @pytest.fixture(scope="module")
 def noise_free_setup():
     system = toy_system()
-    gt_state = CalibrationState.from_system(system)
-    samples = noise_free_samples(gt_state, np.random.default_rng(3), 20)
+    samples = noise_free_samples(system, np.random.default_rng(3), 20)
     problem = sdp.build_problem(system.sensor_arm, system.tool_arm, samples)
     return system, samples, problem
 
@@ -228,10 +227,9 @@ def test_certify_rejects_corrupted_candidate(noise_free_setup, noise_free_soluti
 def test_lower_bound_and_eta_on_noisy_data():
     rng = np.random.default_rng(10)
     system = toy_system()
-    gt_state = CalibrationState.from_system(system)
     level = noise_level("QH")
     samples = []
-    for s in noise_free_samples(gt_state, rng, 20):
+    for s in noise_free_samples(system, rng, 20):
         B = s.B_meas @ lie.exp_se3(noise_twist(level, rng))
         samples.append(MeasurementSample(s.q_a, s.q_c, B))
     problem = sdp.build_problem(system.sensor_arm, system.tool_arm, samples)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dualcal import liegroup as lie
-from dualcal.chain import CalibrationState, stack
+from dualcal.chain import stack
 from dualcal.errors import InfeasibleSamplingError, ValidationError
 from dualcal.kinematics import default_arm
 from dualcal.simulate import (KinLevel, MEAN_NORM_FACTOR, NoiseLevel,
@@ -90,8 +90,7 @@ def test_synthesize_exact_without_noise():
     rng = np.random.default_rng(4)
     configs = sample_configurations(10, 6, rng)
     ds = synthesize(system, system, configs, NoiseLevel("none", 0.0, 0.0), rng)
-    state = CalibrationState.from_system(system)
-    e, _ = stack(state, ds.samples)
+    e, _ = stack(system, ds.samples)
     assert np.abs(e).max() < 1e-12
 
 
@@ -145,15 +144,13 @@ def test_blind_export_omits_ground_truth(tmp_path):
 
 def test_residual_zero_at_ground_truth_of_generated_dataset():
     ds = generate_dataset(10, "MH", "none", seed=13)
-    gt_state = CalibrationState.from_system(ds.gt_system)
-    e, _ = stack(gt_state, ds.samples)
+    e, _ = stack(ds.gt_system, ds.samples)
     assert np.abs(e).max() < 1e-12
 
 
 def test_noise_applied_right_multiplicatively():
     ds_clean = generate_dataset(8, "M", "none", seed=14)
     ds_noisy = generate_dataset(8, "M", "M", seed=14)
-    gt_state = CalibrationState.from_system(ds_noisy.gt_system)
     # same seed, same configs and same kinematic perturbation
     for s_clean, s_noisy in zip(ds_clean.samples, ds_noisy.samples):
         assert np.array_equal(s_clean.q_a, s_noisy.q_a)

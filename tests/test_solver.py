@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dualcal import liegroup as lie
-from dualcal.chain import CalibrationState, DualArmSystem, MeasurementSample, predict_B, stack
-from dualcal.errors import RankDeficientError
+from dualcal.chain import DualArmSystem, MeasurementSample, stack
+from dualcal.errors import RankDeficientError, StructureError
 from dualcal.kinematics import perturb_model
 from dualcal.solver import SolverConfig, calibrate, solve, step
 from helpers import noise_free_samples, toy_system
@@ -13,9 +13,15 @@ from helpers import noise_free_samples, toy_system
 
 @pytest.fixture(scope="module")
 def setup():
-    gt = CalibrationState.from_system(toy_system())
+    gt = toy_system()
     samples = noise_free_samples(gt, np.random.default_rng(0), 80)
     return gt, samples
+
+
+def fields(system):
+    """The refined parameters, one array each: X, Y, Z and both arms' joint twists."""
+    return (system.X, system.Y, system.Z,
+            system.sensor_arm.joint_twists, system.tool_arm.joint_twists)
 
 
 def test_step_zero_residual_no_motion(setup):
@@ -23,13 +29,14 @@ def test_step_zero_residual_no_motion(setup):
     new, delta, e = step(gt, samples, SolverConfig())
     assert np.abs(e).max() < 1e-12
     assert np.abs(delta).max() < 1e-12
-    assert np.abs(new.pack() - gt.pack()).max() < 1e-12
+    for a, b in zip(fields(new), fields(gt)):
+        assert np.abs(a - b).max() < 1e-12
 
 
 def test_single_step_contracts_coordinate_error(setup):
     gt, samples = setup
     bump = np.zeros(gt.dim)
-    bump[6:12] = 1e-4  # xi_y only
+    bump[6:12] = 1e-4  # Y only
     start = gt.apply_delta(bump)
     e0, _ = stack(start, samples)
     new, _, _ = step(start, samples, SolverConfig(damping=1e-3))
@@ -37,22 +44,16 @@ def test_single_step_contracts_coordinate_error(setup):
     assert np.linalg.norm(e1) < np.linalg.norm(e0) / 100.0
 
 
-def test_modes_both_converge_to_zero_residual(setup):
-    # the Jacobian is exact for additive increments, so that mode is
-    # quadratic; the multiplicative update applies a Jr^-1-distorted step
-    # and converges only linearly but still reaches the same optimum
+def test_solve_converges_quadratically_to_zero_residual(setup):
+    # the Jacobian is exact for the increment of apply_delta, so the
+    # iteration converges quadratically
     gt, samples = setup
     rng = np.random.default_rng(1)
     start = gt.apply_delta(rng.normal(0, 1e-5, gt.dim))
-    final_add, trace_add = solve(start, samples, SolverConfig(tol_inf=1e-12))
-    e_add, _ = stack(final_add, samples)
-    assert trace_add.iterations <= 5
-    assert np.linalg.norm(e_add) < 1e-12
-    final_mul, trace_mul = solve(start, samples,
-                                 SolverConfig(tol_inf=1e-12, update_mode="multiplicative"))
-    e_mul, _ = stack(final_mul, samples)
-    assert trace_mul.converged
-    assert np.linalg.norm(e_mul) < 1e-9
+    final, trace = solve(start, samples, SolverConfig(tol_inf=1e-12))
+    e, _ = stack(final, samples)
+    assert trace.iterations <= 5
+    assert np.linalg.norm(e) < 1e-12
 
 
 def test_solve_at_ground_truth_converges_immediately(setup):
@@ -70,11 +71,9 @@ def test_solve_recovers_from_kinematic_perturbation():
         perturb_model(nominal.sensor_arm, rng.normal(0, 5e-4, (6, 6))),
         perturb_model(nominal.tool_arm, rng.normal(0, 5e-4, (6, 6))),
         nominal.X, nominal.Y, nominal.Z)
-    gt_state = CalibrationState.from_system(gt_system)
-    samples = noise_free_samples(gt_state, rng, 80)
-    holdout = noise_free_samples(gt_state, rng, 30)
-    start = CalibrationState.from_system(nominal)
-    final, trace = solve(start, samples, SolverConfig(tol_inf=1e-12))
+    samples = noise_free_samples(gt_system, rng, 80)
+    holdout = noise_free_samples(gt_system, rng, 30)
+    final, trace = solve(nominal, samples, SolverConfig(tol_inf=1e-12))
     assert trace.converged
     e_train, _ = stack(final, samples)
     e_test, _ = stack(final, holdout)
@@ -91,7 +90,7 @@ def test_trace_is_deterministic(setup):
     f2, t2 = solve(start, samples, SolverConfig(tol_inf=1e-10))
     assert t1.residual_norms == t2.residual_norms
     assert t1.step_norms == t2.step_norms
-    assert np.array_equal(f1.pack(), f2.pack())
+    assert all(np.array_equal(a, b) for a, b in zip(fields(f1), fields(f2)))
     assert len(t1.residual_norms) == t1.iterations
 
 
@@ -106,10 +105,8 @@ def test_gauge_shift_of_zero_offset_absorbed():
         lie.exp_se3(shifted_arm.zero_offset) @ lie.exp_se3(delta))
     gt_system = DualArmSystem(shifted_arm, nominal.tool_arm,
                               nominal.X, nominal.Y, nominal.Z)
-    gt_state = CalibrationState.from_system(gt_system)
-    samples = noise_free_samples(gt_state, rng, 60)
-    start = CalibrationState.from_system(nominal)  # nominal zero offset
-    final, trace = solve(start, samples, SolverConfig(tol_inf=1e-12))
+    samples = noise_free_samples(gt_system, rng, 60)
+    final, trace = solve(nominal, samples, SolverConfig(tol_inf=1e-12))  # nominal zero offset
     e, _ = stack(final, samples)
     assert np.linalg.norm(e) < 1e-10
 
@@ -131,13 +128,21 @@ def test_undamped_step_on_gauge_deficient_system_errors(setup):
         step(gt, samples, SolverConfig(damping=0.0))
 
 
+def test_step_on_non_finite_residual_errors(setup):
+    gt, samples = setup
+    q_a = samples[4].q_a.copy()
+    q_a[2] = np.nan
+    bad = list(samples)
+    bad[4] = MeasurementSample(q_a, samples[4].q_c, samples[4].B_meas)
+    with pytest.raises(StructureError, match="not finite"):
+        step(gt, bad, SolverConfig())
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol_inf=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(update_mode="fancy")
 
 
 def test_solve_warns_only_when_not_converged(setup, caplog):
@@ -160,7 +165,7 @@ def test_calibrate_from_given_coords_skips_sdp(monkeypatch):
         perturb_model(nominal.sensor_arm, rng.normal(0, 5e-4, (6, 6))),
         perturb_model(nominal.tool_arm, rng.normal(0, 5e-4, (6, 6))),
         nominal.X, nominal.Y, nominal.Z)
-    samples = noise_free_samples(CalibrationState.from_system(gt_system), rng, 60)
+    samples = noise_free_samples(gt_system, rng, 60)
 
     def no_sdp(*args, **kwargs):
         raise AssertionError("the SDP ran although coordinates were given")
