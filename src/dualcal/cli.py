@@ -187,10 +187,13 @@ def build_parser():
     def add_sdp_args(sp):
         sp.add_argument("--alpha", type=float, default=1.0)
         sp.add_argument("--sdp-tol", type=float, default=1e-10,
-                        help="ADMM residual tolerance factor")
-        sp.add_argument("--sdp-max-iters", type=int, default=50000)
+                        help="ADMM residual tolerance factor; applies only when the "
+                             "certified local solve falls back to ADMM")
+        sp.add_argument("--sdp-max-iters", type=int, default=50000,
+                        help="ADMM iteration cap; applies only to the ADMM fallback")
 
-    i = sub.add_parser("init", help="certifiable SDP coordinate initialization")
+    i = sub.add_parser("init", help="certifiable coordinate initialization "
+                                    "(certified local solve, ADMM SDP as fallback)")
     i.add_argument("--data", required=True)
     i.add_argument("--out", required=True)
     add_sdp_args(i)
@@ -198,7 +201,7 @@ def build_parser():
 
     c = sub.add_parser("calibrate", help="unified coordinate+kinematic calibration")
     c.add_argument("--data", required=True)
-    c.add_argument("--init", help="initialization JSON (default: run the SDP)")
+    c.add_argument("--init", help="initialization JSON (default: run the initialization)")
     c.add_argument("--out", required=True)
     c.add_argument("--damping", type=float, default=1e-3)
     c.add_argument("--tol", type=float, default=1e-3,

@@ -7,10 +7,16 @@ The coordinate-only calibration is lifted to a homogeneous 133-vector
 
 (column-stacking vec throughout).  The chain residuals become linear in
 w, the SO(3)/Kronecker structure becomes 160 quadratic equalities, and
-the resulting QCQP is relaxed to an SDP over W = w w^T.  The SDP is
-solved by operator-splitting ADMM; a rank-1 extraction plus manifold
-projection recovers (X, Y, Z), and the SDP optimum certifies the
-recovered candidate through an a-posteriori sub-optimality gap.
+the resulting QCQP is relaxed to an SDP over W = w w^T.
+
+initialize first solves the QCQP locally (linear lift, then Gauss-Newton
+over the 18 pose increments) and certifies the result through Lagrange
+multipliers: if S = Q - sum_j lambda_j H_j is PSD, b^T lambda bounds the
+SDP from below.  When that certificate fails, the SDP is solved by
+operator-splitting ADMM; a rank-1 extraction plus manifold projection
+recovers (X, Y, Z), and the SDP optimum certifies the recovered
+candidate.  Either way the certificate is an a-posteriori
+sub-optimality gap.
 """
 
 import logging
@@ -31,10 +37,25 @@ DIM = 133
 # index layout of the lifted vector
 RX0, RY0, K0, TX0, TY0, V0, HOM = 0, 9, 18, 99, 102, 105, 132
 
+# certified-local path: Gauss-Newton iteration cap and step tolerance, and
+# acceptance of its certificate, lambda_min(S) >= -CERT_EIG_TOL * tr(Q)
+# and eta <= CERT_ETA
+LOCAL_MAX_ITERS = 20
+LOCAL_STEP_TOL = 1e-10
+CERT_EIG_TOL = 1e-12
+CERT_ETA = 1e-6
+
 
 def _vec(M):
-    """Column-stacking vectorization."""
-    return np.asarray(M, dtype=float).reshape(-1, order="F")
+    """Column-stacking vectorization of the last two axes."""
+    M = np.asarray(M, dtype=float)
+    return np.swapaxes(M, -1, -2).reshape(M.shape[:-2] + (-1,))
+
+
+def _kron(A, B):
+    """Kronecker product of the last two axes, broadcast over the rest."""
+    K = np.einsum("...ij,...kl->...ikjl", A, B)
+    return K.reshape(K.shape[:-4] + (K.shape[-4] * K.shape[-3], K.shape[-2] * K.shape[-1]))
 
 
 def _unvec(v, shape):
@@ -46,32 +67,34 @@ def lift(X, Y, Z):
     Rx, tx = X[:3, :3], X[:3, 3]
     Ry, ty = Y[:3, :3], Y[:3, 3]
     Rz, tz = Z[:3, :3], Z[:3, 3]
-    K = np.kron(Rz.T, Ry)
-    V = np.kron(tz.reshape(1, 3), Ry)
+    K = _kron(Rz.T, Ry)
+    V = _kron(tz.reshape(1, 3), Ry)
     return np.concatenate([_vec(Rx), _vec(Ry), _vec(K), tx, ty, _vec(V), [1.0]])
 
 
 def omega_f(A, B, C):
-    """9x133 matrix with omega_f @ lift = vec(Ra Rx Rb) - vec(Ry Rc Rz)."""
-    Ra, Rb, Rc = A[:3, :3], B[:3, :3], C[:3, :3]
-    O = np.zeros((9, DIM))
-    O[:, RX0:RX0 + 9] = np.kron(Rb.T, Ra)
-    O[:, K0:K0 + 81] = -np.kron(_vec(Rc).reshape(1, 9), np.eye(9))
+    """9x133 matrix with omega_f @ lift = vec(Ra Rx Rb) - vec(Ry Rc Rz);
+    (..., 4, 4) poses give one matrix per pose triple."""
+    Ra, Rb, Rc = A[..., :3, :3], B[..., :3, :3], C[..., :3, :3]
+    O = np.zeros(Ra.shape[:-2] + (9, DIM))
+    O[..., RX0:RX0 + 9] = _kron(np.swapaxes(Rb, -1, -2), Ra)
+    O[..., K0:K0 + 81] = -_kron(_vec(Rc)[..., None, :], np.eye(9))
     return O
 
 
 def omega_g(A, B, C):
-    """3x133 matrix with omega_g @ lift = translation part of the chain gap."""
-    Ra, ta = A[:3, :3], A[:3, 3]
-    tb = B[:3, 3]
-    Rc, tc = C[:3, :3], C[:3, 3]
-    O = np.zeros((3, DIM))
-    O[:, RX0:RX0 + 9] = np.kron(tb.reshape(1, 3), Ra)
-    O[:, RY0:RY0 + 9] = -np.kron(tc.reshape(1, 3), np.eye(3))
-    O[:, TX0:TX0 + 3] = Ra
-    O[:, TY0:TY0 + 3] = -np.eye(3)
-    O[:, V0:V0 + 27] = -np.kron(_vec(Rc).reshape(1, 9), np.eye(3))
-    O[:, HOM] = ta
+    """3x133 matrix with omega_g @ lift = translation part of the chain gap;
+    (..., 4, 4) poses give one matrix per pose triple."""
+    Ra, ta = A[..., :3, :3], A[..., :3, 3]
+    tb = B[..., :3, 3]
+    Rc, tc = C[..., :3, :3], C[..., :3, 3]
+    O = np.zeros(Ra.shape[:-2] + (3, DIM))
+    O[..., RX0:RX0 + 9] = _kron(tb[..., None, :], Ra)
+    O[..., RY0:RY0 + 9] = -_kron(tc[..., None, :], np.eye(3))
+    O[..., TX0:TX0 + 3] = Ra
+    O[..., TY0:TY0 + 3] = -np.eye(3)
+    O[..., V0:V0 + 27] = -_kron(_vec(Rc)[..., None, :], np.eye(3))
+    O[..., HOM] = ta
     return O
 
 
@@ -82,18 +105,58 @@ def build_residual_stack(pose_triples, alpha=1.0):
     evaluates the objective as a sum of squares, free of the cancellation
     that the assembled Q suffers near zero cost.
     """
-    rows = []
-    for A, B, C in pose_triples:
-        rows.append(omega_f(A, B, C))
-        rows.append(alpha * omega_g(A, B, C))
-    return np.vstack(rows)
+    A, B, C = (np.array(P, dtype=float) for P in zip(*pose_triples))
+    O = np.concatenate([omega_f(A, B, C), alpha * omega_g(A, B, C)], axis=-2)
+    return O.reshape(-1, DIM)
 
 
-@dataclass
-class QuadConstraint:
-    H: np.ndarray
-    rho: float
-    family: str
+class ConstraintOperator:
+    """The constraints tr(H_j W) = rho_j, stored as the flat triplets
+    (row j, flat index, value) of the non-zeros of every H_j.
+
+    A(X) = [<H_j, X>]_j and A*(y) = sum_j y_j H_j.  Duplicate triplets
+    are summed; rho and family hold each constraint's right-hand side
+    and family name.
+    """
+
+    def __init__(self, rows, flat, vals, rho, family):
+        self.m = len(rho)
+        key, inv = np.unique(np.asarray(rows) * (DIM * DIM) + np.asarray(flat),
+                             return_inverse=True)
+        vals = np.bincount(inv, vals)
+        keep = vals != 0.0
+        self.rows, self.flat = np.divmod(key[keep], DIM * DIM)
+        self.vals = vals[keep]
+        self.rho = np.array(rho, dtype=float)
+        self.family = list(family)
+
+    def __len__(self):
+        return self.m
+
+    def __call__(self, X):
+        return np.bincount(self.rows, self.vals * X.flat[self.flat], self.m)
+
+    def adjoint(self, y):
+        return np.bincount(self.flat, self.vals * y[self.rows], DIM * DIM).reshape(DIM, DIM)
+
+    def columns(self, w):
+        """DIM x m matrix whose column j is H_j w."""
+        i, k = np.divmod(self.flat, DIM)
+        return np.bincount(i * self.m + self.rows, self.vals * w[k],
+                           DIM * self.m).reshape(DIM, self.m)
+
+    def gram(self):
+        """<H_j, H_k> for all pairs, summed over the touched entries only."""
+        touched, col = np.unique(self.flat, return_inverse=True)
+        M = np.zeros((self.m, touched.size))
+        M[self.rows, col] = self.vals
+        return M @ M.T
+
+    def toarray(self):
+        """The dense m x DIM x DIM stack of the H_j."""
+        H = np.zeros((self.m, DIM * DIM))
+        H[self.rows, self.flat] = self.vals
+        return H.reshape(self.m, DIM, DIM)
 
 
 def _rx(r, c):
@@ -112,98 +175,94 @@ def _vv(r, c):
     return V0 + 3 * c + r
 
 
-class _HBuilder:
+class _Triplets:
+    """Collects the constraints one at a time as (row j, flat index,
+    value) triplets of the symmetric H_j, with their rho_j and family."""
+
     def __init__(self):
-        self.H = np.zeros((DIM, DIM))
+        self.rows, self.flat, self.vals = [], [], []
+        self.rho, self.family = [], []
 
     def add(self, i, j, coef):
-        self.H[i, j] += 0.5 * coef
-        self.H[j, i] += 0.5 * coef
+        row = len(self.rho)
+        self.rows += [row, row]
+        self.flat += [i * DIM + j, j * DIM + i]
+        self.vals += [0.5 * coef, 0.5 * coef]
 
     def done(self, rho, family):
-        return QuadConstraint(self.H, float(rho), family)
+        self.rho.append(float(rho))
+        self.family.append(family)
 
 
-def _orthonormality(idx, family):
-    out = []
+def _orthonormality(b, idx, family):
     for l in range(3):
         for k in range(l, 3):
-            b = _HBuilder()
             for r in range(3):
                 b.add(idx(r, l), idx(r, k), 1.0)
-            out.append(b.done(1.0 if l == k else 0.0, family))
-    return out
+            b.done(1.0 if l == k else 0.0, family)
 
 
-def _handedness(idx, family):
+def _handedness(b, idx, family):
     # r1 x r2 = r3, written as three bilinear equalities; the linear r3
     # term is paired with the homogeneous entry.
-    out = []
     for a in range(3):
-        b = _HBuilder()
         a1, a2 = (a + 1) % 3, (a + 2) % 3
         b.add(idx(a1, 0), idx(a2, 1), 1.0)
         b.add(idx(a2, 0), idx(a1, 1), -1.0)
         b.add(idx(a, 2), HOM, -1.0)
-        out.append(b.done(0.0, family))
-    return out
+        b.done(0.0, family)
 
 
-def _scalar_multiple_of_identity(entry, family):
+def _scalar_multiple_of_identity(b, entry, family):
     """Constraints forcing M_ab = sum_r Ry(r,a)*entry(r,b) to c*I."""
-    out = []
     for a in range(3):
         for bcol in range(3):
             if a == bcol:
                 continue
-            b = _HBuilder()
             for r in range(3):
                 b.add(_ry(r, a), entry(r, bcol), 1.0)
-            out.append(b.done(0.0, family))
+            b.done(0.0, family)
     for a in (0, 1):
-        b = _HBuilder()
         for r in range(3):
             b.add(_ry(r, a), entry(r, a), 1.0)
             b.add(_ry(r, a + 1), entry(r, a + 1), -1.0)
-        out.append(b.done(0.0, family))
-    return out
+        b.done(0.0, family)
 
 
 def build_constraints():
-    """All 160 quadratic equality constraints on the lifted vector.
+    """All 160 quadratic equality constraints on the lifted vector, as a
+    ConstraintOperator.
 
     Families and counts: Rx/Ry orthonormality 6+6, Rx/Ry handedness 3+3,
     K column orthogonality 45, K Kronecker-block structure 72, V block
     structure 24, homogenization 1.
     """
-    cons = []
-    cons += _orthonormality(_rx, "Rx_orth")
-    cons += _handedness(_rx, "Rx_hand")
-    cons += _orthonormality(_ry, "Ry_orth")
-    cons += _handedness(_ry, "Ry_hand")
+    b = _Triplets()
+    _orthonormality(b, _rx, "Rx_orth")
+    _handedness(b, _rx, "Rx_hand")
+    _orthonormality(b, _ry, "Ry_orth")
+    _handedness(b, _ry, "Ry_hand")
     for p in range(9):
         for q in range(p, 9):
-            b = _HBuilder()
             for r in range(9):
                 b.add(_kk(r, p), _kk(r, q), 1.0)
-            cons.append(b.done(1.0 if p == q else 0.0, "K_orth"))
+            b.done(1.0 if p == q else 0.0, "K_orth")
     for p in range(3):
         for q in range(3):
-            cons += _scalar_multiple_of_identity(
-                lambda r, bcol, p=p, q=q: _kk(3 * p + r, 3 * q + bcol), "K_block")
+            _scalar_multiple_of_identity(
+                b, lambda r, bcol, p=p, q=q: _kk(3 * p + r, 3 * q + bcol), "K_block")
     for j in range(3):
-        cons += _scalar_multiple_of_identity(
-            lambda r, bcol, j=j: _vv(r, 3 * j + bcol), "V_block")
-    b = _HBuilder()
+        _scalar_multiple_of_identity(
+            b, lambda r, bcol, j=j: _vv(r, 3 * j + bcol), "V_block")
     b.add(HOM, HOM, 1.0)
-    cons.append(b.done(1.0, "homog"))
-    return cons
+    b.done(1.0, "homog")
+    return ConstraintOperator(b.rows, b.flat, b.vals, b.rho, b.family)
 
 
 @dataclass
 class SDPProblem:
     Q: np.ndarray
-    constraints: list
+    constraints: ConstraintOperator
     residual_stack: np.ndarray  # rows G with Q = G^T G
 
 
@@ -219,31 +278,6 @@ def build_problem(sensor_arm, tool_arm, samples, alpha=1.0):
                   forward_kinematics(tool_arm, q_c))
     G = build_residual_stack(triples, alpha)
     return SDPProblem(symmetrize(G.T @ G), build_constraints(), G)
-
-
-class ConstraintOperator:
-    """A(X) = [<H_j, X>]_j and A*(y) = sum_j y_j H_j, from the flat
-    triplets (row j, flat index, value) of the non-zeros of every H_j."""
-
-    def __init__(self, constraints):
-        flat = [np.flatnonzero(c.H) for c in constraints]
-        self.m = len(constraints)
-        self.rows = np.repeat(np.arange(self.m), [f.size for f in flat])
-        self.flat = np.concatenate(flat)
-        self.vals = np.concatenate([c.H.flat[f] for c, f in zip(constraints, flat)])
-
-    def __call__(self, X):
-        return np.bincount(self.rows, self.vals * X.flat[self.flat], self.m)
-
-    def adjoint(self, y):
-        return np.bincount(self.flat, self.vals * y[self.rows], DIM * DIM).reshape(DIM, DIM)
-
-    def gram(self):
-        """<H_j, H_k> for all pairs, summed over the touched entries only."""
-        touched, col = np.unique(self.flat, return_inverse=True)
-        M = np.zeros((self.m, touched.size))
-        M[self.rows, col] = self.vals
-        return M @ M.T
 
 
 @dataclass
@@ -272,8 +306,8 @@ def solve_sdp(problem, tol_factor=1e-8, max_iters=50000, sigma=None,
     Q = problem.Q
     if not np.isfinite(Q).all():
         raise StructureError("objective matrix Q has a non-finite entry")
-    A = ConstraintOperator(problem.constraints)
-    b = np.array([c.rho for c in problem.constraints])
+    A = problem.constraints
+    b = A.rho
     G_inv = np.linalg.pinv(A.gram(), rcond=1e-12, hermitian=True)
 
     def proj_aff(X):
@@ -322,21 +356,14 @@ def solve_sdp(problem, tol_factor=1e-8, max_iters=50000, sigma=None,
                      it, converged, tol)
 
 
-def extract(W):
-    """Best rank-1 candidate from W, projected back onto the manifold.
+def project_lift(w):
+    """Nearest coordinate triple to a lifted vector: (X, Y, Z).
 
-    Returns (w_star, X, Y, Z, rank_ratio) where w_star is the re-lift of
-    the projected triple (hence feasible for the original QCQP) and
-    rank_ratio = lambda2/lambda1 measures tightness.
+    w is scaled to w[HOM] = 1; Rx and Ry are projected onto SO(3), and
+    Rz and tz are read off the Kronecker blocks through the projected Ry.
     """
-    lam, V = sym_eig(W)
-    if lam[0] <= 0.0:
-        raise DegenerateSolutionError("dominant eigenvalue of W is not positive")
-    w = np.sqrt(lam[0]) * V[:, 0]
-    if w[HOM] < 0.0:
-        w = -w
     if w[HOM] <= 1e-9 * np.linalg.norm(w):
-        raise DegenerateSolutionError("homogeneous entry of the extracted vector is ~0")
+        raise DegenerateSolutionError("homogeneous entry of the lifted vector is ~0")
     w = w / w[HOM]
     Rx = project_rotation(_unvec(w[RX0:RX0 + 9], (3, 3)))
     Ry = project_rotation(_unvec(w[RY0:RY0 + 9], (3, 3)))
@@ -350,9 +377,23 @@ def extract(W):
     ty = w[TY0:TY0 + 3].copy()
     Vty = _unvec(w[V0:V0 + 27], (3, 9))
     tz = np.array([np.trace(Ry.T @ Vty[:, 3 * j:3 * j + 3]) / 3.0 for j in range(3)])
-    X = lie.make_pose(Rx, tx)
-    Y = lie.make_pose(Ry, ty)
-    Z = lie.make_pose(Rz, tz)
+    return lie.make_pose(Rx, tx), lie.make_pose(Ry, ty), lie.make_pose(Rz, tz)
+
+
+def extract(W):
+    """Best rank-1 candidate from W, projected back onto the manifold.
+
+    Returns (w_star, X, Y, Z, rank_ratio) where w_star is the re-lift of
+    the projected triple (hence feasible for the original QCQP) and
+    rank_ratio = lambda2/lambda1 measures tightness.
+    """
+    lam, V = sym_eig(W)
+    if lam[0] <= 0.0:
+        raise DegenerateSolutionError("dominant eigenvalue of W is not positive")
+    w = np.sqrt(lam[0]) * V[:, 0]
+    if w[HOM] < 0.0:
+        w = -w
+    X, Y, Z = project_lift(w)
     rank_ratio = float(max(lam[1], 0.0) / lam[0])
     return lift(X, Y, Z), X, Y, Z, rank_ratio
 
@@ -378,6 +419,67 @@ def certify(w_star, Q, p_sdp, residual_stack):
     return float(eta), float(abs_gap), float(p_cert)
 
 
+def linear_lift(G):
+    """Least-squares minimiser of |G w|^2 with w[HOM] = 1, ignoring the
+    quadratic constraints, projected to (X, Y, Z)."""
+    v = np.linalg.lstsq(G[:, :HOM], -G[:, HOM], rcond=None)[0]
+    return project_lift(np.append(v, 1.0))
+
+
+def lift_jacobian(X, Y, Z):
+    """DIM x 18 derivative of lift(X exp(dx), exp(dy) Y, exp(dz) Z) at
+    d = [dx, dy, dz] = 0.
+
+    Column k of each block is the product rule applied to the first-order
+    change of one pose along the k-th se(3) generator: lift is linear in
+    X and bilinear in Ry and (Rz, tz).
+    """
+    E = lie.hat(np.eye(6))
+    dX, dY, dZ = X @ E, E @ Y, E @ Z
+    dRy = dY[:, :3, :3]
+    Ry, Rz, tz = Y[:3, :3], Z[:3, :3], Z[:3, 3]
+    J = np.zeros((DIM, 18))
+    J[RX0:RX0 + 9, 0:6] = _vec(dX[:, :3, :3]).T
+    J[TX0:TX0 + 3, 0:6] = dX[:, :3, 3].T
+    J[RY0:RY0 + 9, 6:12] = _vec(dRy).T
+    J[TY0:TY0 + 3, 6:12] = dY[:, :3, 3].T
+    J[K0:K0 + 81, 6:12] = _vec(_kron(Rz.T, dRy)).T
+    J[V0:V0 + 27, 6:12] = _vec(_kron(tz.reshape(1, 3), dRy)).T
+    J[K0:K0 + 81, 12:18] = _vec(_kron(np.swapaxes(dZ[:, :3, :3], 1, 2), Ry)).T
+    J[V0:V0 + 27, 12:18] = _vec(_kron(dZ[:, None, :3, 3], Ry)).T
+    return J
+
+
+def local_solve(G, X, Y, Z):
+    """Gauss-Newton on |G lift(X exp(dx), exp(dy) Y, exp(dz) Z)|^2.
+
+    Returns (X, Y, Z, iterations, converged); converged once a step's
+    largest entry falls to LOCAL_STEP_TOL within LOCAL_MAX_ITERS steps.
+    """
+    for it in range(1, LOCAL_MAX_ITERS + 1):
+        J = G @ lift_jacobian(X, Y, Z)
+        d = np.linalg.lstsq(J, -(G @ lift(X, Y, Z)), rcond=None)[0]
+        Ex, Ey, Ez = lie.exp_se3(d.reshape(3, 6))
+        X, Y, Z = X @ Ex, Ey @ Y, Ez @ Z
+        if np.abs(d).max() <= LOCAL_STEP_TOL:
+            return X, Y, Z, it, True
+    return X, Y, Z, LOCAL_MAX_ITERS, False
+
+
+def lagrangian_bound(problem, w):
+    """Dual bound of a feasible lifted vector w from its Lagrange multipliers.
+
+    lambda is the min-norm least-squares solution of
+    sum_j lambda_j H_j w = Q w.  Returns (b^T lambda, lambda_min(S)/tr(Q))
+    with S = Q - A*(lambda).  When S is PSD, weak duality makes b^T lambda
+    a lower bound of the SDP, hence of the QCQP.
+    """
+    A, G, Q = problem.constraints, problem.residual_stack, problem.Q
+    lam = np.linalg.lstsq(A.columns(w), G.T @ (G @ w), rcond=None)[0]
+    S = Q - A.adjoint(lam)
+    return float(A.rho @ lam), float(np.linalg.eigvalsh(S)[0] / np.trace(Q))
+
+
 @dataclass
 class InitResult:
     X: np.ndarray
@@ -389,31 +491,70 @@ class InitResult:
     rank_ratio: float
     iterations: int
     converged: bool
-    primal_res: float
-    dual_res: float
+    primal_res: float | None
+    dual_res: float | None
+    method: str
+    lambda_min_rel: float | None
 
     def to_dict(self):
         return {**asdict(self), "X": self.X.tolist(), "Y": self.Y.tolist(),
                 "Z": self.Z.tolist()}
 
 
+def certified_local(problem):
+    """Linear lift, local solve and Lagrangian certificate.
+
+    Returns the InitResult, or None after logging why the candidate is
+    not certified.
+    """
+    def fail(reason):
+        log.info("certified-local init failed (%s); falling back to ADMM", reason)
+
+    G, Q = problem.residual_stack, problem.Q
+    if not np.isfinite(G).all():
+        return fail("the residual stack has a non-finite entry")
+    try:
+        X, Y, Z = linear_lift(G)
+    except DegenerateSolutionError as exc:
+        return fail(exc)
+    X, Y, Z, iterations, converged = local_solve(G, X, Y, Z)
+    if not converged:
+        return fail(f"Gauss-Newton did not converge in {iterations} iterations")
+    w = lift(X, Y, Z)
+    bound, lambda_min_rel = lagrangian_bound(problem, w)
+    eta, abs_gap, p_cert = certify(w, Q, bound, G)
+    if not (lambda_min_rel >= -CERT_EIG_TOL and eta <= CERT_ETA):
+        return fail(f"lambda_min(S)/tr(Q) = {lambda_min_rel:.3e}, eta = {eta:.3e}")
+    return InitResult(X, Y, Z, eta, abs_gap, p_cert, 0.0, iterations, True,
+                      None, None, "certified-local", lambda_min_rel)
+
+
 def initialize(sensor_arm, tool_arm, samples, alpha=1.0, tol_factor=1e-10,
                max_iters=50000):
     """Full certifiable initialization pipeline.
 
-    tol_factor defaults tighter than the bare solver so that the
-    certificate stays sharp in the near-zero-optimum (low noise) regime.
+    Tries certified_local first; when its certificate fails, solves the
+    SDP by ADMM, extracts and certifies.  tol_factor and max_iters apply
+    to ADMM only; tol_factor defaults tighter than the bare solver so
+    that the certificate stays sharp in the near-zero-optimum (low noise)
+    regime.
     """
-    log.info("solving SDP initialization (m=%d samples)", len(samples))
+    log.info("certifiable initialization (m=%d samples)", len(samples))
     problem = build_problem(sensor_arm, tool_arm, samples, alpha)
+    init = certified_local(problem)
+    if init is not None:
+        log.info("init: certified-local, eta=%.3e lambda_min_rel=%.3e iters=%d",
+                 init.eta, init.lambda_min_rel, init.iterations)
+        return init
     res = solve_sdp(problem, tol_factor=tol_factor, max_iters=max_iters)
     w_star, X, Y, Z, rank_ratio = extract(res.W)
     eta, abs_gap, p_cert = certify(w_star, problem.Q, res.p_sdp,
                                    problem.residual_stack)
-    log.info("init: eta=%.3e rank_ratio=%.3e iters=%d", eta, rank_ratio, res.iterations)
+    log.info("init: admm, eta=%.3e rank_ratio=%.3e iters=%d", eta, rank_ratio, res.iterations)
     if not res.converged:
         log.warning("SDP initialization: ADMM did not converge in %d iterations "
                     "(primal %.3e, dual %.3e, tolerance %.3e)",
                     res.iterations, res.primal_res, res.dual_res, res.tol)
     return InitResult(X, Y, Z, eta, abs_gap, p_cert, rank_ratio,
-                      res.iterations, res.converged, res.primal_res, res.dual_res)
+                      res.iterations, res.converged, res.primal_res, res.dual_res,
+                      "admm", None)

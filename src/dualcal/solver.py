@@ -88,11 +88,11 @@ def solve(initial, samples, config=None):
 
 
 def calibrate(nominal, samples, coords=None, config=None, **sdp_options):
-    """The unified calibration: SDP estimate of X, Y, Z, then Gauss-Newton
+    """The unified calibration: certified estimate of X, Y, Z, then Gauss-Newton
     over the coordinates and both arms' joint twists.
 
     nominal is the DualArmSystem whose arms start the refinement.
-    coords=(X, Y, Z) replaces the SDP, and init is then None;
+    coords=(X, Y, Z) replaces that estimate, and init is then None;
     sdp_options go to sdp_init.initialize.  Returns (init, final_system, trace).
     """
     init = None

@@ -8,8 +8,7 @@ brute-force geometry give reference values the library must reproduce.
 import numpy as np
 
 from dualcal import liegroup as lie
-from dualcal.chain import DualArmSystem, MeasurementSample, predict_B
-from dualcal.kinematics import default_arm
+from dualcal.chain import MeasurementSample, predict_B
 
 
 def expm_taylor(M, terms=30):
@@ -61,16 +60,6 @@ def valid_config(rng, n, q_min=0.15):
         q = rng.uniform(-np.pi, np.pi, n)
         if np.abs(q).min() >= q_min:
             return q
-
-
-def toy_system(rng=None):
-    """Dual UR5-like system with the default_system coordinates."""
-    arm_a = default_arm("sensor_arm")
-    arm_c = default_arm("tool_arm")
-    X = lie.exp_se3(np.array([0.10, -0.05, 0.15, 0.05, -0.03, 0.08]))
-    Y = lie.exp_se3(np.array([0.05, 0.08, 2.30, 1.15, -0.35, 0.10]))
-    Z = lie.exp_se3(np.array([-0.10, 0.20, 0.30, 0.02, 0.04, -0.06]))
-    return DualArmSystem(arm_a, arm_c, X, Y, Z)
 
 
 def noise_free_samples(system, rng, m, n=6):

@@ -23,12 +23,12 @@ from dualcal.cli import main as cli_main
 from dualcal.evaluate import (ball_consistency, evaluate_samples,
                               min_enclosing_ball, sphere_fit)
 from dualcal.kinematics import RobotModel, forward_kinematics
-from dualcal.simulate import (generate_dataset, kin_level, level_targets,
-                              noise_level, noise_twist, perturb_level,
-                              sample_configurations)
+from dualcal.simulate import (default_system, generate_dataset, kin_level,
+                              level_targets, noise_level, noise_twist,
+                              perturb_level, sample_configurations)
 from dualcal.solver import SolverConfig
 from helpers import (brute_force_meb, fd_jacobian_columns, noise_free_samples,
-                     rand_twist, toy_system)
+                     rand_twist)
 
 LEVELS = ("L", "ML", "M", "MH", "H", "QH")
 
@@ -220,7 +220,7 @@ def test_criterion_6_trend_reproduction():
 
 def test_criterion_7_identifiability_diagnostics():
     t0 = time.perf_counter()
-    gt_system = toy_system()
+    gt_system = default_system()
     rng = np.random.default_rng(700)
     configs = sample_configurations(80, 6, rng)
     samples = [MeasurementSample(qa, qc, predict_B(gt_system, MeasurementSample(qa, qc, np.eye(4))))
@@ -273,7 +273,7 @@ def test_criterion_8_noise_model_fidelity():
             details.append(f"noise {tag}: {rot_mean:.3f}deg/{trans_mean:.3f}mm "
                            f"vs {rot_t}/{trans_t}")
     kin_ok = True
-    system = toy_system()
+    system = default_system()
     for tag in LEVELS:
         rots, transs = [], []
         for _ in range(12):
@@ -308,7 +308,7 @@ def test_criterion_9_evaluation_kernels():
     c, r, _ = sphere_fit(center + 0.0254 * dirs)
     sphere_ok = np.abs(c - center).max() < 1e-10 and abs(r - 0.0254) < 1e-10
 
-    system = toy_system()
+    system = default_system()
     samples = noise_free_samples(system, rng, 10)
     ball_center = np.array([0.02, -0.01, 0.05])
     clouds = []

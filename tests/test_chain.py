@@ -6,14 +6,13 @@ from dualcal.chain import (DualArmSystem, MeasurementSample, identifiability_rep
                            predict_B, residual, stack)
 from dualcal.errors import StructureError, ValidationError
 from dualcal.kinematics import RobotModel, default_arm, forward_kinematics
-from dualcal.simulate import sample_configurations
-from helpers import (fd_jacobian_columns, noise_free_samples, toy_system,
-                     valid_config)
+from dualcal.simulate import default_system, sample_configurations
+from helpers import fd_jacobian_columns, noise_free_samples, valid_config
 
 
 @pytest.fixture(scope="module")
 def gt_system():
-    return toy_system()
+    return default_system()
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +68,7 @@ def test_residual_norm_doubles_with_perturbation(gt_system, samples):
 
 
 def test_jacobian_x_block_at_identity_X(samples):
-    system = toy_system()
+    system = default_system()
     system = DualArmSystem(system.sensor_arm, system.tool_arm, np.eye(4), system.Y, system.Z)
     _, J = stack(system, samples[:1])
     assert np.abs(J[:, :6] + np.eye(6)).max() < 1e-14
@@ -160,7 +159,7 @@ def test_apply_delta_retracts_poses_and_adds_joint_twists(gt_system):
 def test_apply_delta_at_pi_rotation():
     # facing arms: Y rotates pi about the vertical, where log_se3 refuses;
     # neither the increment nor the chain walk takes a logarithm of Y
-    system = toy_system()
+    system = default_system()
     Y = np.diag([-1.0, -1.0, 1.0, 1.0])
     Y[:3, 3] = [1.2, 0.0, 0.0]
     facing = DualArmSystem(system.sensor_arm, system.tool_arm, system.X, Y, system.Z)

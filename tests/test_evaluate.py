@@ -8,12 +8,12 @@ from dualcal.evaluate import (ball_consistency, evaluate_dataset, evaluate_sampl
                               min_enclosing_ball, sphere_fit)
 from dualcal.liegroup import rotation_angle
 from dualcal.simulate import NoiseLevel, default_system, sample_configurations, synthesize
-from helpers import brute_force_meb, noise_free_samples, toy_system
+from helpers import brute_force_meb, noise_free_samples
 
 
 @pytest.fixture(scope="module")
 def setup():
-    system = toy_system()
+    system = default_system()
     samples = noise_free_samples(system, np.random.default_rng(0), 15)
     return system, samples
 

@@ -8,8 +8,8 @@ from dualcal import liegroup as lie
 from dualcal import sdp_init as sdp
 from dualcal.chain import MeasurementSample
 from dualcal.errors import DegenerateSolutionError, StructureError
-from dualcal.simulate import noise_level, noise_twist
-from helpers import noise_free_samples, rand_pose, toy_system
+from dualcal.simulate import default_system, generate_dataset, noise_level, noise_twist
+from helpers import noise_free_samples, rand_pose
 
 
 def direct_objective(X, Y, Z, triples, alpha=1.0):
@@ -28,8 +28,13 @@ def constraints():
 
 
 @pytest.fixture(scope="module")
+def dense_H(constraints):
+    return constraints.toarray()
+
+
+@pytest.fixture(scope="module")
 def noise_free_setup():
-    system = toy_system()
+    system = default_system()
     samples = noise_free_samples(system, np.random.default_rng(3), 20)
     problem = sdp.build_problem(system.sensor_arm, system.tool_arm, samples)
     return system, samples, problem
@@ -67,7 +72,11 @@ def test_omega_blocks_reproduce_residuals():
 
 def test_omega_f_block_structure():
     rng = np.random.default_rng(1)
-    A, B, C = rand_pose(rng), rand_pose(rng), rand_pose(rng)
+    A, B, C = (np.array([rand_pose(rng) for _ in range(3)]) for _ in range(3))
+    # a batch of triples gives, bitwise, the matrices of the triples one by one
+    for omega in (sdp.omega_f, sdp.omega_g):
+        assert np.array_equal(omega(A, B, C), [omega(*t) for t in zip(A, B, C)])
+    A, B, C = A[0], B[0], C[0]
     Of = sdp.omega_f(A, B, C)
     assert np.array_equal(Of[:, 0:9], np.kron(B[:3, :3].T, A[:3, :3]))
     assert np.all(Of[:, 9:18] == 0)
@@ -96,57 +105,65 @@ def test_objective_zero_at_ground_truth(noise_free_setup):
 
 def test_constraint_counts_and_families(constraints):
     assert len(constraints) == 160
-    counts = Counter(c.family for c in constraints)
+    counts = Counter(constraints.family)
     assert counts == {"Rx_orth": 6, "Rx_hand": 3, "Ry_orth": 6, "Ry_hand": 3,
                       "K_orth": 45, "K_block": 72, "V_block": 24, "homog": 1}
 
 
-def test_constraints_exactly_symmetric(constraints):
-    for c in constraints:
-        assert np.array_equal(c.H, c.H.T)
+def test_constraints_exactly_symmetric(dense_H):
+    for H in dense_H:
+        assert np.array_equal(H, H.T)
 
 
-def test_constraints_feasible_at_valid_lifts(constraints):
+def test_constraints_feasible_at_valid_lifts(constraints, dense_H):
     rng = np.random.default_rng(3)
     for _ in range(100):
         w = sdp.lift(rand_pose(rng), rand_pose(rng), rand_pose(rng))
-        worst = max(abs(w @ c.H @ w - c.rho) for c in constraints)
+        worst = max(abs(w @ H @ w - rho) for H, rho in zip(dense_H, constraints.rho))
         assert worst < 1e-10
 
 
-def test_constraints_detect_scaled_rotation(constraints):
+def family_violations(constraints, dense_H, w, family):
+    return [abs(w @ H @ w - rho)
+            for H, rho, fam in zip(dense_H, constraints.rho, constraints.family)
+            if fam == family]
+
+
+def test_constraints_detect_scaled_rotation(constraints, dense_H):
     rng = np.random.default_rng(4)
     X, Y, Z = rand_pose(rng), rand_pose(rng), rand_pose(rng)
     Xbad = X.copy()
     Xbad[:3, :3] *= 1.1
     w = np.concatenate([Xbad[:3, :3].reshape(-1, order="F"),
                         sdp.lift(X, Y, Z)[9:]])
-    viol = [abs(w @ c.H @ w - c.rho) for c in constraints if c.family == "Rx_orth"]
+    viol = family_violations(constraints, dense_H, w, "Rx_orth")
     assert max(viol) > 0.2  # 1.1^2 - 1 = 0.21 on the unit-norm rows
 
 
-def test_constraints_detect_broken_kronecker_structure(constraints):
+def test_constraints_detect_broken_kronecker_structure(constraints, dense_H):
     rng = np.random.default_rng(5)
     w = sdp.lift(rand_pose(rng), rand_pose(rng), rand_pose(rng))
     w = w.copy()
     w[18:99] = np.linalg.qr(rng.standard_normal((9, 9)))[0].reshape(-1, order="F")
-    viol = max(abs(w @ c.H @ w - c.rho) for c in constraints if c.family == "K_block")
+    viol = max(family_violations(constraints, dense_H, w, "K_block"))
     assert viol > 1e-2  # orthogonal but not a Kronecker product of rotations
 
 
-def test_constraint_operator_matches_dense_constraints(constraints):
+def test_constraint_operator_matches_dense_constraints(constraints, dense_H):
     from dualcal.numerics import symmetrize
-    op = sdp.ConstraintOperator(constraints)
-    assert op.flat.size == sum(np.count_nonzero(c.H) for c in constraints)
+    op = constraints
+    assert op.flat.size == np.count_nonzero(dense_H) == 1540
     rng = np.random.default_rng(6)
     for _ in range(5):
         X = symmetrize(rng.standard_normal((133, 133)))
         y = rng.standard_normal(len(constraints))
         AX = op(X)
-        assert np.abs(AX - [np.sum(c.H * X) for c in constraints]).max() < 1e-12
+        assert np.abs(AX - [np.sum(H * X) for H in dense_H]).max() < 1e-12
         # adjoint identity <A(X), y> = <X, A*(y)>
         assert abs(AX @ y - np.sum(X * op.adjoint(y))) < 1e-12 * max(1.0, abs(AX @ y))
-    G = np.array([[np.sum(a.H * b.H) for b in constraints] for a in constraints])
+        w = rng.standard_normal(133)
+        assert np.abs(op.columns(w) - (dense_H @ w).T).max() < 1e-12
+    G = np.array([[np.sum(a * b) for b in dense_H] for a in dense_H])
     assert np.abs(op.gram() - G).max() < 1e-12
 
 
@@ -165,7 +182,8 @@ def test_solve_noise_free_tight(noise_free_setup, noise_free_solution):
     assert res.converged
     assert res.p_sdp <= 1e-8
     # constraint feasibility of the returned matrix
-    viol = max(abs(np.sum(c.H * res.W) - c.rho) for c in problem.constraints)
+    cons = problem.constraints
+    viol = max(abs(np.sum(H * res.W) - rho) for H, rho in zip(cons.toarray(), cons.rho))
     assert viol < 1e-7
     # PSD within tolerance
     lam = np.linalg.eigvalsh(res.W)
@@ -226,7 +244,7 @@ def test_certify_rejects_corrupted_candidate(noise_free_setup, noise_free_soluti
 
 def test_lower_bound_and_eta_on_noisy_data():
     rng = np.random.default_rng(10)
-    system = toy_system()
+    system = default_system()
     level = noise_level("QH")
     samples = []
     for s in noise_free_samples(system, rng, 20):
@@ -248,17 +266,110 @@ def test_initialize_pipeline_to_dict(noise_free_setup):
     system, samples, _ = noise_free_setup
     init = sdp.initialize(system.sensor_arm, system.tool_arm, samples)
     d = init.to_dict()
-    for key in ("X", "Y", "Z", "eta", "p_sdp", "rank_ratio", "iterations", "converged"):
+    for key in ("X", "Y", "Z", "eta", "p_sdp", "rank_ratio", "iterations", "converged",
+                "primal_res", "dual_res", "method", "lambda_min_rel"):
         assert key in d
     assert d["converged"]
     assert d["rank_ratio"] < 1e-6
     assert d["eta"] <= 1e-6
 
 
-def test_initialize_warns_when_admm_does_not_converge(noise_free_setup, caplog):
+def fail_local_solve(G, X, Y, Z):
+    return X, Y, Z, sdp.LOCAL_MAX_ITERS, False
+
+
+def test_initialize_warns_when_admm_does_not_converge(noise_free_setup, caplog, monkeypatch):
     system, samples, _ = noise_free_setup
+    monkeypatch.setattr(sdp, "local_solve", fail_local_solve)
     with caplog.at_level(logging.WARNING, logger="dualcal"):
         init = sdp.initialize(system.sensor_arm, system.tool_arm, samples, max_iters=25)
     assert not init.converged
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1 and "did not converge" in warnings[0].getMessage()
+
+
+def test_lift_jacobian_matches_central_differences():
+    rng = np.random.default_rng(11)
+    h = 1e-6
+    for _ in range(5):
+        X, Y, Z = rand_pose(rng), rand_pose(rng), rand_pose(rng)
+
+        def lifted(d):
+            Ex, Ey, Ez = lie.exp_se3(d.reshape(3, 6))
+            return sdp.lift(X @ Ex, Ey @ Y, Ez @ Z)
+
+        fd = np.stack([(lifted(h * e) - lifted(-h * e)) / (2 * h) for e in np.eye(18)], 1)
+        assert np.abs(sdp.lift_jacobian(X, Y, Z) - fd).max() < 1e-8
+
+
+@pytest.fixture(scope="module")
+def qh_problems():
+    """The criterion-4 datasets of seeds 4000-4004: m=20, QH/QH."""
+    out = []
+    for seed in range(4000, 4005):
+        ds = generate_dataset(20, "QH", "QH", seed=seed)
+        nominal = ds.nominal_system
+        out.append(sdp.build_problem(nominal.sensor_arm, nominal.tool_arm, ds.samples))
+    return out
+
+
+def test_certified_local_on_noise_free_and_qh_data(noise_free_setup, qh_problems):
+    system, samples, _ = noise_free_setup
+    init = sdp.initialize(system.sensor_arm, system.tool_arm, samples)
+    assert init.method == "certified-local"
+    assert init.eta <= sdp.CERT_ETA and init.lambda_min_rel >= -sdp.CERT_EIG_TOL
+    assert init.primal_res is None and init.dual_res is None and init.rank_ratio == 0.0
+    for est, true in ((init.X, system.X), (init.Y, system.Y), (init.Z, system.Z)):
+        assert np.abs(est - true).max() < 1e-9
+    init = sdp.certified_local(qh_problems[0])
+    assert init is not None and init.method == "certified-local"
+    assert init.eta <= sdp.CERT_ETA and init.p_sdp > 0
+
+
+def test_certified_local_falls_back_on_non_finite_stack(noise_free_setup):
+    _, _, problem = noise_free_setup
+    G = problem.residual_stack.copy()
+    G[3, 5] = np.nan
+    assert sdp.certified_local(sdp.SDPProblem(G.T @ G, problem.constraints, G)) is None
+
+
+def test_certified_local_matches_admm(qh_problems):
+    for problem in qh_problems:
+        init = sdp.certified_local(problem)
+        assert init is not None
+        _, X, Y, Z, _ = sdp.extract(sdp.solve_sdp(problem, tol_factor=1e-10).W)
+        for est, ref in ((init.X, X), (init.Y, Y), (init.Z, Z)):
+            assert np.abs(est - ref).max() < 1e-6
+
+
+def perturbed(X, Y, Z):
+    return X @ lie.exp_se3(np.array([1e-3, 0.0, 0.0, 0.0, 0.0, 0.0])), Y, Z
+
+
+def test_perturbed_candidate_fails_certificate(qh_problems):
+    problem = qh_problems[0]
+    init = sdp.certified_local(problem)
+    w = sdp.lift(*perturbed(init.X, init.Y, init.Z))
+    # against the certified bound the perturbed candidate is visibly sub-optimal
+    eta, _, _ = sdp.certify(w, problem.Q, init.p_sdp, problem.residual_stack)
+    assert eta > sdp.CERT_ETA
+    # and its own multipliers leave S = Q - A*(lambda) indefinite
+    _, lambda_min_rel = sdp.lagrangian_bound(problem, w)
+    assert lambda_min_rel < -sdp.CERT_EIG_TOL
+
+
+def test_initialize_falls_back_to_admm_when_certificate_fails(monkeypatch, caplog):
+    ds = generate_dataset(20, "QH", "QH", seed=4000)
+    nominal = ds.nominal_system
+    local_solve = sdp.local_solve
+
+    def perturbed_local_solve(G, X, Y, Z):
+        X, Y, Z, iterations, converged = local_solve(G, X, Y, Z)
+        return (*perturbed(X, Y, Z), iterations, converged)
+
+    monkeypatch.setattr(sdp, "local_solve", perturbed_local_solve)
+    with caplog.at_level(logging.INFO, logger="dualcal"):
+        init = sdp.initialize(nominal.sensor_arm, nominal.tool_arm, ds.samples)
+    assert init.method == "admm" and init.lambda_min_rel is None
+    assert init.converged and init.primal_res is not None and init.eta < 1e-3
+    assert any("falling back to ADMM" in r.getMessage() for r in caplog.records)

@@ -7,13 +7,14 @@ from dualcal import liegroup as lie
 from dualcal.chain import DualArmSystem, MeasurementSample, stack
 from dualcal.errors import RankDeficientError, StructureError
 from dualcal.kinematics import perturb_model
+from dualcal.simulate import default_system
 from dualcal.solver import SolverConfig, calibrate, solve, step
-from helpers import noise_free_samples, toy_system
+from helpers import noise_free_samples
 
 
 @pytest.fixture(scope="module")
 def setup():
-    gt = toy_system()
+    gt = default_system()
     samples = noise_free_samples(gt, np.random.default_rng(0), 80)
     return gt, samples
 
@@ -66,7 +67,7 @@ def test_solve_at_ground_truth_converges_immediately(setup):
 
 def test_solve_recovers_from_kinematic_perturbation():
     rng = np.random.default_rng(2)
-    nominal = toy_system()
+    nominal = default_system()
     gt_system = DualArmSystem(
         perturb_model(nominal.sensor_arm, rng.normal(0, 5e-4, (6, 6))),
         perturb_model(nominal.tool_arm, rng.normal(0, 5e-4, (6, 6))),
@@ -98,7 +99,7 @@ def test_gauge_shift_of_zero_offset_absorbed():
     # data generated with a shifted sensor-arm zero offset still fits:
     # the discrepancy folds into the flange-to-sensor transform
     rng = np.random.default_rng(4)
-    nominal = toy_system()
+    nominal = default_system()
     shifted_arm = nominal.sensor_arm.copy()
     delta = np.array([0.002, -0.001, 0.003, 0.001, -0.002, 0.001])
     shifted_arm.zero_offset = lie.log_se3(
@@ -160,7 +161,7 @@ def test_calibrate_from_given_coords_skips_sdp(monkeypatch):
     # data from perturbed arms; the refinement starts at the true X, Y, Z
     # and the nominal arms, and no SDP runs when the coordinates are given
     rng = np.random.default_rng(6)
-    nominal = toy_system()
+    nominal = default_system()
     gt_system = DualArmSystem(
         perturb_model(nominal.sensor_arm, rng.normal(0, 5e-4, (6, 6))),
         perturb_model(nominal.tool_arm, rng.normal(0, 5e-4, (6, 6))),
