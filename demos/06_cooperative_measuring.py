@@ -10,6 +10,7 @@ calibration (smaller = more consistent).
 import numpy as np
 
 from dualcal import liegroup as lie
+from dualcal.chain import joint_readings
 from dualcal.evaluate import ball_consistency
 from dualcal.kinematics import forward_kinematics
 from dualcal.simulate import default_system, generate_dataset
@@ -31,7 +32,8 @@ for s in ds.samples:
     clouds.append(lie.apply_pose(sensor_from_flange, pts_E2))
 print(f"rendered {len(clouds)} ball clouds (150 pts each, 20 um scan noise)")
 
-result = ball_consistency(clouds, ds.samples, system.X, system.Y,
+q_a, q_c = joint_readings(ds.samples, system.n)
+result = ball_consistency(clouds, q_a, q_c, system.X, system.Y,
                           system.sensor_arm, system.tool_arm)
 print(f"perfect calibration : r_MEB = {1e3 * result.r_meb:.4f} mm, "
       f"fitted radii {1e3 * result.radii.mean():.3f} mm")
@@ -39,7 +41,7 @@ print(f"perfect calibration : r_MEB = {1e3 * result.r_meb:.4f} mm, "
 for dy_mm in (0.5, 1.0, 2.0):
     Y_bad = system.Y.copy()
     Y_bad[:3, 3] += np.array([dy_mm * 1e-3, 0, 0])
-    bad = ball_consistency(clouds, ds.samples, system.X, Y_bad,
+    bad = ball_consistency(clouds, q_a, q_c, system.X, Y_bad,
                            system.sensor_arm, system.tool_arm)
     print(f"{dy_mm:.1f} mm base-offset error: r_MEB = {1e3 * bad.r_meb:.4f} mm")
 print("\nmiscalibration shows up directly as multi-view inconsistency.")

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .chain import MeasurementSample, identifiability_report, residual, stack
+from .chain import identifiability_report, residual, stack
 from .errors import CalibrationError, RankDeficientError, ValidationError
 from .evaluate import ball_consistency, evaluate_dataset
 from .sdp_init import initialize
@@ -130,6 +130,28 @@ def cmd_identifiability(args):
     return 0
 
 
+def _load_postures(path, na, nc):
+    """Joint readings (m, na), (m, nc) and the list of (N_i, 3) clouds of a
+    clouds file; the parsed JSON is freed on return, before the fit."""
+    d = _load_json(path, "clouds")
+    if "postures" not in d:
+        raise ValidationError("clouds file is missing field 'postures'")
+    postures = d["postures"]
+    if not postures:
+        raise ValidationError("clouds field 'postures' is empty")
+    q_a = _sample_field(postures, "q_a", (na,), f"the sensor arm has {na} joints", "postures")
+    q_c = _sample_field(postures, "q_c", (nc,), f"the tool arm has {nc} joints", "postures")
+    clouds = []
+    for i, p in enumerate(postures):
+        if "points" not in p:
+            raise ValidationError(f"postures[{i}] is missing field 'points'")
+        points = p["points"]
+        clouds.append(field_array(points, f"postures[{i}].points",
+                                  (len(points) if isinstance(points, list) else -1, 3),
+                                  "a cloud is a list of [x, y, z] points"))
+    return q_a, q_c, clouds
+
+
 def cmd_ball_eval(args):
     calib = _load_calib_system(args.calib)
     if args.nominal_kinematics:
@@ -139,28 +161,11 @@ def cmd_ball_eval(args):
         arm_a, arm_c = nominal.sensor_arm, nominal.tool_arm
     else:
         arm_a, arm_c = calib.sensor_arm, calib.tool_arm
-    d = _load_json(args.clouds, "clouds")
-    if "postures" not in d:
-        raise ValidationError("clouds file is missing field 'postures'")
-    postures = d["postures"]
-    if not postures:
-        raise ValidationError("clouds field 'postures' is empty")
-    na, nc = arm_a.n, arm_c.n
-    q_a = _sample_field(postures, "q_a", (na,), f"the sensor arm has {na} joints", "postures")
-    q_c = _sample_field(postures, "q_c", (nc,), f"the tool arm has {nc} joints", "postures")
-    samples = [MeasurementSample(a, c, np.eye(4)) for a, c in zip(q_a, q_c)]
-    clouds = []
-    for i, p in enumerate(postures):
-        if "points" not in p:
-            raise ValidationError(f"postures[{i}] is missing field 'points'")
-        points = p["points"]
-        clouds.append(field_array(points, f"postures[{i}].points",
-                                  (len(points) if isinstance(points, list) else -1, 3),
-                                  "a cloud is a list of [x, y, z] points"))
+    q_a, q_c, clouds = _load_postures(args.clouds, arm_a.n, arm_c.n)
     try:
-        result = ball_consistency(clouds, samples, calib.X, calib.Y, arm_a, arm_c)
+        result = ball_consistency(clouds, q_a, q_c, calib.X, calib.Y, arm_a, arm_c)
     except RankDeficientError as exc:
-        raise ValidationError(f"postures[{exc.posture}].points do not determine a sphere: "
+        raise ValidationError(f"postures[{exc.index}].points do not determine a sphere: "
                               "need 4 or more points, not all in one plane") from None
     _write_json(result.to_dict(), args.out)
     log.info("r_MEB = %.4f mm", 1e3 * result.r_meb)

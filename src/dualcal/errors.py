@@ -16,10 +16,12 @@ class NearPiRotationError(CalibrationError):
 class RankDeficientError(CalibrationError):
     """Linear system is rank deficient (undamped solve only)."""
 
-    def __init__(self, rank, needed):
+    def __init__(self, rank, needed, index=None):
         self.rank = rank
         self.needed = needed
-        super().__init__(f"system is rank deficient: numeric rank {rank} < {needed}")
+        self.index = index  # which item of a batch, when the solve was batched
+        where = "" if index is None else f" at index {index}"
+        super().__init__(f"system is rank deficient{where}: numeric rank {rank} < {needed}")
 
 
 class EigenConvergenceError(CalibrationError):

@@ -4,6 +4,7 @@ Angles are radians and lengths meters everywhere internally; reports
 convert to degrees/millimeters only at the serialization boundary.
 """
 
+import logging
 import random
 from dataclasses import dataclass
 
@@ -14,17 +15,14 @@ from .chain import joint_readings
 from .errors import RankDeficientError
 from .kinematics import forward_kinematics
 
-
-def _arm_poses(samples, arm_a, arm_c):
-    """Forward kinematics A, C of every sample, two (m, 4, 4) stacks."""
-    q_a, q_c = joint_readings(samples, arm_a.n)
-    return forward_kinematics(arm_a, q_a), forward_kinematics(arm_c, q_c)
+log = logging.getLogger("dualcal")
 
 
 def _loop_deviations(samples, X, Y, Z, arm_a, arm_c):
     """Loop deviations E = (A X B)^-1 Y C Z, (m, 4, 4), with A and C from
     the given arms: nominal ones score a coordinate-only calibration."""
-    A, C = _arm_poses(samples, arm_a, arm_c)
+    q_a, q_c = joint_readings(samples, arm_a.n)
+    A, C = forward_kinematics(arm_a, q_a), forward_kinematics(arm_c, q_c)
     return lie.pose_inv(A @ X @ np.array([s.B_meas for s in samples])) @ Y @ C @ Z
 
 
@@ -77,38 +75,81 @@ def evaluate_dataset(dataset, calib_system, mode="joint"):
 
 # --- sphere fitting --------------------------------------------------------
 
-def sphere_fit(points, refine_iters=20):
-    """Least-squares sphere through >= 4 non-coplanar points.
+# Gauss-Newton stops once no fit in the batch moves its center or radius by
+# more than this (m); from the algebraic seed that takes about 3 steps.
+_FIT_STEP_TOL = 1e-13
+_FIT_MAX_ITERS = 20
 
-    Algebraic seed (linear in center and radius offset) followed by a few
-    geometric Gauss-Newton steps on the radial residuals.  Returns
-    (center, radius, rms_residual).  Raises RankDeficientError for
-    coplanar/degenerate input.
+
+def _design_rank(P):
+    """Numeric rank of [2P, 1] per cloud of P (B, N, 3), from its singular
+    values: normal equations would square them and hide a coplanar cloud."""
+    A = np.empty(P.shape[:-1] + (4,))
+    np.multiply(P, 2.0, out=A[..., :3])
+    A[..., 3] = 1.0
+    sv = np.linalg.svd(A, compute_uv=False)
+    return (sv > sv[:, :1] * 1e-10).sum(axis=-1)
+
+
+def _algebraic_seed(P):
+    """Center (B, 3) and radius (B,) of the linear fit [2P, 1] s = |P|^2 of
+    each cloud of P (B, N, 3).  On the centered points Q its normal
+    equations split into 2 Q^T Q c = Q^T |Q|^2 and s = mean |Q|^2."""
+    mean = P.mean(axis=1)
+    Q = P - mean[:, None]
+    QT = np.swapaxes(Q, 1, 2)
+    q2 = np.einsum("bni,bni->bn", Q, Q)
+    dc = np.linalg.solve(2.0 * QT @ Q, QT @ q2[..., None])[..., 0]
+    return mean + dc, np.sqrt(np.maximum(q2.mean(axis=-1) + (dc * dc).sum(axis=-1), 0.0))
+
+
+def sphere_fit(points):
+    """Least-squares spheres through clouds of >= 4 non-coplanar points.
+
+    points is (..., N, 3), a batch of clouds of N points each; one cloud
+    (N, 3) is the empty batch.  Algebraic seed (linear in center and
+    radius offset, on centered points) followed by geometric Gauss-Newton
+    steps on the radial residuals, until the largest step in the batch is
+    at most _FIT_STEP_TOL.  Returns (center (..., 3), radius (...),
+    rms_residual (...)).  Raises RankDeficientError for coplanar or
+    degenerate input; its ``index`` is the first such cloud, counted in
+    C order over the batch.
     """
     P = np.asarray(points, dtype=float)
-    if P.ndim != 2 or P.shape[1] != 3 or P.shape[0] < 4:
-        raise RankDeficientError(0, 4)
-    A = np.hstack([2.0 * P, np.ones((P.shape[0], 1))])
-    rhs = (P * P).sum(axis=1)
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[-1] <= sv[0] * 1e-10:
-        raise RankDeficientError(int((sv > sv[0] * 1e-10).sum()), 4)
-    sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    c = sol[:3]
-    r = float(np.sqrt(max(sol[3] + c @ c, 0.0)))
-    for _ in range(refine_iters):
-        d = P - c
-        dist = np.linalg.norm(d, axis=1)
-        res = dist - r
-        if np.abs(res).max() < 1e-15:
+    if P.ndim < 2 or P.shape[-1] != 3 or P.shape[-2] < 4:
+        raise RankDeficientError(0, 4, index=0)
+    batch, n = P.shape[:-2], P.shape[-2]
+    P = P.reshape(-1, n, 3)
+    rank = _design_rank(P)
+    if (rank < 4).any():
+        k = int(np.argmax(rank < 4))
+        raise RankDeficientError(int(rank[k]), 4, index=k)
+    c, r = _algebraic_seed(P)
+    # J^T J = [[sum u u^T, sum u], [sum u^T, N]] of the rows [-u^T, -1],
+    # u the unit vectors from the center
+    JtJ = np.empty((len(P), 4, 4))
+    JtJ[:, 3, 3] = n
+    for _ in range(_FIT_MAX_ITERS):
+        u = P - c[:, None]
+        dist = np.sqrt(np.einsum("bni,bni->bn", u, u))
+        u /= dist[..., None]
+        res = dist - r[:, None]
+        uT = np.swapaxes(u, 1, 2)
+        JtJ[:, :3, :3] = uT @ u
+        JtJ[:, :3, 3] = JtJ[:, 3, :3] = u.sum(axis=1)
+        rhs = np.concatenate([uT @ res[..., None], res.sum(axis=-1)[:, None, None]], axis=1)
+        step = np.linalg.solve(JtJ, rhs)[..., 0]
+        c = c + step[:, :3]
+        r = r + step[:, 3]
+        if np.abs(step).max(initial=0.0) <= _FIT_STEP_TOL:
             break
-        J = np.hstack([-d / dist[:, None], -np.ones((P.shape[0], 1))])
-        step, *_ = np.linalg.lstsq(J, -res, rcond=None)
-        c = c + step[:3]
-        r = float(r + step[3])
-    d = np.linalg.norm(P - c, axis=1)
-    rms = float(np.sqrt(np.mean((d - r) ** 2)))
-    return c, r, rms
+    else:
+        log.warning("sphere fit: Gauss-Newton did not converge in %d iterations "
+                    "(last step %.3e m, tolerance %.3e m)",
+                    _FIT_MAX_ITERS, np.abs(step).max(), _FIT_STEP_TOL)
+    res = np.linalg.norm(P - c[:, None], axis=-1) - r[:, None]
+    rms = np.sqrt((res * res).mean(axis=-1))
+    return c.reshape(batch + (3,)), r.reshape(batch), rms.reshape(batch)
 
 
 # --- exact minimum enclosing ball (move-to-front) ----------------------------
@@ -183,29 +224,35 @@ class BallConsistency:
         }
 
 
-def ball_consistency(point_clouds, samples, X, Y, arm_a, arm_c):
+def ball_consistency(point_clouds, q_a, q_c, X, Y, arm_a, arm_c):
     """Cooperative-measuring consistency score.
 
-    Each cloud (sensor frame) is mapped to the common tool-flange frame
-    by p' = C^-1 Y^-1 A X p with A, C from the supplied arms, a sphere is
-    fitted per posture, and the minimum enclosing ball of the fitted
-    centers gives r_MEB (smaller is better).
+    point_clouds holds one (N_i, 3) sensor-frame cloud per posture and
+    q_a, q_c the (m, n) joint readings of the postures.  Each cloud is
+    mapped to the common tool-flange frame by p' = C^-1 Y^-1 A X p with
+    A, C from the supplied arms, a sphere is fitted per posture (one
+    batched fit per distinct point count), and the minimum enclosing ball
+    of the fitted centers gives r_MEB (smaller is better).  A degenerate
+    cloud raises RankDeficientError whose ``index`` is the first such
+    posture.
     """
-    if not samples or len(point_clouds) != len(samples):
-        raise ValueError("need one point cloud per posture sample, and at least one posture")
-    A, C = _arm_poses(samples, arm_a, arm_c)
-    centers, radii, rmss = [], [], []
-    for i, (cloud, T) in enumerate(zip(point_clouds, lie.pose_inv(C) @ lie.pose_inv(Y) @ A @ X)):
-        mapped = lie.apply_pose(T, np.asarray(cloud, dtype=float))
+    m = len(point_clouds)
+    if m == 0 or len(q_a) != m or len(q_c) != m:
+        raise ValueError("need one point cloud per posture, and at least one posture")
+    A, C = forward_kinematics(arm_a, q_a), forward_kinematics(arm_c, q_c)
+    T = lie.pose_inv(C) @ lie.pose_inv(Y) @ A @ X
+    counts = np.array([len(cloud) for cloud in point_clouds])
+    centers, radii, rmss = np.empty((m, 3)), np.empty(m), np.empty(m)
+    degenerate = []
+    for n in np.unique(counts):
+        idx = np.flatnonzero(counts == n)
+        clouds = np.array([point_clouds[i] for i in idx], dtype=float)
         try:
-            c, r, rms = sphere_fit(mapped)
+            centers[idx], radii[idx], rmss[idx] = sphere_fit(lie.apply_pose(T[idx], clouds))
         except RankDeficientError as exc:
-            exc.args = (f"sphere fit degenerate at posture {i}: {exc.args[0]}",)
-            exc.posture = i
-            raise
-        centers.append(c)
-        radii.append(r)
-        rmss.append(rms)
-    centers = np.vstack(centers)
+            degenerate.append((int(idx[exc.index]), exc.rank))
+    if degenerate:
+        i, rank = min(degenerate)
+        raise RankDeficientError(rank, 4, index=i)
     meb_c, r_meb = min_enclosing_ball(centers)
-    return BallConsistency(centers, np.array(radii), np.array(rmss), meb_c, float(r_meb))
+    return BallConsistency(centers, radii, rmss, meb_c, float(r_meb))

@@ -103,11 +103,14 @@ def is_pose(T, tol=1e-9):
 
 
 def apply_pose(T, points):
-    """Transform one point (3,) or a stack of points (N, 3)."""
+    """Transform one point (3,) or a stack of points (N, 3) by a pose, or
+    a batch of clouds (..., N, 3) by poses (..., 4, 4)."""
     p = np.asarray(points, dtype=float)
     if p.ndim == 1:
         return T[:3, :3] @ p + T[:3, 3]
-    return p @ T[:3, :3].T + T[:3, 3]
+    out = p @ np.swapaxes(T[..., :3, :3], -1, -2)
+    out += T[..., None, :3, 3]
+    return out
 
 
 def _branch(theta, threshold):

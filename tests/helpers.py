@@ -94,6 +94,23 @@ def fd_jacobian_columns(system, samples, h=1e-6):
     return J
 
 
+def loop_sphere_fit(points, iters=20):
+    """Sphere through one cloud (N, 3) by lstsq: algebraic seed, then a
+    fixed number of Gauss-Newton steps on the radial residuals."""
+    P = np.asarray(points, dtype=float)
+    sol = np.linalg.lstsq(np.hstack([2.0 * P, np.ones((len(P), 1))]), (P * P).sum(axis=1),
+                          rcond=None)[0]
+    c, r = sol[:3], np.sqrt(sol[3] + sol[:3] @ sol[:3])
+    for _ in range(iters):
+        d = P - c
+        dist = np.linalg.norm(d, axis=1)
+        J = np.hstack([-d / dist[:, None], -np.ones((len(P), 1))])
+        step = np.linalg.lstsq(J, r - dist, rcond=None)[0]
+        c, r = c + step[:3], r + step[3]
+    res = np.linalg.norm(P - c, axis=1) - r
+    return c, r, np.sqrt(np.mean(res * res))
+
+
 def brute_force_meb(points):
     """Minimum enclosing ball by enumerating all support subsets <= 4."""
     from itertools import combinations

@@ -18,7 +18,7 @@ from dualcal import liegroup as lie
 from dualcal import sdp_init as sdp
 from dualcal import solver
 from dualcal.chain import (DualArmSystem, MeasurementSample,
-                           identifiability_report, predict_B, stack)
+                           identifiability_report, joint_readings, predict_B, stack)
 from dualcal.cli import main as cli_main
 from dualcal.evaluate import (ball_consistency, evaluate_samples,
                               min_enclosing_ball, sphere_fit)
@@ -320,7 +320,8 @@ def test_criterion_9_evaluation_kernels():
         C = forward_kinematics(system.tool_arm, s.q_c)
         T = lie.pose_inv(system.X) @ lie.pose_inv(A) @ system.Y @ C
         clouds.append(lie.apply_pose(T, pts_E2))
-    result = ball_consistency(clouds, samples, system.X, system.Y,
+    q_a, q_c = joint_readings(samples, system.n)
+    result = ball_consistency(clouds, q_a, q_c, system.X, system.Y,
                               system.sensor_arm, system.tool_arm)
     ball_ok = result.r_meb < 1e-9
     ok = meb_ok and sphere_ok and ball_ok

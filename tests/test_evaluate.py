@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from dualcal import liegroup as lie
-from dualcal.chain import MeasurementSample
+from dualcal.chain import MeasurementSample, joint_readings
 from dualcal.errors import RankDeficientError
 from dualcal.evaluate import (ball_consistency, evaluate_dataset, evaluate_samples,
                               min_enclosing_ball, sphere_fit)
+from dualcal.kinematics import forward_kinematics
 from dualcal.liegroup import rotation_angle
 from dualcal.simulate import NoiseLevel, default_system, sample_configurations, synthesize
-from helpers import brute_force_meb, noise_free_samples
+from helpers import brute_force_meb, loop_sphere_fit, noise_free_samples
 
 
 @pytest.fixture(scope="module")
@@ -110,10 +111,41 @@ def test_sphere_fit_noisy_monte_carlo():
     assert np.mean(errs) < 5e-5
 
 
+def noisy_clouds(rng, shape, noise=5e-5):
+    """Clouds of points on 25.4 mm spheres about random centers, plus noise."""
+    dirs = rng.normal(size=shape + (3,))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    centers = rng.uniform(-1.0, 1.0, shape[:-1] + (1, 3))
+    return centers + 0.0254 * dirs + rng.normal(0.0, noise, shape + (3,))
+
+
+def test_sphere_fit_batch_matches_per_cloud_fits():
+    clouds = noisy_clouds(np.random.default_rng(10), (200, 64))
+    c, r, rms = sphere_fit(clouds)
+    assert c.shape == (200, 3) and r.shape == (200,) and rms.shape == (200,)
+    for k in range(len(clouds)):
+        for ref in (sphere_fit(clouds[k]), loop_sphere_fit(clouds[k])):
+            assert np.abs(c[k] - ref[0]).max() < 1e-12
+            assert abs(r[k] - ref[1]) < 1e-12 and abs(rms[k] - ref[2]) < 1e-12
+    # a (2, 100) batch is the (200,) batch, reshaped
+    c2, r2, rms2 = sphere_fit(clouds.reshape(2, 100, 64, 3))
+    assert np.array_equal(c2.reshape(200, 3), c) and np.array_equal(r2.ravel(), r)
+    assert np.array_equal(rms2.ravel(), rms)
+
+
 def test_sphere_fit_coplanar_errors():
     pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0.0]])
-    with pytest.raises(RankDeficientError):
+    with pytest.raises(RankDeficientError) as exc:
         sphere_fit(pts)
+    assert exc.value.index == 0 and exc.value.rank == 3
+    clouds = noisy_clouds(np.random.default_rng(11), (20, 64))
+    for k in (0, 7, 19):
+        bad = clouds.copy()
+        bad[k, :, 2] = 0.25
+        bad[19, :, 1] = 0.5  # a later degenerate cloud is not the one named
+        with pytest.raises(RankDeficientError) as exc:
+            sphere_fit(bad)
+        assert exc.value.index == k
 
 
 def test_meb_single_point():
@@ -162,7 +194,6 @@ def _synthetic_clouds(system, samples, ball_center_E2, radius, rng):
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         pts_E2 = ball_center_E2 + radius * dirs
         # sensor-frame pose of the tool flange: X^-1 A^-1 Y C
-        from dualcal.kinematics import forward_kinematics
         A = forward_kinematics(system.sensor_arm, s.q_a)
         C = forward_kinematics(system.tool_arm, s.q_c)
         T = lie.pose_inv(system.X) @ lie.pose_inv(A) @ system.Y @ C
@@ -175,7 +206,8 @@ def test_ball_consistency_perfect_calibration(setup):
     rng = np.random.default_rng(8)
     center = np.array([0.02, -0.01, 0.05])
     clouds = _synthetic_clouds(system, samples[:10], center, 0.0254, rng)
-    result = ball_consistency(clouds, samples[:10], system.X, system.Y,
+    q_a, q_c = joint_readings(samples[:10], system.n)
+    result = ball_consistency(clouds, q_a, q_c, system.X, system.Y,
                               system.sensor_arm, system.tool_arm)
     assert result.r_meb < 1e-9
     assert np.abs(result.centers - center).max() < 1e-9
@@ -189,6 +221,33 @@ def test_ball_consistency_sensitive_to_miscalibration(setup):
                                0.0254, rng)
     Y_bad = system.Y.copy()
     Y_bad[:3, 3] += np.array([0.001, 0.0, 0.0])  # 1 mm base-to-base error
-    result = ball_consistency(clouds, samples[:10], system.X, Y_bad,
+    q_a, q_c = joint_readings(samples[:10], system.n)
+    result = ball_consistency(clouds, q_a, q_c, system.X, Y_bad,
                               system.sensor_arm, system.tool_arm)
     assert result.r_meb >= 0.5e-3
+
+
+def test_ball_consistency_ragged_clouds_match_per_posture_fits(setup):
+    system, samples = setup
+    rng = np.random.default_rng(12)
+    clouds = _synthetic_clouds(system, samples[:10], np.array([0.02, -0.01, 0.05]),
+                               0.0254, rng)
+    clouds = [c[:80] if i % 3 else c[:40] for i, c in enumerate(clouds)]
+    clouds = [c + rng.normal(0.0, 5e-5, c.shape) for c in clouds]
+    q_a, q_c = joint_readings(samples[:10], system.n)
+    result = ball_consistency(clouds, q_a, q_c, system.X, system.Y,
+                              system.sensor_arm, system.tool_arm)
+    for i, (cloud, s) in enumerate(zip(clouds, samples)):
+        A = forward_kinematics(system.sensor_arm, s.q_a)
+        C = forward_kinematics(system.tool_arm, s.q_c)
+        T = lie.pose_inv(C) @ lie.pose_inv(system.Y) @ A @ system.X
+        c, r, rms = sphere_fit(lie.apply_pose(T, cloud))
+        assert np.abs(result.centers[i] - c).max() < 1e-12
+        assert abs(result.radii[i] - r) < 1e-12 and abs(result.fit_rms[i] - rms) < 1e-12
+    # the first degenerate posture is named, whichever point-count group holds it
+    clouds[7] = clouds[7][:3]
+    clouds[5] = clouds[5][:, [0, 1, 0]]
+    with pytest.raises(RankDeficientError) as exc:
+        ball_consistency(clouds, q_a, q_c, system.X, system.Y,
+                         system.sensor_arm, system.tool_arm)
+    assert exc.value.index == 5

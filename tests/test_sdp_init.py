@@ -8,6 +8,7 @@ from dualcal import liegroup as lie
 from dualcal import sdp_init as sdp
 from dualcal.chain import MeasurementSample
 from dualcal.errors import DegenerateSolutionError, StructureError
+from dualcal.evaluate import evaluate_samples
 from dualcal.simulate import default_system, generate_dataset, noise_level, noise_twist
 from helpers import noise_free_samples, rand_pose
 
@@ -373,3 +374,26 @@ def test_initialize_falls_back_to_admm_when_certificate_fails(monkeypatch, caplo
     assert init.method == "admm" and init.lambda_min_rel is None
     assert init.converged and init.primal_res is not None and init.eta < 1e-3
     assert any("falling back to ADMM" in r.getMessage() for r in caplog.records)
+
+
+def test_certified_init_beats_linear_lift_on_held_out_data():
+    # the classic linear AXB=YCZ baseline (Wu et al., IEEE T-RO 2016): the
+    # unconstrained least-squares lift, projected onto X/Y/Z
+    rot, trans = [], []
+    for seed in range(4000, 4005):
+        ds = generate_dataset(60, "QH", "QH", seed=seed)
+        nominal = ds.nominal_system
+        arms = nominal.sensor_arm, nominal.tool_arm
+        train, held_out = ds.samples[:20], ds.samples[20:]
+        init = sdp.initialize(*arms, train)
+        assert init.method == "certified-local"
+        linear = sdp.linear_lift(sdp.build_problem(*arms, train).residual_stack)
+        reports = [evaluate_samples(held_out, *xyz, *arms, "coordinate_only")
+                   for xyz in (linear, (init.X, init.Y, init.Z))]
+        rot.append([r.e_rot.mean() for r in reports])
+        trans.append([r.e_trans.mean() for r in reports])
+    # [linear, certified] per dataset; per dataset the rotation errors can
+    # tie within noise (seed 4004: 2.13 vs 2.17 deg), so rotation is pooled
+    trans, rot = np.array(trans), np.array(rot)
+    assert (trans[:, 1] <= trans[:, 0]).all()
+    assert rot[:, 1].mean() <= rot[:, 0].mean()
