@@ -38,7 +38,7 @@ print(f"certified-local: {init.iterations} Gauss-Newton iterations in "
 print(f"certificate: bound b^T lambda = {init.p_sdp:.6e}, eta = {init.eta:.2e}")
 
 t0 = time.perf_counter()
-res = sdp.solve_sdp(problem, tol_factor=1e-10)
+res = sdp.solve_sdp(problem)
 print(f"ADMM fallback: {res.iterations} iterations in {time.perf_counter() - t0:.1f} s, "
       f"residuals {res.primal_res:.1e}/{res.dual_res:.1e}, p_sdp = {res.p_sdp:.6e}")
 w_star, X, Y, Z, rank_ratio = sdp.extract(res.W)

@@ -10,7 +10,6 @@ calibration (smaller = more consistent).
 import numpy as np
 
 from dualcal import liegroup as lie
-from dualcal.chain import joint_readings
 from dualcal.evaluate import ball_consistency
 from dualcal.kinematics import forward_kinematics
 from dualcal.simulate import default_system, generate_dataset
@@ -21,18 +20,18 @@ system = ds.gt_system
 ball_center_E2 = np.array([0.02, -0.01, 0.05])  # fixed in the tool-flange frame
 radius = 0.0254
 
+q_a, q_c = ds.samples.q_a, ds.samples.q_c
 clouds = []
-for s in ds.samples:
+for i in range(len(ds.samples)):
     dirs = rng.normal(size=(150, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     pts_E2 = ball_center_E2 + radius * dirs + rng.normal(0, 2e-5, (150, 3))
-    A = forward_kinematics(system.sensor_arm, s.q_a)
-    C = forward_kinematics(system.tool_arm, s.q_c)
+    A = forward_kinematics(system.sensor_arm, q_a[i])
+    C = forward_kinematics(system.tool_arm, q_c[i])
     sensor_from_flange = lie.pose_inv(system.X) @ lie.pose_inv(A) @ system.Y @ C
     clouds.append(lie.apply_pose(sensor_from_flange, pts_E2))
 print(f"rendered {len(clouds)} ball clouds (150 pts each, 20 um scan noise)")
 
-q_a, q_c = joint_readings(ds.samples, system.n)
 result = ball_consistency(clouds, q_a, q_c, system.X, system.Y,
                           system.sensor_arm, system.tool_arm)
 print(f"perfect calibration : r_MEB = {1e3 * result.r_meb:.4f} mm, "

@@ -6,7 +6,7 @@ twists of both arms from closed-loop pose measurements, with a
 certifiably correct SDP initialization for the coordinates.
 """
 
-from .chain import (DualArmSystem, MeasurementSample, identifiability_report,
+from .chain import (DualArmSystem, Measurements, identifiability_report,
                     predict_B, residual, stack)
 from .evaluate import (ball_consistency, evaluate_dataset, evaluate_samples,
                        min_enclosing_ball, sphere_fit)

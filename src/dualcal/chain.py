@@ -73,29 +73,40 @@ class DualArmSystem:
         return DualArmSystem(*arms, self.X @ Ex, Ey @ self.Y, Ez @ self.Z)
 
 
-@dataclass
-class MeasurementSample:
-    """Joint readings of both arms plus the measured tool pose B*."""
+@dataclass(eq=False)
+class Measurements:
+    """The m samples, stacked: both arms' joint readings q_a and q_c (m, n)
+    and the measured tool-in-sensor poses B (m, 4, 4).
+
+    Checked once, on construction: m >= 1, matching shapes and every B a
+    pose.  A slice or an index array selects samples as a new record;
+    there is no per-sample object.
+    """
 
     q_a: np.ndarray
     q_c: np.ndarray
-    B_meas: np.ndarray
+    B: np.ndarray
+
+    __iter__ = None  # index the arrays instead
 
     def __post_init__(self):
-        self.q_a = np.asarray(self.q_a, dtype=float)
-        self.q_c = np.asarray(self.q_c, dtype=float)
-        self.B_meas = np.asarray(self.B_meas, dtype=float)
-        if not lie.is_pose(self.B_meas):
-            raise ValidationError("B_meas is not a valid pose")
+        self.q_a, self.q_c, self.B = (np.asarray(v, dtype=float)
+                                      for v in (self.q_a, self.q_c, self.B))
+        if self.q_a.ndim != 2 or len(self.q_a) < 1:
+            raise StructureError("need at least one sample: q_a must be (m, n) with m >= 1")
+        m, n = self.q_a.shape
+        if self.q_c.shape != (m, n) or self.B.shape != (m, 4, 4):
+            raise StructureError(f"q_c {self.q_c.shape} and B {self.B.shape} do not match "
+                                 f"q_a {(m, n)}: need (m, n) and (m, 4, 4)")
+        bad = np.flatnonzero(~lie.is_pose(self.B))
+        if bad.size:
+            raise ValidationError(f"samples[{bad[0]}].B is not a valid pose")
 
+    def __len__(self):
+        return len(self.q_a)
 
-def joint_readings(samples, n):
-    """Both arms' joint readings as (m, n) arrays; StructureError unless m >= 1 and all have n."""
-    if len(samples) < 1:
-        raise StructureError("need at least one sample")
-    if any(s.q_a.shape != (n,) or s.q_c.shape != (n,) for s in samples):
-        raise StructureError("sample joint vectors do not match the system's joint count")
-    return np.array([s.q_a for s in samples]), np.array([s.q_c for s in samples])
+    def __getitem__(self, index):
+        return Measurements(self.q_a[index], self.q_c[index], self.B[index])
 
 
 # Samples per chain walk: bounds the walk's (chunk, 2n+5, ...) temporaries,
@@ -144,9 +155,11 @@ def _walk(system, q_a, q_c, rows=None):
     return P
 
 
-def _chain(system, samples, jacobian):
-    """B' (m, 4, 4) of every sample and, if asked, the Jacobian (6m, 12n+18)."""
-    q_a, q_c = joint_readings(samples, system.n)
+def _chain(system, q_a, q_c, jacobian):
+    """B' (m, 4, 4) of (m, n) joint readings and, if asked, the Jacobian (6m, 12n+18)."""
+    q_a, q_c = np.asarray(q_a, dtype=float), np.asarray(q_c, dtype=float)
+    if q_a.ndim != 2 or q_a.shape[1] != system.n or q_c.shape != q_a.shape:
+        raise StructureError("joint readings do not match the system's joint count")
     m = len(q_a)
     B = np.empty((m, 4, 4))
     J = np.empty((6 * m, system.dim)) if jacobian else None
@@ -157,33 +170,21 @@ def _chain(system, samples, jacobian):
     return B, J
 
 
-def _batch(samples):
-    single = isinstance(samples, MeasurementSample)
-    return ([samples] if single else list(samples)), single
-
-
-def predict_B(system, samples):
-    """Predicted tool-in-sensor pose from the full PoE chain: 4x4 for one
-    sample, (m, 4, 4) for a sequence of m samples."""
-    group, single = _batch(samples)
-    B, _ = _chain(system, group, jacobian=False)
-    return B[0] if single else B
+def predict_B(system, q_a, q_c):
+    """Predicted tool-in-sensor poses (m, 4, 4) of (m, n) joint readings,
+    from the full PoE chain."""
+    return _chain(system, q_a, q_c, jacobian=False)[0]
 
 
 def residual(system, samples):
-    """Closed-loop error twist log(B' B*^-1) (exact logarithm): a 6-vector
-    for one sample, (m, 6) for a sequence of m samples."""
-    group, single = _batch(samples)
-    B_meas = np.array([s.B_meas for s in group])
-    e = lie.log_se3(predict_B(system, group) @ lie.pose_inv(B_meas))
-    return e[0] if single else e
+    """Closed-loop error twists log(B' B*^-1) (exact logarithm), (m, 6)."""
+    return lie.log_se3(predict_B(system, samples.q_a, samples.q_c) @ lie.pose_inv(samples.B))
 
 
 def stack(system, samples):
     """Stacked residual vector (6m,) and Jacobian (6m, 12n+18) from one chain walk."""
-    B, J = _chain(system, samples, jacobian=True)
-    B_meas = np.array([s.B_meas for s in samples])
-    return lie.log_se3(B @ lie.pose_inv(B_meas)).ravel(), J
+    B, J = _chain(system, samples.q_a, samples.q_c, jacobian=True)
+    return lie.log_se3(B @ lie.pose_inv(samples.B)).ravel(), J
 
 
 @dataclass
@@ -223,7 +224,7 @@ def identifiability_report(J, samples, q_min=0.15, rank_rel_threshold=1e-8):
     rank = numeric_rank(sv, rank_rel_threshold)
     needed = J.shape[1]
     cond = float(sv[0] / sv[needed - 1]) if sv[needed - 1] > 1e-300 else float("inf")
-    q = np.stack(joint_readings(samples, samples[0].q_a.shape[0]), axis=1)  # (m, arm, n)
+    q = np.stack((samples.q_a, samples.q_c), axis=1)  # (m, arm, n)
     violations = [{"sample": int(i), "arm": "ac"[a], "joint": int(k), "q": float(q[i, a, k])}
                   for i, a, k in np.argwhere(np.abs(q) < q_min)]
     return IdentifiabilityReport(

@@ -59,14 +59,10 @@ def cmd_generate(args):
     return 0
 
 
-def _sdp_options(args):
-    return {"alpha": args.alpha, "tol_factor": args.sdp_tol, "max_iters": args.sdp_max_iters}
-
-
 def cmd_init(args):
     ds = load_dataset(args.data)
     nominal = ds.nominal_system
-    init = initialize(nominal.sensor_arm, nominal.tool_arm, ds.samples, **_sdp_options(args))
+    init = initialize(nominal.sensor_arm, nominal.tool_arm, ds.samples)
     _write_json(init.to_dict(), args.out)
     return 0
 
@@ -85,7 +81,7 @@ def cmd_calibrate(args):
         coords = [field_array(init_record[k], k, (4, 4), "a pose is 4x4 row-major")
                   for k in "XYZ"]
     config = SolverConfig(damping=args.damping, tol_inf=args.tol, max_iters=args.max_iters)
-    init, final, trace = calibrate(nominal, ds.samples, coords, config, **_sdp_options(args))
+    init, final, trace = calibrate(nominal, ds.samples, coords, config)
     if init is not None:
         init_record = init.to_dict()
     out = system_to_dict(final)
@@ -106,8 +102,7 @@ def _load_calib_system(path):
 def cmd_evaluate(args):
     ds = load_dataset(args.data)
     calib = _load_calib_system(args.calib)
-    mode = "coordinate_only" if args.nominal_kinematics else args.mode
-    report = evaluate_dataset(ds, calib, mode)
+    report = evaluate_dataset(ds, calib, "coordinate_only" if args.nominal_kinematics else "joint")
     _write_json(report.to_dict(), args.out)
     if args.csv:
         d = report.to_dict()
@@ -189,19 +184,10 @@ def build_parser():
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
 
-    def add_sdp_args(sp):
-        sp.add_argument("--alpha", type=float, default=1.0)
-        sp.add_argument("--sdp-tol", type=float, default=1e-10,
-                        help="ADMM residual tolerance factor; applies only when the "
-                             "certified local solve falls back to ADMM")
-        sp.add_argument("--sdp-max-iters", type=int, default=50000,
-                        help="ADMM iteration cap; applies only to the ADMM fallback")
-
     i = sub.add_parser("init", help="certifiable coordinate initialization "
                                     "(certified local solve, ADMM SDP as fallback)")
     i.add_argument("--data", required=True)
     i.add_argument("--out", required=True)
-    add_sdp_args(i)
     i.set_defaults(func=cmd_init)
 
     c = sub.add_parser("calibrate", help="unified coordinate+kinematic calibration")
@@ -212,15 +198,13 @@ def build_parser():
     c.add_argument("--tol", type=float, default=1e-3,
                    help="stop when |increment|_inf falls below this")
     c.add_argument("--max-iters", type=int, default=100)
-    add_sdp_args(c)
     c.set_defaults(func=cmd_calibrate)
 
     e = sub.add_parser("evaluate", help="closed-loop deviation report")
     e.add_argument("--data", required=True)
     e.add_argument("--calib", required=True)
-    e.add_argument("--mode", default="joint", choices=("joint", "coordinate_only"))
     e.add_argument("--nominal-kinematics", action="store_true",
-                   help="shorthand for --mode coordinate_only")
+                   help="score X, Y, Z alone, with the dataset's nominal arms")
     e.add_argument("--out", required=True)
     e.add_argument("--csv", help="also write summary quantiles as CSV")
     e.set_defaults(func=cmd_evaluate)

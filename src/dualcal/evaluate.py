@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liegroup as lie
-from .chain import joint_readings
 from .errors import RankDeficientError
 from .kinematics import forward_kinematics
 
@@ -21,9 +20,8 @@ log = logging.getLogger("dualcal")
 def _loop_deviations(samples, X, Y, Z, arm_a, arm_c):
     """Loop deviations E = (A X B)^-1 Y C Z, (m, 4, 4), with A and C from
     the given arms: nominal ones score a coordinate-only calibration."""
-    q_a, q_c = joint_readings(samples, arm_a.n)
-    A, C = forward_kinematics(arm_a, q_a), forward_kinematics(arm_c, q_c)
-    return lie.pose_inv(A @ X @ np.array([s.B_meas for s in samples])) @ Y @ C @ Z
+    A, C = forward_kinematics(arm_a, samples.q_a), forward_kinematics(arm_c, samples.q_c)
+    return lie.pose_inv(A @ X @ samples.B) @ Y @ C @ Z
 
 
 @dataclass

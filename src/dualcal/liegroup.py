@@ -93,13 +93,16 @@ def pose_inv(T):
 
 
 def is_pose(T, tol=1e-9):
+    """Whether each 4x4 of T (..., 4, 4) is a pose: an orthonormal right-handed
+    rotation block and the bottom row [0, 0, 0, 1].  False for other shapes."""
     T = np.asarray(T)
-    if T.shape != (4, 4):
+    if T.shape[-2:] != (4, 4):
         return False
-    R = T[:3, :3]
-    ortho = np.linalg.norm(R.T @ R - _I3) < tol
+    R = T[..., :3, :3]
+    ortho = np.linalg.norm(np.swapaxes(R, -1, -2) @ R - _I3, axis=(-2, -1)) < tol
     # the bottom row within np.allclose's default tolerances, at a fraction of its cost
-    return ortho and np.linalg.det(R) > 0 and (np.abs(T[3] - _E4) <= 1e-8 + 1e-5 * _E4).all()
+    bottom = (np.abs(T[..., 3, :] - _E4) <= 1e-8 + 1e-5 * _E4).all(axis=-1)
+    return ortho & (np.linalg.det(R) > 0) & bottom
 
 
 def apply_pose(T, points):

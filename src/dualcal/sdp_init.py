@@ -25,7 +25,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import liegroup as lie
-from .chain import joint_readings
 from .errors import DegenerateSolutionError, StructureError
 from .kinematics import forward_kinematics
 from .numerics import project_rotation, sym_eig, symmetrize
@@ -44,6 +43,14 @@ LOCAL_MAX_ITERS = 20
 LOCAL_STEP_TOL = 1e-10
 CERT_EIG_TOL = 1e-12
 CERT_ETA = 1e-6
+
+# ADMM fallback: residual tolerance factor, tight so that the certificate
+# stays sharp near a zero optimum; iteration cap; over-relaxation; and the
+# interval at which the residuals are checked and balanced
+ADMM_TOL = 1e-10
+ADMM_MAX_ITERS = 50000
+ADMM_RELAX = 1.6
+ADMM_CHECK_EVERY = 25
 
 
 def _vec(M):
@@ -98,15 +105,15 @@ def omega_g(A, B, C):
     return O
 
 
-def build_residual_stack(pose_triples, alpha=1.0):
-    """Rows [omega_f; alpha*omega_g] of every sample stacked (12m x 133).
+def build_residual_stack(A, B, C):
+    """Rows [omega_f; omega_g] of every pose triple of the (m, 4, 4) stacks
+    A, B, C, stacked (12m x 133).
 
-    The stack G satisfies |G w|^2 = sum_i (|f_i|^2 + alpha^2 |g_i|^2); it
+    The stack G satisfies |G w|^2 = sum_i (|f_i|^2 + |g_i|^2); it
     evaluates the objective as a sum of squares, free of the cancellation
     that the assembled Q suffers near zero cost.
     """
-    A, B, C = (np.array(P, dtype=float) for P in zip(*pose_triples))
-    O = np.concatenate([omega_f(A, B, C), alpha * omega_g(A, B, C)], axis=-2)
+    O = np.concatenate([omega_f(A, B, C), omega_g(A, B, C)], axis=-2)
     return O.reshape(-1, DIM)
 
 
@@ -266,17 +273,15 @@ class SDPProblem:
     residual_stack: np.ndarray  # rows G with Q = G^T G
 
 
-def build_problem(sensor_arm, tool_arm, samples, alpha=1.0):
+def build_problem(sensor_arm, tool_arm, samples):
     """Assemble the SDP from nominal-kinematics poses and measured B.
 
     A_i and C_i come from the nominal forward kinematics: at
     initialization time kinematic error is part of the measurement
     noise.
     """
-    q_a, q_c = joint_readings(samples, sensor_arm.n)
-    triples = zip(forward_kinematics(sensor_arm, q_a), (s.B_meas for s in samples),
-                  forward_kinematics(tool_arm, q_c))
-    G = build_residual_stack(triples, alpha)
+    G = build_residual_stack(forward_kinematics(sensor_arm, samples.q_a), samples.B,
+                             forward_kinematics(tool_arm, samples.q_c))
     return SDPProblem(symmetrize(G.T @ G), build_constraints(), G)
 
 
@@ -291,8 +296,7 @@ class SDPResult:
     tol: float
 
 
-def solve_sdp(problem, tol_factor=1e-8, max_iters=50000, sigma=None,
-              over_relax=1.6, check_every=25):
+def solve_sdp(problem):
     """Operator-splitting ADMM for min tr(QW) s.t. tr(H_j W)=rho_j, W>=0.
 
     Iterates are symmetric 133x133 matrices.  Alternates (i) projection
@@ -300,8 +304,9 @@ def solve_sdp(problem, tol_factor=1e-8, max_iters=50000, sigma=None,
     and a precomputed factorization of its Gram matrix, (ii) PSD
     projection by eigenvalue clamping, (iii) scaled dual update, with
     over-relaxation and residual balancing.  Stops when both residuals
-    drop below tol_factor*(1+|Q|_F).  Non-convergence is reported in the
-    result, not raised: the caller may still extract.
+    drop below ADMM_TOL*(1+|Q|_F), or after ADMM_MAX_ITERS iterations.
+    Non-convergence is reported in the result, not raised: the caller may
+    still extract.
     """
     Q = problem.Q
     if not np.isfinite(Q).all():
@@ -318,22 +323,21 @@ def solve_sdp(problem, tol_factor=1e-8, max_iters=50000, sigma=None,
         pos = lam > 0  # none positive: an empty product, the zero matrix
         return symmetrize((V[:, pos] * lam[pos]) @ V[:, pos].T)
 
-    tol = tol_factor * (1.0 + np.linalg.norm(Q))
-    if sigma is None:
-        sigma = max(np.linalg.norm(Q) / 20.0, 1e-3)
+    tol = ADMM_TOL * (1.0 + np.linalg.norm(Q))
+    sigma = max(np.linalg.norm(Q) / 20.0, 1e-3)
     x = proj_aff(np.zeros((DIM, DIM)))
     s = proj_psd(x)
     u = np.zeros((DIM, DIM))
     primal = dual = np.inf
     it = 0
     converged = False
-    while it < max_iters:
+    while it < ADMM_MAX_ITERS:
         it += 1
         x = proj_aff(s - u - Q / sigma)
-        xh = over_relax * x + (1.0 - over_relax) * s
+        xh = ADMM_RELAX * x + (1.0 - ADMM_RELAX) * s
         s_new = proj_psd(xh + u)
         u = u + xh - s_new
-        if it % check_every == 0 or it == max_iters:
+        if it % ADMM_CHECK_EVERY == 0 or it == ADMM_MAX_ITERS:
             primal = np.linalg.norm(x - s_new)
             dual = sigma * np.linalg.norm(s_new - s)
             s = s_new
@@ -529,24 +533,20 @@ def certified_local(problem):
                       None, None, "certified-local", lambda_min_rel)
 
 
-def initialize(sensor_arm, tool_arm, samples, alpha=1.0, tol_factor=1e-10,
-               max_iters=50000):
+def initialize(sensor_arm, tool_arm, samples):
     """Full certifiable initialization pipeline.
 
     Tries certified_local first; when its certificate fails, solves the
-    SDP by ADMM, extracts and certifies.  tol_factor and max_iters apply
-    to ADMM only; tol_factor defaults tighter than the bare solver so
-    that the certificate stays sharp in the near-zero-optimum (low noise)
-    regime.
+    SDP by ADMM, extracts and certifies.
     """
     log.info("certifiable initialization (m=%d samples)", len(samples))
-    problem = build_problem(sensor_arm, tool_arm, samples, alpha)
+    problem = build_problem(sensor_arm, tool_arm, samples)
     init = certified_local(problem)
     if init is not None:
         log.info("init: certified-local, eta=%.3e lambda_min_rel=%.3e iters=%d",
                  init.eta, init.lambda_min_rel, init.iterations)
         return init
-    res = solve_sdp(problem, tol_factor=tol_factor, max_iters=max_iters)
+    res = solve_sdp(problem)
     w_star, X, Y, Z, rank_ratio = extract(res.W)
     eta, abs_gap, p_cert = certify(w_star, problem.Q, res.p_sdp,
                                    problem.residual_stack)

@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 
 from . import liegroup as lie
-from .chain import DualArmSystem, MeasurementSample, predict_B
+from .chain import DualArmSystem, Measurements, predict_B
 from .errors import InfeasibleSamplingError, ValidationError
 from .kinematics import forward_kinematics, model_from_dict, model_to_dict, perturb_model
 
@@ -180,7 +180,7 @@ def noise_twist(level, rng):
 class SyntheticDataset:
     nominal_system: DualArmSystem
     gt_system: DualArmSystem  # None in blind exports
-    samples: list
+    samples: Measurements
     seed: int
     kin_level: str
     noise_level: str
@@ -194,13 +194,12 @@ class SyntheticDataset:
 def synthesize(system_gt, system_nominal, configs, noise, rng, seed=None,
                kin_tag="custom", noise_tag=None):
     """Measurements B_i = gtB_i * exp(noise twist) over the configs."""
-    B = predict_B(system_gt, [MeasurementSample(q_a, q_c, np.eye(4)) for q_a, q_c in configs])
+    q_a, q_c = np.array([q for q, _ in configs]), np.array([q for _, q in configs])
+    B = predict_B(system_gt, q_a, q_c)
     if noise.rot_sigma > 0 or noise.trans_sigma > 0:
         # one noise twist per sample, drawn in sample order
         B = B @ lie.exp_se3(np.array([noise_twist(noise, rng) for _ in configs]))
-    samples = [MeasurementSample(q_a.copy(), q_c.copy(), B_i)
-               for (q_a, q_c), B_i in zip(configs, B)]
-    return SyntheticDataset(system_nominal.copy(), system_gt.copy(), samples,
+    return SyntheticDataset(system_nominal.copy(), system_gt.copy(), Measurements(q_a, q_c, B),
                             seed, kin_tag, noise_tag or noise.tag)
 
 
@@ -260,11 +259,12 @@ def system_from_dict(d):
 
 
 def dataset_to_dict(ds, blind=False):
+    s = ds.samples
     return {
         "nominal_system": system_to_dict(ds.nominal_system),
         "gt_system": None if (blind or ds.gt_system is None) else system_to_dict(ds.gt_system),
-        "samples": [{"q_a": s.q_a.tolist(), "q_c": s.q_c.tolist(),
-                     "B": s.B_meas.tolist()} for s in ds.samples],
+        "samples": [{"q_a": q_a, "q_c": q_c, "B": B}
+                    for q_a, q_c, B in zip(s.q_a.tolist(), s.q_c.tolist(), s.B.tolist())],
         "seed": ds.seed,
         "kin_level": ds.kin_level,
         "noise_level": ds.noise_level,
@@ -306,12 +306,12 @@ def dataset_from_dict(d):
         raise ValidationError("dataset field 'samples' is empty")
     nominal = system_from_dict(d["nominal_system"])
     na, nc = nominal.sensor_arm.n, nominal.tool_arm.n
-    samples = map(MeasurementSample,
-                  _sample_field(d["samples"], "q_a", (na,), f"the sensor arm has {na} joints"),
-                  _sample_field(d["samples"], "q_c", (nc,), f"the tool arm has {nc} joints"),
-                  _sample_field(d["samples"], "B", (4, 4), "a pose is 4x4 row-major"))
+    samples = Measurements(
+        _sample_field(d["samples"], "q_a", (na,), f"the sensor arm has {na} joints"),
+        _sample_field(d["samples"], "q_c", (nc,), f"the tool arm has {nc} joints"),
+        _sample_field(d["samples"], "B", (4, 4), "a pose is 4x4 row-major"))
     gt = system_from_dict(d["gt_system"]) if d.get("gt_system") else None
-    return SyntheticDataset(nominal, gt, list(samples), d["seed"], d["kin_level"], d["noise_level"])
+    return SyntheticDataset(nominal, gt, samples, d["seed"], d["kin_level"], d["noise_level"])
 
 
 def save_dataset(ds, path, blind=False):

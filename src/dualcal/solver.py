@@ -87,17 +87,17 @@ def solve(initial, samples, config=None):
     return system, trace
 
 
-def calibrate(nominal, samples, coords=None, config=None, **sdp_options):
+def calibrate(nominal, samples, coords=None, config=None):
     """The unified calibration: certified estimate of X, Y, Z, then Gauss-Newton
     over the coordinates and both arms' joint twists.
 
     nominal is the DualArmSystem whose arms start the refinement.
-    coords=(X, Y, Z) replaces that estimate, and init is then None;
-    sdp_options go to sdp_init.initialize.  Returns (init, final_system, trace).
+    coords=(X, Y, Z) replaces that estimate, and init is then None.
+    Returns (init, final_system, trace).
     """
     init = None
     if coords is None:
-        init = initialize(nominal.sensor_arm, nominal.tool_arm, samples, **sdp_options)
+        init = initialize(nominal.sensor_arm, nominal.tool_arm, samples)
         coords = init.X, init.Y, init.Z
     start = DualArmSystem(nominal.sensor_arm, nominal.tool_arm, *coords)
     final, trace = solve(start, samples, config)

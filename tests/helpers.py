@@ -8,7 +8,7 @@ brute-force geometry give reference values the library must reproduce.
 import numpy as np
 
 from dualcal import liegroup as lie
-from dualcal.chain import MeasurementSample, predict_B
+from dualcal.chain import Measurements, predict_B
 
 
 def expm_taylor(M, terms=30):
@@ -64,13 +64,9 @@ def valid_config(rng, n, q_min=0.15):
 
 def noise_free_samples(system, rng, m, n=6):
     """Samples whose B is exactly consistent with the given system."""
-    out = []
-    for _ in range(m):
-        q_a = valid_config(rng, n)
-        q_c = valid_config(rng, n)
-        B = predict_B(system, MeasurementSample(q_a, q_c, np.eye(4)))
-        out.append(MeasurementSample(q_a, q_c, B))
-    return out
+    pairs = np.array([[valid_config(rng, n), valid_config(rng, n)] for _ in range(m)])
+    q_a, q_c = pairs[:, 0], pairs[:, 1]
+    return Measurements(q_a, q_c, predict_B(system, q_a, q_c))
 
 
 def fd_jacobian_columns(system, samples, h=1e-6):
@@ -87,10 +83,9 @@ def fd_jacobian_columns(system, samples, h=1e-6):
         d[col] = h
         sp = system.apply_delta(d)
         sm = system.apply_delta(-d)
-        for i, sample in enumerate(samples):
-            Bp = predict_B(sp, sample)
-            Bm = predict_B(sm, sample)
-            J[6 * i:6 * i + 6, col] = lie.log_se3(Bp @ lie.pose_inv(Bm)) / (2 * h)
+        Bp = predict_B(sp, samples.q_a, samples.q_c)
+        Bm = predict_B(sm, samples.q_a, samples.q_c)
+        J[:, col] = lie.log_se3(Bp @ lie.pose_inv(Bm)).ravel() / (2 * h)
     return J
 
 

@@ -17,8 +17,8 @@ import pytest
 from dualcal import liegroup as lie
 from dualcal import sdp_init as sdp
 from dualcal import solver
-from dualcal.chain import (DualArmSystem, MeasurementSample,
-                           identifiability_report, joint_readings, predict_B, stack)
+from dualcal.chain import (DualArmSystem, Measurements, identifiability_report,
+                           predict_B, stack)
 from dualcal.cli import main as cli_main
 from dualcal.evaluate import (ball_consistency, evaluate_samples,
                               min_enclosing_ball, sphere_fit)
@@ -50,9 +50,8 @@ def split_dataset(m_cal, m_test, kin_tag, noise_tag, seed):
     return ds, ds.samples[:m_cal], ds.samples[m_cal:]
 
 
-def calibrate(ds, samples, tol=1e-8, sdp_tol=1e-10):
-    return solver.calibrate(ds.nominal_system, samples, config=SolverConfig(tol_inf=tol),
-                            tol_factor=sdp_tol)
+def calibrate(ds, samples, tol=1e-8):
+    return solver.calibrate(ds.nominal_system, samples, config=SolverConfig(tol_inf=tol))
 
 
 def test_criterion_1_lie_kernels():
@@ -107,11 +106,9 @@ def test_criterion_2_jacobian_finite_difference():
                                         rand_twist(rng, 1.0, 0.3)]))
         system = DualArmSystem(RobotModel("a", joints_a, rand_twist(rng, 0.5, 0.5)),
                                RobotModel("c", joints_c, rand_twist(rng, 0.5, 0.5)), X, Y, Z)
-        samples = [MeasurementSample(rng.uniform(-np.pi, np.pi, 6),
-                                     rng.uniform(-np.pi, np.pi, 6), np.eye(4))
-                   for _ in range(2)]
-        samples = [MeasurementSample(s.q_a, s.q_c, predict_B(system, s))
-                   for s in samples]
+        q = np.array([[rng.uniform(-np.pi, np.pi, 6), rng.uniform(-np.pi, np.pi, 6)]
+                      for _ in range(2)])
+        samples = Measurements(q[:, 0], q[:, 1], predict_B(system, q[:, 0], q[:, 1]))
         _, J = stack(system, samples)
         fd = fd_jacobian_columns(system, samples)
         scale = np.maximum(np.abs(J).max(axis=0), 1e-9)
@@ -145,7 +142,7 @@ def noisy_sdp_trials():
         ds = generate_dataset(20, "QH", "QH", seed=4000 + i)
         nominal = ds.nominal_system
         problem = sdp.build_problem(nominal.sensor_arm, nominal.tool_arm, ds.samples)
-        res = sdp.solve_sdp(problem, tol_factor=1e-10)
+        res = sdp.solve_sdp(problem)
         w_star, X, Y, Z, rank_ratio = sdp.extract(res.W)
         eta, abs_gap, p_cert = sdp.certify(w_star, problem.Q, res.p_sdp,
                                            problem.residual_stack)
@@ -223,17 +220,14 @@ def test_criterion_7_identifiability_diagnostics():
     gt_system = default_system()
     rng = np.random.default_rng(700)
     configs = sample_configurations(80, 6, rng)
-    samples = [MeasurementSample(qa, qc, predict_B(gt_system, MeasurementSample(qa, qc, np.eye(4))))
-               for qa, qc in configs]
+    q_a, q_c = np.array(configs).swapaxes(0, 1)
+    samples = Measurements(q_a, q_c, predict_B(gt_system, q_a, q_c))
     _, J = stack(gt_system, samples)
     rep = identifiability_report(J, samples)
 
-    pinned = []
-    for s in samples[:40]:
-        qa = s.q_a.copy()
-        qa[2] = 0.0
-        pinned.append(MeasurementSample(qa, s.q_c,
-                                        predict_B(gt_system, MeasurementSample(qa, s.q_c, np.eye(4)))))
+    qa, qc = q_a[:40].copy(), q_c[:40]
+    qa[:, 2] = 0.0
+    pinned = Measurements(qa, qc, predict_B(gt_system, qa, qc))
     _, Jp = stack(gt_system, pinned)
     rep_pinned = identifiability_report(Jp, pinned)
     clause_b = (not rep_pinned.well_posed) and rep_pinned.excitation_violations
@@ -312,15 +306,15 @@ def test_criterion_9_evaluation_kernels():
     samples = noise_free_samples(system, rng, 10)
     ball_center = np.array([0.02, -0.01, 0.05])
     clouds = []
-    for s in samples:
+    q_a, q_c = samples.q_a, samples.q_c
+    for i in range(len(samples)):
         dirs = rng.normal(size=(100, 3))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         pts_E2 = ball_center + 0.0254 * dirs
-        A = forward_kinematics(system.sensor_arm, s.q_a)
-        C = forward_kinematics(system.tool_arm, s.q_c)
+        A = forward_kinematics(system.sensor_arm, q_a[i])
+        C = forward_kinematics(system.tool_arm, q_c[i])
         T = lie.pose_inv(system.X) @ lie.pose_inv(A) @ system.Y @ C
         clouds.append(lie.apply_pose(T, pts_E2))
-    q_a, q_c = joint_readings(samples, system.n)
     result = ball_consistency(clouds, q_a, q_c, system.X, system.Y,
                               system.sensor_arm, system.tool_arm)
     ball_ok = result.r_meb < 1e-9

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dualcal import liegroup as lie
-from dualcal.chain import (DualArmSystem, MeasurementSample, identifiability_report,
+from dualcal.chain import (DualArmSystem, Measurements, identifiability_report,
                            predict_B, residual, stack)
 from dualcal.errors import StructureError, ValidationError
 from dualcal.kinematics import RobotModel, default_arm, forward_kinematics
@@ -24,38 +24,36 @@ def test_predict_trivial_identity():
     n = 3
     arm = RobotModel("zero", np.zeros((n, 6)), np.zeros(6))
     system = DualArmSystem(arm, arm.copy(), np.eye(4), np.eye(4), np.eye(4))
-    sample = MeasurementSample(np.array([0.3, -1.0, 2.0]),
-                               np.array([1.1, 0.4, -0.7]), np.eye(4))
-    assert np.abs(predict_B(system, sample) - np.eye(4)).max() < 1e-15
+    B = predict_B(system, np.array([[0.3, -1.0, 2.0]]), np.array([[1.1, 0.4, -0.7]]))
+    assert np.abs(B - np.eye(4)).max() < 1e-15
 
 
 def test_predict_matches_measurement_on_noise_free(gt_system, samples):
-    for s in samples:
-        assert np.abs(predict_B(gt_system, s) - s.B_meas).max() < 1e-10
+    assert np.abs(predict_B(gt_system, samples.q_a, samples.q_c) - samples.B).max() < 1e-10
 
 
 def test_predict_equals_frame_composition(gt_system, samples):
     g = gt_system
-    for s in samples:
-        A = forward_kinematics(g.sensor_arm, s.q_a)
-        C = forward_kinematics(g.tool_arm, s.q_c)
+    B = predict_B(gt_system, samples.q_a, samples.q_c)
+    for i in range(len(samples)):
+        A = forward_kinematics(g.sensor_arm, samples.q_a[i])
+        C = forward_kinematics(g.tool_arm, samples.q_c[i])
         expect = lie.pose_inv(g.X) @ lie.pose_inv(A) @ g.Y @ C @ g.Z
-        assert np.abs(predict_B(gt_system, s) - expect).max() < 1e-12
+        assert np.abs(B[i] - expect).max() < 1e-12
 
 
 def test_residual_zero_on_consistent(gt_system, samples):
-    for s in samples:
-        assert np.abs(residual(gt_system, s)).max() < 1e-12
+    assert np.abs(residual(gt_system, samples)).max() < 1e-12
 
 
 def test_residual_recovers_injected_twist(gt_system, samples):
     rng = np.random.default_rng(1)
     delta = rng.uniform(-1, 1, 6)
     delta *= 1e-3 / np.linalg.norm(delta)
-    s = samples[0]
-    Bp = predict_B(gt_system, s)
-    bumped = MeasurementSample(s.q_a, s.q_c, lie.exp_se3(-delta) @ Bp)
-    assert np.abs(residual(gt_system, bumped) - delta).max() < 1e-9
+    s = samples[:1]
+    Bp = predict_B(gt_system, s.q_a, s.q_c)
+    bumped = Measurements(s.q_a, s.q_c, lie.exp_se3(-delta) @ Bp)
+    assert np.abs(residual(gt_system, bumped)[0] - delta).max() < 1e-9
 
 
 def test_residual_norm_doubles_with_perturbation(gt_system, samples):
@@ -97,7 +95,8 @@ def test_jacobian_structural_decomposition_n1():
                                     [-0.2, 0.1, 0.0, 0.0, 0.06, -0.04]]))
     system = DualArmSystem(RobotModel("a", xi_a, st_a), RobotModel("c", xi_c, st_c), X, Y, Z)
     q_a, q_c = np.array([0.9]), np.array([-1.3])
-    _, J = stack(system, [MeasurementSample(q_a, q_c, np.eye(4))])
+    _, J = stack(system, Measurements(q_a[None], q_c[None],
+                                      predict_B(system, q_a[None], q_c[None])))
     prefix = (lie.exp_se3(-xi_x) @ lie.exp_se3(-st_a)
               @ lie.exp_se3(-xi_a[0] * q_a[0]) @ Y)
     expect = lie.adjoint(prefix) @ lie.joint_jacobian(xi_c[0], q_c[0])
@@ -115,7 +114,7 @@ def test_jacobian_structural_decomposition_n1():
 
 
 def test_stack_identical_samples_identical_rows(gt_system, samples):
-    pair = [samples[0], samples[0]]
+    pair = samples[[0, 0]]
     e, J = stack(gt_system, pair)
     assert np.array_equal(J[:6], J[6:])
     assert np.array_equal(e[:6], e[6:])
@@ -124,14 +123,36 @@ def test_stack_identical_samples_identical_rows(gt_system, samples):
 def test_stack_block_extraction(gt_system, samples):
     e, J = stack(gt_system, samples[:5])
     for i in range(5):
-        ei, Ji = stack(gt_system, [samples[i]])
+        ei, Ji = stack(gt_system, samples[i:i + 1])
         assert np.array_equal(J[6 * i:6 * i + 6], Ji)
         assert np.array_equal(e[6 * i:6 * i + 6], ei)
 
 
-def test_stack_empty_errors(gt_system):
+def test_stack_empty_errors(gt_system, samples):
     with pytest.raises(StructureError):
-        stack(gt_system, [])
+        stack(gt_system, samples[:0])
+
+
+def test_measurements_select_and_validate(gt_system, samples):
+    for index in (slice(2, 7), np.array([5, 0, 5]), np.arange(12) % 3 == 0):
+        sub = samples[index]
+        assert isinstance(sub, Measurements)
+        for name in ("q_a", "q_c", "B"):
+            assert np.array_equal(getattr(sub, name), getattr(samples, name)[index])
+    assert len(samples) == 12 and len(samples[2:7]) == 5
+    with pytest.raises(TypeError):
+        iter(samples)  # no per-sample objects
+    q_a, q_c, B = samples.q_a, samples.q_c, samples.B
+    for args in ((q_a, q_c[:-1], B), (q_a, q_c, B[:-1]),  # length mismatch
+                 (q_a, q_c[:, :5], B), (q_a[:, :5], q_c, B)):  # wrong joint count
+        with pytest.raises(StructureError):
+            Measurements(*args)
+    with pytest.raises(StructureError):  # the system's joint count
+        predict_B(gt_system, q_a[:, :5], q_c[:, :5])
+    bad = B.copy()
+    bad[[9, 4], :3, :3] *= 1.5
+    with pytest.raises(ValidationError, match=r"^samples\[4\]\.B is not a valid pose$"):
+        Measurements(q_a, q_c, bad)
 
 
 def test_state_dimensions(gt_system):
@@ -180,11 +201,8 @@ def test_identifiability_rank_under_full_excitation(gt_system):
     # Under full excitation the rank therefore saturates at 12n+6, not
     # at the parameter count 12n+18.
     rng = np.random.default_rng(6)
-    configs = sample_configurations(80, 6, rng)
-    samples80 = []
-    for q_a, q_c in configs:
-        B = predict_B(gt_system, MeasurementSample(q_a, q_c, np.eye(4)))
-        samples80.append(MeasurementSample(q_a, q_c, B))
+    q_a, q_c = np.array(sample_configurations(80, 6, rng)).swapaxes(0, 1)
+    samples80 = Measurements(q_a, q_c, predict_B(gt_system, q_a, q_c))
     _, J = stack(gt_system, samples80)
     rep = identifiability_report(J, samples80)
     assert rep.rank == 12 * 6 + 6
@@ -217,7 +235,7 @@ def test_gauge_orbit_preserves_measurements(gt_system, samples):
 
 
 def test_identifiability_identical_samples_degenerate(gt_system, samples):
-    repeated = [samples[0]] * 20
+    repeated = samples[np.zeros(20, dtype=int)]
     _, J = stack(gt_system, repeated)
     rep = identifiability_report(J, repeated)
     assert rep.rank < 90
@@ -226,13 +244,10 @@ def test_identifiability_identical_samples_degenerate(gt_system, samples):
 
 def test_identifiability_pinned_joint_flagged(gt_system):
     rng = np.random.default_rng(7)
-    samples_pinned = []
-    for _ in range(30):
-        q_a = valid_config(rng, 6)
-        q_a[2] = 0.0  # joint 3 of the sensor arm never moves
-        q_c = valid_config(rng, 6)
-        B = predict_B(gt_system, MeasurementSample(q_a, q_c, np.eye(4)))
-        samples_pinned.append(MeasurementSample(q_a, q_c, B))
+    pairs = np.array([[valid_config(rng, 6), valid_config(rng, 6)] for _ in range(30)])
+    q_a, q_c = pairs[:, 0], pairs[:, 1]
+    q_a[:, 2] = 0.0  # joint 3 of the sensor arm never moves
+    samples_pinned = Measurements(q_a, q_c, predict_B(gt_system, q_a, q_c))
     _, J = stack(gt_system, samples_pinned)
     rep = identifiability_report(J, samples_pinned)
     flagged = {(v["arm"], v["joint"]) for v in rep.excitation_violations}
@@ -264,10 +279,11 @@ def test_forward_kinematics_batched_matches_rows():
 
 
 def test_predict_and_residual_batched_match_single(gt_system, samples):
-    B = predict_B(gt_system, samples)
+    B = predict_B(gt_system, samples.q_a, samples.q_c)
     e = residual(gt_system, samples)
     assert B.shape == (len(samples), 4, 4) and e.shape == (len(samples), 6)
-    for i, s in enumerate(samples):
-        assert np.abs(B[i] - predict_B(gt_system, s)).max() <= 1e-12
-        assert np.abs(e[i] - residual(gt_system, s)).max() <= 1e-12
+    for i in range(len(samples)):
+        s = samples[i:i + 1]
+        assert np.abs(B[i] - predict_B(gt_system, s.q_a, s.q_c)[0]).max() <= 1e-12
+        assert np.abs(e[i] - residual(gt_system, s)[0]).max() <= 1e-12
     assert np.array_equal(e.ravel(), stack(gt_system, samples)[0])

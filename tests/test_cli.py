@@ -146,15 +146,15 @@ def postures(workdir):
     rng = np.random.default_rng(0)
     center = np.array([0.02, -0.01, 0.05])
     postures = []
-    for s in ds.samples[:8]:
+    for q_a, q_c in zip(ds.samples.q_a[:8], ds.samples.q_c[:8]):
         dirs = rng.normal(size=(80, 3))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         pts_E2 = center + 0.0254 * dirs
-        A = forward_kinematics(system.sensor_arm, s.q_a)
-        C = forward_kinematics(system.tool_arm, s.q_c)
+        A = forward_kinematics(system.sensor_arm, q_a)
+        C = forward_kinematics(system.tool_arm, q_c)
         T = lie.pose_inv(system.X) @ lie.pose_inv(A) @ system.Y @ C
         pts = lie.apply_pose(T, pts_E2)
-        postures.append({"q_a": s.q_a.tolist(), "q_c": s.q_c.tolist(),
+        postures.append({"q_a": q_a.tolist(), "q_c": q_c.tolist(),
                          "points": pts.tolist()})
     return postures
 
@@ -219,6 +219,16 @@ def test_nan_joint_reading_exits_2_naming_field(workdir, tmp_path, capsys):
         samples[2]["q_c"][1] = float("nan")
     assert run_init_on_edited_data(workdir, tmp_path, edit) == 2
     assert "samples[2].q_c has a non-finite value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad, named", [((17,), 17), ((17, 9), 9)])
+def test_non_pose_B_exits_2_naming_first_bad_sample(workdir, tmp_path, capsys, bad, named):
+    def edit(samples):
+        for i in bad:  # rotation block scaled by 1.5
+            for row in samples[i]["B"][:3]:
+                row[:3] = [1.5 * v for v in row[:3]]
+    assert run_init_on_edited_data(workdir, tmp_path, edit) == 2
+    assert f"error: samples[{named}].B is not a valid pose" in capsys.readouterr().err
 
 
 def short_q_a(postures):

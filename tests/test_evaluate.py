@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dualcal import liegroup as lie
-from dualcal.chain import MeasurementSample, joint_readings
+from dualcal.chain import Measurements
 from dualcal.errors import RankDeficientError
 from dualcal.evaluate import (ball_consistency, evaluate_dataset, evaluate_samples,
                               min_enclosing_ball, sphere_fit)
@@ -21,11 +21,10 @@ def setup():
 
 def test_closed_loop_zero_for_perfect_parameters(setup):
     system, samples = setup
-    for s in samples:
-        err = evaluate_samples([s], system.X, system.Y, system.Z,
-                               system.sensor_arm, system.tool_arm, "joint")
-        assert err.e_rot[0] < 1e-12
-        assert err.e_trans[0] < 1e-12
+    err = evaluate_samples(samples, system.X, system.Y, system.Z,
+                           system.sensor_arm, system.tool_arm, "joint")
+    assert err.e_rot.max() < 1e-12
+    assert err.e_trans.max() < 1e-12
 
 
 def test_closed_loop_detects_injected_deviation(setup):
@@ -36,9 +35,9 @@ def test_closed_loop_detects_injected_deviation(setup):
     dr = rng.normal(size=3)
     dr *= 0.002 / np.linalg.norm(dr)
     delta = np.concatenate([dw, dr])
-    s = samples[0]
-    bumped = MeasurementSample(s.q_a, s.q_c, s.B_meas @ lie.exp_se3(delta))
-    err = evaluate_samples([bumped], system.X, system.Y, system.Z,
+    s = samples[:1]
+    bumped = Measurements(s.q_a, s.q_c, s.B @ lie.exp_se3(delta))
+    err = evaluate_samples(bumped, system.X, system.Y, system.Z,
                            system.sensor_arm, system.tool_arm, "joint")
     assert abs(err.e_rot[0] - 0.01) < 0.01 * 0.05
     assert abs(err.e_trans[0] - 0.002) < 0.002 * 0.05
@@ -189,13 +188,13 @@ def test_meb_large_point_set():
 def _synthetic_clouds(system, samples, ball_center_E2, radius, rng):
     """Exact sphere point clouds rendered into the sensor frame."""
     clouds = []
-    for s in samples:
+    for q_a, q_c in zip(samples.q_a, samples.q_c):
         dirs = rng.normal(size=(120, 3))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         pts_E2 = ball_center_E2 + radius * dirs
         # sensor-frame pose of the tool flange: X^-1 A^-1 Y C
-        A = forward_kinematics(system.sensor_arm, s.q_a)
-        C = forward_kinematics(system.tool_arm, s.q_c)
+        A = forward_kinematics(system.sensor_arm, q_a)
+        C = forward_kinematics(system.tool_arm, q_c)
         T = lie.pose_inv(system.X) @ lie.pose_inv(A) @ system.Y @ C
         clouds.append(lie.apply_pose(T, pts_E2))
     return clouds
@@ -206,7 +205,7 @@ def test_ball_consistency_perfect_calibration(setup):
     rng = np.random.default_rng(8)
     center = np.array([0.02, -0.01, 0.05])
     clouds = _synthetic_clouds(system, samples[:10], center, 0.0254, rng)
-    q_a, q_c = joint_readings(samples[:10], system.n)
+    q_a, q_c = samples.q_a[:10], samples.q_c[:10]
     result = ball_consistency(clouds, q_a, q_c, system.X, system.Y,
                               system.sensor_arm, system.tool_arm)
     assert result.r_meb < 1e-9
@@ -221,7 +220,7 @@ def test_ball_consistency_sensitive_to_miscalibration(setup):
                                0.0254, rng)
     Y_bad = system.Y.copy()
     Y_bad[:3, 3] += np.array([0.001, 0.0, 0.0])  # 1 mm base-to-base error
-    q_a, q_c = joint_readings(samples[:10], system.n)
+    q_a, q_c = samples.q_a[:10], samples.q_c[:10]
     result = ball_consistency(clouds, q_a, q_c, system.X, Y_bad,
                               system.sensor_arm, system.tool_arm)
     assert result.r_meb >= 0.5e-3
@@ -234,12 +233,12 @@ def test_ball_consistency_ragged_clouds_match_per_posture_fits(setup):
                                0.0254, rng)
     clouds = [c[:80] if i % 3 else c[:40] for i, c in enumerate(clouds)]
     clouds = [c + rng.normal(0.0, 5e-5, c.shape) for c in clouds]
-    q_a, q_c = joint_readings(samples[:10], system.n)
+    q_a, q_c = samples.q_a[:10], samples.q_c[:10]
     result = ball_consistency(clouds, q_a, q_c, system.X, system.Y,
                               system.sensor_arm, system.tool_arm)
-    for i, (cloud, s) in enumerate(zip(clouds, samples)):
-        A = forward_kinematics(system.sensor_arm, s.q_a)
-        C = forward_kinematics(system.tool_arm, s.q_c)
+    for i, cloud in enumerate(clouds):
+        A = forward_kinematics(system.sensor_arm, q_a[i])
+        C = forward_kinematics(system.tool_arm, q_c[i])
         T = lie.pose_inv(C) @ lie.pose_inv(system.Y) @ A @ system.X
         c, r, rms = sphere_fit(lie.apply_pose(T, cloud))
         assert np.abs(result.centers[i] - c).max() < 1e-12

@@ -6,20 +6,20 @@ import pytest
 
 from dualcal import liegroup as lie
 from dualcal import sdp_init as sdp
-from dualcal.chain import MeasurementSample
+from dualcal.chain import Measurements
 from dualcal.errors import DegenerateSolutionError, StructureError
 from dualcal.evaluate import evaluate_samples
 from dualcal.simulate import default_system, generate_dataset, noise_level, noise_twist
 from helpers import noise_free_samples, rand_pose
 
 
-def direct_objective(X, Y, Z, triples, alpha=1.0):
+def direct_objective(X, Y, Z, triples):
     total = 0.0
     for A, B, C in triples:
         f = (A[:3, :3] @ X[:3, :3] @ B[:3, :3] - Y[:3, :3] @ C[:3, :3] @ Z[:3, :3])
         g = (A[:3, :3] @ X[:3, :3] @ B[:3, 3] + A[:3, :3] @ X[:3, 3] + A[:3, 3]
              - Y[:3, :3] @ C[:3, :3] @ Z[:3, 3] - Y[:3, :3] @ C[:3, 3] - Y[:3, 3])
-        total += (f * f).sum() + alpha ** 2 * (g * g).sum()
+        total += (f * f).sum() + (g * g).sum()
     return total
 
 
@@ -44,7 +44,7 @@ def noise_free_setup():
 @pytest.fixture(scope="module")
 def noise_free_solution(noise_free_setup):
     _, _, problem = noise_free_setup
-    return sdp.solve_sdp(problem, tol_factor=1e-10)
+    return sdp.solve_sdp(problem)
 
 
 def test_lift_identity_layout():
@@ -89,12 +89,11 @@ def test_omega_f_block_structure():
 def test_objective_matches_direct_evaluation():
     rng = np.random.default_rng(2)
     triples = [(rand_pose(rng), rand_pose(rng), rand_pose(rng)) for _ in range(7)]
-    for alpha in (1.0, 0.5):
-        G = sdp.build_residual_stack(triples, alpha)
-        X, Y, Z = rand_pose(rng), rand_pose(rng), rand_pose(rng)
-        r = G @ sdp.lift(X, Y, Z)
-        direct = direct_objective(X, Y, Z, triples, alpha)
-        assert abs(r @ r - direct) < 1e-9 * max(1.0, direct)
+    G = sdp.build_residual_stack(*(np.array(P) for P in zip(*triples)))
+    X, Y, Z = rand_pose(rng), rand_pose(rng), rand_pose(rng)
+    r = G @ sdp.lift(X, Y, Z)
+    direct = direct_objective(X, Y, Z, triples)
+    assert abs(r @ r - direct) < 1e-9 * max(1.0, direct)
 
 
 def test_objective_zero_at_ground_truth(noise_free_setup):
@@ -173,8 +172,7 @@ def test_solve_rejects_non_finite_objective(noise_free_setup):
     Q = problem.Q.copy()
     Q[5, 7] = Q[7, 5] = np.nan
     with pytest.raises(StructureError):
-        sdp.solve_sdp(sdp.SDPProblem(Q, problem.constraints, problem.residual_stack),
-                      max_iters=10)
+        sdp.solve_sdp(sdp.SDPProblem(Q, problem.constraints, problem.residual_stack))
 
 
 def test_solve_noise_free_tight(noise_free_setup, noise_free_solution):
@@ -247,12 +245,11 @@ def test_lower_bound_and_eta_on_noisy_data():
     rng = np.random.default_rng(10)
     system = default_system()
     level = noise_level("QH")
-    samples = []
-    for s in noise_free_samples(system, rng, 20):
-        B = s.B_meas @ lie.exp_se3(noise_twist(level, rng))
-        samples.append(MeasurementSample(s.q_a, s.q_c, B))
+    clean = noise_free_samples(system, rng, 20)
+    noise = np.array([noise_twist(level, rng) for _ in range(len(clean))])
+    samples = Measurements(clean.q_a, clean.q_c, clean.B @ lie.exp_se3(noise))
     problem = sdp.build_problem(system.sensor_arm, system.tool_arm, samples)
-    res = sdp.solve_sdp(problem, tol_factor=1e-10)
+    res = sdp.solve_sdp(problem)
     w_gt = sdp.lift(system.X, system.Y, system.Z)
     gt_obj = w_gt @ problem.Q @ w_gt
     assert res.p_sdp <= gt_obj + 10 * res.tol
@@ -282,8 +279,9 @@ def fail_local_solve(G, X, Y, Z):
 def test_initialize_warns_when_admm_does_not_converge(noise_free_setup, caplog, monkeypatch):
     system, samples, _ = noise_free_setup
     monkeypatch.setattr(sdp, "local_solve", fail_local_solve)
+    monkeypatch.setattr(sdp, "ADMM_MAX_ITERS", 25)
     with caplog.at_level(logging.WARNING, logger="dualcal"):
-        init = sdp.initialize(system.sensor_arm, system.tool_arm, samples, max_iters=25)
+        init = sdp.initialize(system.sensor_arm, system.tool_arm, samples)
     assert not init.converged
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1 and "did not converge" in warnings[0].getMessage()
@@ -338,7 +336,7 @@ def test_certified_local_matches_admm(qh_problems):
     for problem in qh_problems:
         init = sdp.certified_local(problem)
         assert init is not None
-        _, X, Y, Z, _ = sdp.extract(sdp.solve_sdp(problem, tol_factor=1e-10).W)
+        _, X, Y, Z, _ = sdp.extract(sdp.solve_sdp(problem).W)
         for est, ref in ((init.X, X), (init.Y, Y), (init.Z, Z)):
             assert np.abs(est - ref).max() < 1e-6
 

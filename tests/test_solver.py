@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dualcal import liegroup as lie
-from dualcal.chain import DualArmSystem, MeasurementSample, stack
+from dualcal.chain import DualArmSystem, Measurements, stack
 from dualcal.errors import RankDeficientError, StructureError
 from dualcal.kinematics import perturb_model
 from dualcal.simulate import default_system
@@ -131,10 +131,9 @@ def test_undamped_step_on_gauge_deficient_system_errors(setup):
 
 def test_step_on_non_finite_residual_errors(setup):
     gt, samples = setup
-    q_a = samples[4].q_a.copy()
-    q_a[2] = np.nan
-    bad = list(samples)
-    bad[4] = MeasurementSample(q_a, samples[4].q_c, samples[4].B_meas)
+    q_a = samples.q_a.copy()
+    q_a[4, 2] = np.nan
+    bad = Measurements(q_a, samples.q_c, samples.B)
     with pytest.raises(StructureError, match="not finite"):
         step(gt, bad, SolverConfig())
 
