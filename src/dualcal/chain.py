@@ -14,7 +14,7 @@ import numpy as np
 
 from . import liegroup as lie
 from .errors import StructureError, ValidationError
-from .kinematics import RobotModel
+from .kinematics import RobotModel, zero_pose
 from .numerics import numeric_rank
 
 
@@ -109,64 +109,69 @@ class Measurements:
         return Measurements(self.q_a[index], self.q_c[index], self.B[index])
 
 
-# Samples per chain walk: bounds the walk's (chunk, 2n+5, ...) temporaries,
+# Samples per chain walk: bounds the walk's (chunk, 2n+2, ...) temporaries,
 # which at a few hundred samples would outgrow the Jacobian itself.
 _WALK_CHUNK = 64
 
 
-def _walk(system, q_a, q_c, rows=None):
-    """B' (m, 4, 4) of (m, n) joint readings by one walk along the chain.
+def _walk(system, ends, E, D=None, rows=None):
+    """B' (m, 4, 4) of one chunk of samples by one walk along the chain.
 
-    One exp_se3 call gives all joint and zero-offset factors; one batched
-    product per factor carries the (m, 4, 4) prefixes.  Given rows
-    (m, 6, 12n+18), the walk writes the Jacobian into them: a block is the
-    adjoint of the prefix before its factor times the factor's
-    differential: -I for X^-1 (no prefix), I for Y and Z, and q J(q xi)
-    for joints, negated on the sensor arm, whose exponentials enter
-    inverted."""
-    m, n = q_a.shape
-    arm_a, arm_c = system.sensor_arm, system.tool_arm
-    # twist factors in chain order: -xi_st_a, -xi_a^n q_a^n .. -xi_a^1 q_a^1,
-    # xi_c^1 q_c^1 .. xi_c^n q_c^n, xi_st_c
-    F = np.empty((m, 2 * n + 2, 6))
-    F[:, 0], F[:, 2 * n + 1] = -arm_a.zero_offset, arm_c.zero_offset
-    F[:, 1:n + 1] = -arm_a.joint_twists[::-1] * q_a[:, ::-1, None]
-    F[:, n + 1:2 * n + 1] = arm_c.joint_twists * q_c[:, :, None]
-    E = lie.exp_se3(F)
-    factors = ([E[:, j] for j in range(n + 1)] + [system.Y]
-               + [E[:, j] for j in range(n + 1, 2 * n + 2)] + [system.Z])
-    blocks = [None] * len(factors)  # per factor: (column block, differential; None is I)
+    The chain is X^-1 exp(-xi_st_a) [sensor joint factors a^n .. a^1] Y
+    [tool joint factors c^1 .. c^n] exp(xi_st_c) Z; ends holds the pose
+    X^-1 exp(-xi_st_a) and exp(xi_st_c), E the (m, 2n, 4, 4) joint
+    factors in chain order.  One batched product per factor carries the
+    prefix.  Given the joint differentials D (m, 2n, 6, 6) and rows
+    (m, 6, 12n+18), the walk writes the Jacobian into them: a block is
+    the adjoint of the prefix before its factor times the factor's
+    differential: -I for X^-1 (no prefix), I for Y and Z, D for joints."""
+    head, tail = ends
+    m, n = len(E), system.n
+    P = head
+    prefixes = []  # before each joint factor (E's order), then before Y and Z
+    for j in range(2 * n):
+        if j == n:
+            P_Y = P
+            P = P @ system.Y
+        prefixes.append(P)
+        P = P @ E[:, j]
+    P = P @ tail
     if rows is not None:
-        rows[:, :, :6] = -np.eye(6)  # X^-1 is the first factor: no prefix
-        # each arm's joint Jacobians in one call; the zero offsets have no columns
-        J_a = -q_a[:, ::-1, None, None] * lie.left_jacobian(F[:, 1:n + 1])
-        J_c = q_c[:, :, None, None] * lie.left_jacobian(F[:, n + 1:2 * n + 1])
-        blocks = ([None] + [(2 + n - i, J_a[:, i]) for i in range(n)]
-                  + [(1, None)]
-                  + [(3 + n + k, J_c[:, k]) for k in range(n)]
-                  + [None, (2, None)])
-    P = lie.pose_inv(system.X)  # prefix of the current factor
-    for factor, block in zip(factors, blocks):
-        if block is not None:
-            col, D = block
-            Ad = lie.adjoint(P)
-            rows[:, :, 6 * col:6 * col + 6] = Ad if D is None else Ad @ D
-        P = P @ factor
-    return P
+        prefixes[0] = np.broadcast_to(head, (m, 4, 4))  # one pose, shared by the samples
+        Ad = lie.adjoint(np.stack(prefixes + [P_Y, P], axis=1))
+        AdD = Ad[:, :2 * n] @ D
+        blocks = rows.reshape(m, 6, 2 * n + 3, 6)  # column blocks [X, Y, Z, a^1..a^n, c^1..c^n]
+        blocks[:, :, 0] = -np.eye(6)
+        blocks[:, :, 1:3] = Ad[:, 2 * n:].swapaxes(1, 2)
+        blocks[:, :, 3:3 + n] = AdD[:, n - 1::-1].swapaxes(1, 2)
+        blocks[:, :, 3 + n:] = AdD[:, n:].swapaxes(1, 2)
+    return P @ system.Z
 
 
 def _chain(system, q_a, q_c, jacobian):
-    """B' (m, 4, 4) of (m, n) joint readings and, if asked, the Jacobian (6m, 12n+18)."""
+    """B' (m, 4, 4) of (m, n) joint readings and, if asked, the Jacobian (6m, 12n+18).
+
+    One joint_factors call per chunk gives both arms' joint factors: the
+    sensor arm's, which enter inverted, as its twists in reverse order at
+    -q_a (their differentials then carry the sign).  The zero offsets'
+    poses come from the memo of kinematics.zero_pose."""
     q_a, q_c = np.asarray(q_a, dtype=float), np.asarray(q_c, dtype=float)
     if q_a.ndim != 2 or q_a.shape[1] != system.n or q_c.shape != q_a.shape:
         raise StructureError("joint readings do not match the system's joint count")
-    m = len(q_a)
+    arm_a, arm_c = system.sensor_arm, system.tool_arm
+    twists = np.concatenate([arm_a.joint_twists[::-1], arm_c.joint_twists])
+    q = np.concatenate([-q_a[:, ::-1], q_c], axis=1)
+    ends = lie.pose_inv(system.X) @ zero_pose(-arm_a.zero_offset), zero_pose(arm_c.zero_offset)
+    m = len(q)
     B = np.empty((m, 4, 4))
     J = np.empty((6 * m, system.dim)) if jacobian else None
     for lo in range(0, m, _WALK_CHUNK):
         hi = lo + _WALK_CHUNK
-        rows = None if J is None else J[6 * lo:6 * hi].reshape(-1, 6, system.dim)
-        B[lo:hi] = _walk(system, q_a[lo:hi], q_c[lo:hi], rows)
+        if J is None:
+            B[lo:hi] = _walk(system, ends, lie.joint_factors(twists, q[lo:hi]))
+        else:
+            E, D = lie.joint_factors(twists, q[lo:hi], jacobian=True)
+            B[lo:hi] = _walk(system, ends, E, D, J[6 * lo:6 * hi].reshape(-1, 6, system.dim))
     return B, J
 
 
@@ -217,13 +222,17 @@ def identifiability_report(J, samples, q_min=0.15, rank_rel_threshold=1e-8):
     whose joints sit below q_min (weakly exciting; their twist
     contributions degenerate as q -> 0).  Singular values come from an
     SVD of J itself: an eigendecomposition of J^T J squares the
-    condition number and cannot resolve the 1e-8 rank threshold.
+    condition number and cannot resolve the 1e-8 rank threshold.  With
+    fewer rows than parameters the rank is at most the row count and the
+    condition number is infinite.
     """
     J = np.asarray(J, dtype=float)
     sv = np.linalg.svd(J, compute_uv=False)
     rank = numeric_rank(sv, rank_rel_threshold)
     needed = J.shape[1]
-    cond = float(sv[0] / sv[needed - 1]) if sv[needed - 1] > 1e-300 else float("inf")
+    cond = float("inf")
+    if len(sv) >= needed and sv[needed - 1] > 1e-300:
+        cond = float(sv[0] / sv[needed - 1])
     q = np.stack((samples.q_a, samples.q_c), axis=1)  # (m, arm, n)
     violations = [{"sample": int(i), "arm": "ac"[a], "joint": int(k), "q": float(q[i, a, k])}
                   for i, a, k in np.argwhere(np.abs(q) < q_min)]

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -40,17 +41,32 @@ class RobotModel:
         return RobotModel(self.name, self.joint_twists.copy(), self.zero_offset.copy())
 
 
+@lru_cache(maxsize=16)
+def _zero_pose(key):
+    T = lie.exp_se3(np.frombuffer(key))
+    T.flags.writeable = False
+    return T
+
+
+def zero_pose(xi):
+    """exp(xi^) of a zero-offset twist (6,), read-only and memoized by value.
+
+    The zero offsets never change during a calibration, and at one or two
+    samples their exponential would cost as much as the rest of the chain.
+    """
+    return _zero_pose(np.asarray(xi, dtype=float).tobytes())
+
+
 def forward_kinematics(model, q):
     """End pose exp(xi^1 q^1) ... exp(xi^n q^n) exp(xi_st); (m, n) joints give (m, 4, 4)."""
     q = np.asarray(q, dtype=float)
     if q.ndim not in (1, 2) or q.shape[-1] != model.n:
         raise StructureError(f"joint vector length {q.shape} does not match n={model.n}")
-    zero = np.broadcast_to(model.zero_offset, q.shape[:-1] + (1, 6))
-    E = lie.exp_se3(np.concatenate([model.joint_twists * q[..., None], zero], axis=-2))
+    E = lie.joint_factors(model.joint_twists, q)
     T = E[..., 0, :, :]
-    for k in range(1, model.n + 1):
+    for k in range(1, model.n):
         T = T @ E[..., k, :, :]
-    return T
+    return T @ zero_pose(model.zero_offset)
 
 
 def perturb_model(model, deltas):

@@ -13,6 +13,12 @@ call costs about the same for one element as for hundreds, so gather.
 The two differential Jacobians ``left_jacobian`` and ``joint_jacobian``
 map additive twist increments to the left-trivialized derivative of the
 exponential, i.e. ``vee(d exp(xi^) * exp(-xi^)) = J(xi) dxi``.
+
+The joint kernel ``joint_factors`` serves the product-of-exponentials
+chains, where each of k joint twists is exponentiated at many joint
+values: it forms the powers of hat(xi) and ad(xi) once per twist and
+gives every factor exp(q xi^) and, if asked, its differential
+q J(q xi) by scalar coefficients times those tables.
 """
 
 import numpy as np
@@ -33,7 +39,7 @@ JACOBIAN_SMALL_ANGLE = 8e-2
 
 _PI_MARGIN = 1e-6
 
-_I3, _I6 = np.eye(3), np.eye(6)
+_I3, _I4, _I6 = np.eye(3), np.eye(4), np.eye(6)
 _E4 = np.array([0.0, 0.0, 0.0, 1.0])  # bottom row of a pose
 
 
@@ -99,7 +105,7 @@ def is_pose(T, tol=1e-9):
     if T.shape[-2:] != (4, 4):
         return False
     R = T[..., :3, :3]
-    ortho = np.linalg.norm(np.swapaxes(R, -1, -2) @ R - _I3, axis=(-2, -1)) < tol
+    ortho = _norm(np.swapaxes(R, -1, -2) @ R - _I3, axis=(-2, -1)) < tol
     # the bottom row within np.allclose's default tolerances, at a fraction of its cost
     bottom = (np.abs(T[..., 3, :] - _E4) <= 1e-8 + 1e-5 * _E4).all(axis=-1)
     return ortho & (np.linalg.det(R) > 0) & bottom
@@ -116,6 +122,12 @@ def apply_pose(T, points):
     return out
 
 
+def _norm(v, axis=-1):
+    # np.linalg.norm(v, axis=axis) of real v, bit for bit, without the
+    # argument handling that dominates its cost on small batches
+    return np.sqrt(np.add.reduce(v * v, axis=axis))
+
+
 def _branch(theta, threshold):
     # Taylor-branch mask, and theta raised to the threshold where the Taylor
     # branch is taken, so the closed form np.where discards cannot divide by 0
@@ -125,18 +137,20 @@ def _branch(theta, threshold):
 def _so3_coeffs(theta):
     # a = sin(t)/t, b = (1-cos(t))/t^2, c = (t-sin(t))/t^3, as (..., 1, 1)
     small, t = _branch(theta, SMALL_ANGLE)
-    t2 = theta * theta
     s = np.sin(t)
-    a = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, s / t)
-    b = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0, (1.0 - np.cos(t)) / (t * t))
-    c = np.where(small, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0, (t - s) / t ** 3)
+    a, b, c = s / t, (1.0 - np.cos(t)) / (t * t), (t - s) / t ** 3
+    if small.any():  # the Taylor branch costs nothing when no element takes it
+        t2 = theta * theta
+        a = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, a)
+        b = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0, b)
+        c = np.where(small, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0, c)
     return a[..., None, None], b[..., None, None], c[..., None, None]
 
 
 def exp_so3(w):
     """Rodrigues formula for (..., 3) rotation vectors."""
     w = np.asarray(w, dtype=float)
-    a, b, _ = _so3_coeffs(np.linalg.norm(w, axis=-1))
+    a, b, _ = _so3_coeffs(_norm(w))
     W = skew(w)
     return _I3 + a * W + b * (W @ W)
 
@@ -144,7 +158,7 @@ def exp_so3(w):
 def exp_se3(xi):
     """Exponential map se(3) -> SE(3): (..., 6) twists to (..., 4, 4) poses."""
     xi = np.asarray(xi, dtype=float)
-    a, b, c = _so3_coeffs(np.linalg.norm(xi[..., :3], axis=-1))
+    a, b, c = _so3_coeffs(_norm(xi[..., :3]))
     W = skew(xi[..., :3])
     W2 = W @ W
     R = _I3 + a * W + b * W2
@@ -169,7 +183,7 @@ def log_se3(T):
     t2 = theta * theta
     scale = np.where(small, 0.5 + t2 / 12.0 + 7.0 * t2 * t2 / 720.0, t / (2.0 * np.sin(t)))
     w = scale[..., None] * unskew(R - np.swapaxes(R, -1, -2))
-    theta = np.linalg.norm(w, axis=-1)
+    theta = _norm(w)
     small, t = _branch(theta, SMALL_ANGLE)
     t2 = theta * theta
     d = np.where(small, 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,
@@ -186,7 +200,7 @@ def rotation_angle(R):
     skew part: arccos alone cannot resolve angles below ~1e-8 rad in
     double precision.
     """
-    s = 0.5 * np.linalg.norm(unskew(R - np.swapaxes(R, -1, -2)), axis=-1)
+    s = 0.5 * _norm(unskew(R - np.swapaxes(R, -1, -2)))
     c = np.clip((np.trace(R, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0)
     return np.arctan2(np.minimum(s, 1.0), c)
 
@@ -212,6 +226,25 @@ def ad(xi):
     return A
 
 
+def _jacobian_coeffs(theta):
+    # c2..c5 of the left-Jacobian series in ad(xi), as arrays of theta's shape
+    small, t = _branch(theta, JACOBIAN_SMALL_ANGLE)
+    s, co, T2 = np.sin(t), np.cos(t), t * t
+    c2 = (4.0 - t * s - 4.0 * co) / (2.0 * T2)
+    c3 = (4.0 * t - 5.0 * s + t * co) / (2.0 * T2 * t)
+    c4 = (2.0 - t * s - 2.0 * co) / (2.0 * T2 * T2)
+    c5 = (2.0 * t - 3.0 * s + t * co) / (2.0 * T2 * T2 * t)
+    if small.any():
+        t2 = theta * theta
+        t4 = t2 * t2
+        t6 = t4 * t2
+        c2 = np.where(small, 0.5 - t4 / 720.0 + t6 / 20160.0, c2)
+        c3 = np.where(small, 1.0 / 6.0 - t4 / 5040.0 + t6 / 181440.0, c3)
+        c4 = np.where(small, 1.0 / 24.0 - t2 / 360.0 + t4 / 13440.0 - t6 / 907200.0, c4)
+        c5 = np.where(small, 1.0 / 120.0 - t2 / 2520.0 + t4 / 120960.0 - t6 / 9979200.0, c5)
+    return c2, c3, c4, c5
+
+
 def left_jacobian(xi):
     """Differential of the exponential map at (..., 6) twists ``xi``.
 
@@ -220,24 +253,44 @@ def left_jacobian(xi):
     sum_k O^k/(k+1)!.  Taylor fallback below JACOBIAN_SMALL_ANGLE.
     """
     xi = np.asarray(xi, dtype=float)
-    theta = np.linalg.norm(xi[..., :3], axis=-1)
-    small, t = _branch(theta, JACOBIAN_SMALL_ANGLE)
-    t2 = theta * theta
-    t4 = t2 * t2
-    t6 = t4 * t2
-    s, co, T2 = np.sin(t), np.cos(t), t * t
-    c2 = np.where(small, 0.5 - t4 / 720.0 + t6 / 20160.0,
-                  (4.0 - t * s - 4.0 * co) / (2.0 * T2))
-    c3 = np.where(small, 1.0 / 6.0 - t4 / 5040.0 + t6 / 181440.0,
-                  (4.0 * t - 5.0 * s + t * co) / (2.0 * T2 * t))
-    c4 = np.where(small, 1.0 / 24.0 - t2 / 360.0 + t4 / 13440.0 - t6 / 907200.0,
-                  (2.0 - t * s - 2.0 * co) / (2.0 * T2 * T2))
-    c5 = np.where(small, 1.0 / 120.0 - t2 / 2520.0 + t4 / 120960.0 - t6 / 9979200.0,
-                  (2.0 * t - 3.0 * s + t * co) / (2.0 * T2 * T2 * t))
-    c2, c3, c4, c5 = (c[..., None, None] for c in (c2, c3, c4, c5))
+    c2, c3, c4, c5 = (c[..., None, None]
+                      for c in _jacobian_coeffs(_norm(xi[..., :3])))
     O = ad(xi)
     O2 = O @ O
     return _I6 + c2 * O + c3 * O2 + c4 * (O2 @ O) + c5 * (O2 @ O2)
+
+
+def joint_factors(twists, q, jacobian=False):
+    """Joint factors exp(q xi^) (..., k, 4, 4) of k twists (k, 6) at joint
+    values (..., k) and, if asked, their differentials q J(q xi) (..., k, 6, 6).
+
+    The powers Xi^j = hat(xi)^j (j <= 3) and O^j = ad(xi)^j (j <= 4) are
+    formed once per twist; the joint values enter only through scalar
+    coefficients at theta = |q| |w|, the closed forms of exp_se3 and
+    left_jacobian:
+        exp = I + q Xi + b q^2 Xi^2 + c q^3 Xi^3,
+        q J = q (I + c2 q O + c3 q^2 O^2 + c4 q^3 O^3 + c5 q^4 O^4).
+    The sums are elementwise, so each element's result does not depend on
+    the rest of the batch.  At q = 0 the factor is exactly I and the
+    differential exactly 0.
+    """
+    twists = np.asarray(twists, dtype=float)
+    q = np.asarray(q, dtype=float)
+    theta = np.abs(q) * _norm(twists[:, :3])
+    _, b, c = _so3_coeffs(theta)
+    q1 = q[..., None, None]
+    q2 = q1 * q1
+    X = hat(twists)
+    X2 = X @ X
+    E = _I4 + q1 * X + (b * q2) * X2 + (c * q2 * q1) * (X2 @ X)
+    if not jacobian:
+        return E
+    c2, c3, c4, c5 = (v[..., None, None] for v in _jacobian_coeffs(theta))
+    O = ad(twists)
+    O2 = O @ O
+    D = q1 * (_I6 + (c2 * q1) * O + (c3 * q2) * O2 + (c4 * q2 * q1) * (O2 @ O)
+              + (c5 * q2 * q2) * (O2 @ O2))
+    return E, D
 
 
 def joint_jacobian(xi, q):
@@ -246,7 +299,11 @@ def joint_jacobian(xi, q):
     Equals q * left_jacobian(q * xi): the series in ad(q*xi) from the
     definite-integral expansion times the chain-rule factor q.  Vanishes
     linearly as q -> 0 (a joint at zero contributes nothing).  Takes
-    (..., 6) twists with (...) joint values.
+    (..., 6) twists with (...) joint values; the second output of
+    :func:`joint_factors`, one twist per element.
     """
-    q = np.asarray(q, dtype=float)
-    return q[..., None, None] * left_jacobian(q[..., None] * np.asarray(xi, dtype=float))
+    xi, q = np.asarray(xi, dtype=float), np.asarray(q, dtype=float)
+    shape = np.broadcast_shapes(xi.shape[:-1], q.shape)
+    D = joint_factors(np.broadcast_to(xi, shape + (6,)).reshape(-1, 6),
+                      np.broadcast_to(q, shape).reshape(-1), jacobian=True)[1]
+    return D.reshape(shape + (6, 6))

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import DualArmSystem, stack
-from .errors import StructureError
+from .errors import StructureError, ValidationError
 from .numerics import solve_damped_normal
 from .sdp_init import initialize
 
@@ -93,8 +93,12 @@ def calibrate(nominal, samples, coords=None, config=None):
 
     nominal is the DualArmSystem whose arms start the refinement.
     coords=(X, Y, Z) replaces that estimate, and init is then None.
-    Returns (init, final_system, trace).
+    Returns (init, final_system, trace).  Raises ValidationError when the
+    samples give fewer residual rows (6 each) than parameters (12n+18).
     """
+    if 6 * len(samples) < nominal.dim:
+        raise ValidationError(f"calibration needs at least {nominal.dim // 6} samples "
+                              f"for {nominal.n} joints per arm, got {len(samples)}")
     init = None
     if coords is None:
         init = initialize(nominal.sensor_arm, nominal.tool_arm, samples)

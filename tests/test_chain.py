@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dualcal import liegroup as lie
-from dualcal.chain import (DualArmSystem, Measurements, identifiability_report,
+from dualcal.chain import (_WALK_CHUNK, DualArmSystem, Measurements, identifiability_report,
                            predict_B, residual, stack)
 from dualcal.errors import StructureError, ValidationError
 from dualcal.kinematics import RobotModel, default_arm, forward_kinematics
@@ -128,6 +128,23 @@ def test_stack_block_extraction(gt_system, samples):
         assert np.array_equal(e[6 * i:6 * i + 6], ei)
 
 
+def test_rows_bitwise_equal_single_sample_calls_across_chunks(gt_system):
+    # more samples than two walk chunks: every row equals its own call, bit for bit
+    rng = np.random.default_rng(14)
+    m = 2 * _WALK_CHUNK + 3
+    q_a = rng.uniform(-np.pi, np.pi, (m, 6))
+    q_c = rng.uniform(-np.pi, np.pi, (m, 6))
+    q_a[5] = 0.0
+    many = Measurements(q_a, q_c, predict_B(gt_system, q_a, q_c))
+    e, J = stack(gt_system, many)
+    T = forward_kinematics(gt_system.sensor_arm, q_a)
+    for i in range(m):
+        ei, Ji = stack(gt_system, many[i:i + 1])
+        assert np.array_equal(J[6 * i:6 * i + 6], Ji), i
+        assert np.array_equal(e[6 * i:6 * i + 6], ei), i
+        assert np.array_equal(T[i], forward_kinematics(gt_system.sensor_arm, q_a[i])), i
+
+
 def test_stack_empty_errors(gt_system, samples):
     with pytest.raises(StructureError):
         stack(gt_system, samples[:0])
@@ -239,6 +256,16 @@ def test_identifiability_identical_samples_degenerate(gt_system, samples):
     _, J = stack(gt_system, repeated)
     rep = identifiability_report(J, repeated)
     assert rep.rank < 90
+    assert not rep.well_posed
+
+
+def test_identifiability_with_fewer_rows_than_parameters(gt_system, samples):
+    few = samples[:10]  # 60 rows for 90 parameters
+    _, J = stack(gt_system, few)
+    rep = identifiability_report(J, few)
+    assert len(rep.singular_values) == 60
+    assert rep.rank <= 60
+    assert rep.condition_number == float("inf")
     assert not rep.well_posed
 
 

@@ -1,5 +1,6 @@
 import copy
 import json
+import time
 
 import numpy as np
 import pytest
@@ -140,6 +141,33 @@ def test_identifiability_command(workdir, tmp_path):
 
 
 @pytest.fixture(scope="module")
+def ten_samples(tmp_path_factory):
+    d = tmp_path_factory.mktemp("ten")
+    assert run("generate", "--samples", "10", "--kin-level", "M", "--noise-level", "M",
+               "--seed", "42", "--out", str(d / "data.json")) == 0
+    return d / "data.json"
+
+
+def test_identifiability_with_fewer_rows_than_parameters(ten_samples, tmp_path):
+    rep = tmp_path / "ident.json"
+    assert run("identifiability", "--data", str(ten_samples), "--out", str(rep)) == 0
+    text = rep.read_text()
+    assert '"condition_number": Infinity' in text
+    d = json.loads(text)
+    assert d["needed"] == 90 and len(d["singular_values"]) == 60
+    assert d["rank"] <= 60
+    assert d["well_posed"] is False
+
+
+def test_calibrate_too_few_samples_fails_fast(ten_samples, tmp_path, capsys):
+    t0 = time.perf_counter()
+    assert run("calibrate", "--data", str(ten_samples), "--out", str(tmp_path / "c.json")) == 2
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert "at least 15 samples" in err and "got 10" in err
+
+
+@pytest.fixture(scope="module")
 def postures(workdir):
     ds = load_dataset(workdir / "data.json")
     system = ds.gt_system
@@ -170,6 +198,15 @@ def test_ball_eval_command(postures, calib_file, tmp_path):
     assert run_ball_eval(postures, calib_file, tmp_path) == 0
     d = json.loads((tmp_path / "ball.json").read_text())
     # calibrated chain aligns the clouds to well under a millimeter
+    assert d["r_meb_mm"] < 0.2
+    assert len(d["centers"]) == 8
+
+
+def test_ball_eval_ragged_clouds(postures, calib_file, tmp_path):
+    ragged = copy.deepcopy(postures)
+    ragged[2]["points"] = ragged[2]["points"][:50]
+    assert run_ball_eval(ragged, calib_file, tmp_path) == 0
+    d = json.loads((tmp_path / "ball.json").read_text())
     assert d["r_meb_mm"] < 0.2
     assert len(d["centers"]) == 8
 

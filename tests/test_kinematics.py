@@ -7,7 +7,7 @@ from dualcal import liegroup as lie
 from dualcal.errors import StructureError, ValidationError
 from dualcal.kinematics import (RobotModel, default_arm, forward_kinematics,
                                 load_model, model_from_dict, model_to_dict,
-                                perturb_model, save_model)
+                                perturb_model, save_model, zero_pose)
 from helpers import expm_taylor, rand_twist, valid_config
 
 
@@ -15,6 +15,16 @@ def test_fk_zero_config_is_zero_offset():
     arm = default_arm()
     T = forward_kinematics(arm, np.zeros(6))
     assert np.abs(T - lie.exp_se3(arm.zero_offset)).max() < 1e-15
+
+
+def test_zero_pose_is_memoized_read_only_exp():
+    xi = rand_twist(np.random.default_rng(3), wmax=1.0, rmax=0.5)
+    T = zero_pose(xi)
+    assert np.array_equal(T, lie.exp_se3(xi))
+    assert zero_pose(xi.copy()) is T
+    assert zero_pose(-xi) is not T
+    assert np.array_equal(zero_pose(-xi), lie.exp_se3(-xi))
+    assert not T.flags.writeable
 
 
 def test_fk_single_revolute_joint():

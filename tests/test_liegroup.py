@@ -250,3 +250,43 @@ def test_batched_log_near_pi_errors():
     T[3] = lie.exp_se3(np.array([0, np.pi - 1e-8, 0, 0.1, 0, 0]))
     with pytest.raises(NearPiRotationError):
         lie.log_se3(T)
+
+
+def test_joint_factors_match_exp_and_left_jacobian():
+    # q = +-1 keeps the batch's angles |q| |w| on both sides of each seam,
+    # the last rows reach each seam through q instead
+    xi, q = _mixed_batch()
+    w = np.linalg.norm(xi[:, :3], axis=1)
+    seams = np.outer([lie.SMALL_ANGLE, lie.JACOBIAN_SMALL_ANGLE], [1 - 1e-9, 1 + 1e-9]).ravel()
+    at_seam = seams[:, None] / np.where(w > 0, w, 1.0)
+    ones = np.ones_like(q)
+    Q = np.vstack([ones, -ones, q, -q, at_seam, -at_seam])
+    with np.errstate(all="raise"):
+        E, D = lie.joint_factors(xi, Q, jacobian=True)
+        assert np.array_equal(lie.joint_factors(xi, Q), E)
+    assert E.shape == Q.shape + (4, 4) and D.shape == Q.shape + (6, 6)
+    for i, j in np.ndindex(Q.shape):
+        qxi = Q[i, j] * xi[j]  # |q| reaches 1e6 at the seams of the 1e-7 rad twist
+        for got, expect in ((E[i, j], lie.exp_se3(qxi)),
+                            (D[i, j], Q[i, j] * lie.left_jacobian(qxi))):
+            assert np.abs(got - expect).max() <= 1e-13 * max(1.0, np.abs(expect).max()), (i, j)
+        assert np.array_equal(E[i, j, 3], [0.0, 0.0, 0.0, 1.0])
+
+
+def test_joint_factors_at_zero_are_exact():
+    xi, _ = _mixed_batch()
+    E, D = lie.joint_factors(xi, np.zeros((2, len(xi))), jacobian=True)
+    assert np.array_equal(E, np.broadcast_to(np.eye(4), E.shape))
+    assert np.array_equal(D, np.zeros(D.shape))
+
+
+def test_joint_factors_prismatic_twist():
+    xi = np.array([[0.0, 0.0, 0.0, 0.3, -0.2, 0.5]])
+    q = np.array([[1.7], [-0.4]])
+    E, D = lie.joint_factors(xi, q, jacobian=True)
+    for k in range(2):
+        expect = np.eye(4)
+        expect[:3, 3] = q[k, 0] * xi[0, 3:]
+        assert np.abs(E[k, 0] - expect).max() <= 1e-15
+        assert np.abs(D[k, 0] - q[k, 0] * lie.left_jacobian(q[k, 0] * xi[0])).max() <= 1e-15
+

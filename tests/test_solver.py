@@ -5,7 +5,7 @@ import pytest
 
 from dualcal import liegroup as lie
 from dualcal.chain import DualArmSystem, Measurements, stack
-from dualcal.errors import RankDeficientError, StructureError
+from dualcal.errors import RankDeficientError, StructureError, ValidationError
 from dualcal.kinematics import perturb_model
 from dualcal.simulate import default_system
 from dualcal.solver import SolverConfig, calibrate, solve, step
@@ -176,3 +176,17 @@ def test_calibrate_from_given_coords_skips_sdp(monkeypatch):
     assert trace.converged
     e, _ = stack(final, samples)
     assert np.linalg.norm(e) < 1e-10
+
+
+def test_calibrate_rejects_fewer_rows_than_parameters(setup, monkeypatch):
+    # 14 samples give 84 residual rows for 90 parameters: refused before any solve
+    gt, samples = setup
+
+    def no_sdp(*args, **kwargs):
+        raise AssertionError("the initialization ran on too few samples")
+    monkeypatch.setattr("dualcal.solver.initialize", no_sdp)
+    for coords in (None, (gt.X, gt.Y, gt.Z)):
+        with pytest.raises(ValidationError, match="at least 15 samples .* got 14"):
+            calibrate(gt, samples[:14], coords)
+    init, final, trace = calibrate(gt, samples[:15], (gt.X, gt.Y, gt.Z))
+    assert trace.converged
