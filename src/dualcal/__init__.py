@@ -6,18 +6,11 @@ twists of both arms from closed-loop pose measurements, with a
 certifiably correct SDP initialization for the coordinates.
 """
 
-from .chain import (DualArmSystem, Measurements, identifiability_report,
-                    predict_B, residual, stack)
-from .evaluate import (ball_consistency, evaluate_dataset, evaluate_samples,
-                       min_enclosing_ball, sphere_fit)
-from .kinematics import RobotModel, default_arm, forward_kinematics, perturb_model
-from .liegroup import (adjoint, exp_se3, hat, joint_jacobian, left_jacobian,
-                       log_se3, vee)
-from .sdp_init import (build_constraints, build_problem, certify, extract,
-                       initialize, lift, solve_sdp)
-from .simulate import (default_system, generate_dataset, kin_level,
-                       load_dataset, noise_level, perturb_level,
-                       sample_configurations, save_dataset, synthesize)
-from .solver import SolverConfig, SolveTrace, calibrate, solve, step
+from .chain import DualArmSystem, Measurements, identifiability_report
+from .evaluate import ball_consistency, evaluate_dataset
+from .kinematics import RobotModel
+from .sdp_init import initialize
+from .simulate import generate_dataset, load_dataset
+from .solver import calibrate
 
 __version__ = "0.1.0"

@@ -151,10 +151,11 @@ def _walk(system, ends, E, D=None, rows=None):
 def _chain(system, q_a, q_c, jacobian):
     """B' (m, 4, 4) of (m, n) joint readings and, if asked, the Jacobian (6m, 12n+18).
 
-    One joint_factors call per chunk gives both arms' joint factors: the
-    sensor arm's, which enter inverted, as its twists in reverse order at
-    -q_a (their differentials then carry the sign).  The zero offsets'
-    poses come from the memo of kinematics.zero_pose."""
+    Per chunk, one exp_se3 call gives both arms' joint factors and one
+    joint_jacobian call their differentials: the sensor arm's factors,
+    which enter inverted, are its twists in reverse order at -q_a (their
+    differentials then carry the sign).  The zero offsets' poses come
+    from the memo of kinematics.zero_pose."""
     q_a, q_c = np.asarray(q_a, dtype=float), np.asarray(q_c, dtype=float)
     if q_a.ndim != 2 or q_a.shape[1] != system.n or q_c.shape != q_a.shape:
         raise StructureError("joint readings do not match the system's joint count")
@@ -167,11 +168,12 @@ def _chain(system, q_a, q_c, jacobian):
     J = np.empty((6 * m, system.dim)) if jacobian else None
     for lo in range(0, m, _WALK_CHUNK):
         hi = lo + _WALK_CHUNK
+        E = lie.exp_se3(twists, q[lo:hi])
         if J is None:
-            B[lo:hi] = _walk(system, ends, lie.joint_factors(twists, q[lo:hi]))
+            B[lo:hi] = _walk(system, ends, E)
         else:
-            E, D = lie.joint_factors(twists, q[lo:hi], jacobian=True)
-            B[lo:hi] = _walk(system, ends, E, D, J[6 * lo:6 * hi].reshape(-1, 6, system.dim))
+            B[lo:hi] = _walk(system, ends, E, lie.joint_jacobian(twists, q[lo:hi]),
+                             J[6 * lo:6 * hi].reshape(-1, 6, system.dim))
     return B, J
 
 

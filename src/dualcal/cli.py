@@ -19,8 +19,9 @@ from .chain import identifiability_report, residual, stack
 from .errors import CalibrationError, RankDeficientError, ValidationError
 from .evaluate import ball_consistency, evaluate_dataset
 from .sdp_init import initialize
-from .simulate import (_sample_field, dataset_to_dict, default_system, field_array,
-                       generate_dataset, load_dataset, system_from_dict, system_to_dict)
+from .simulate import (_load_json, _sample_field, dataset_to_dict, default_system,
+                       field_array, generate_dataset, load_dataset, system_from_dict,
+                       system_to_dict)
 from .solver import SolverConfig, calibrate
 
 log = logging.getLogger("dualcal")
@@ -32,16 +33,6 @@ def _setup_logging():
               "warning": logging.WARNING, "quiet": logging.ERROR}
     logging.basicConfig(format="%(levelname)s %(message)s",
                         level=levels.get(level, logging.WARNING))
-
-
-def _load_json(path, what):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except FileNotFoundError:
-        raise ValidationError(f"{what} file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{what} file {path} is not valid JSON: {exc}")
 
 
 def _write_json(obj, path):
@@ -73,14 +64,12 @@ def cmd_calibrate(args):
     coords = init_record = None
     if args.init:
         init_record = _load_json(args.init, "init")
-        if not isinstance(init_record, dict):
-            raise ValidationError(f"init file {args.init} is not a JSON object")
         for k in "XYZ":
             if k not in init_record:
                 raise ValidationError(f"init is missing field '{k}'")
         coords = [field_array(init_record[k], k, (4, 4), "a pose is 4x4 row-major")
                   for k in "XYZ"]
-    config = SolverConfig(damping=args.damping, tol_inf=args.tol, max_iters=args.max_iters)
+    config = SolverConfig(tol_inf=args.tol)
     init, final, trace = calibrate(nominal, ds.samples, coords, config)
     if init is not None:
         init_record = init.to_dict()
@@ -194,10 +183,8 @@ def build_parser():
     c.add_argument("--data", required=True)
     c.add_argument("--init", help="initialization JSON (default: run the initialization)")
     c.add_argument("--out", required=True)
-    c.add_argument("--damping", type=float, default=1e-3)
     c.add_argument("--tol", type=float, default=1e-3,
                    help="stop when |increment|_inf falls below this")
-    c.add_argument("--max-iters", type=int, default=100)
     c.set_defaults(func=cmd_calibrate)
 
     e = sub.add_parser("evaluate", help="closed-loop deviation report")
@@ -232,7 +219,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except np.linalg.LinAlgError as exc:  # a ValueError, but a numerical failure
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except (ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CalibrationError as exc:

@@ -24,14 +24,6 @@ class RankDeficientError(CalibrationError):
         super().__init__(f"system is rank deficient{where}: numeric rank {rank} < {needed}")
 
 
-class EigenConvergenceError(CalibrationError):
-    """Symmetric eigensolver failed to converge."""
-
-    def __init__(self, iterations):
-        self.iterations = iterations
-        super().__init__(f"eigendecomposition did not converge after {iterations} iterations")
-
-
 class InfeasibleSamplingError(CalibrationError):
     """Rejection sampling could not satisfy the validity rules."""
 

@@ -62,7 +62,7 @@ def forward_kinematics(model, q):
     q = np.asarray(q, dtype=float)
     if q.ndim not in (1, 2) or q.shape[-1] != model.n:
         raise StructureError(f"joint vector length {q.shape} does not match n={model.n}")
-    E = lie.joint_factors(model.joint_twists, q)
+    E = lie.exp_se3(model.joint_twists, q)
     T = E[..., 0, :, :]
     for k in range(1, model.n):
         T = T @ E[..., k, :, :]
@@ -101,17 +101,6 @@ def model_from_dict(d):
     if model.n != d["n"]:
         raise ValidationError(f"field 'n'={d['n']} disagrees with {model.n} joint twists")
     return model
-
-
-def load_model(path):
-    with open(path) as f:
-        return model_from_dict(json.load(f))
-
-
-def save_model(model, path):
-    with open(path, "w") as f:
-        json.dump(model_to_dict(model), f, indent=1)
-        f.write("\n")
 
 
 def default_arm(name="ur5_like"):

@@ -1,4 +1,4 @@
-"""SE(3)/se(3) primitives: hat/vee, exp/log, adjoint and differential Jacobians.
+"""SE(3)/se(3) primitives: hat, exp/log, adjoint and the differential of exp.
 
 Twist convention used everywhere in this package: a twist is a length-6
 vector ``[wx, wy, wz, rx, ry, rz]`` with the rotation part first (radians
@@ -10,20 +10,19 @@ poses (``(..., 3)``, ``(..., 3, 3)`` for SO(3)) and return one result per
 element; a single twist or pose is the empty batch of the same code.  A
 call costs about the same for one element as for hundreds, so gather.
 
-The two differential Jacobians ``left_jacobian`` and ``joint_jacobian``
-map additive twist increments to the left-trivialized derivative of the
-exponential, i.e. ``vee(d exp(xi^) * exp(-xi^)) = J(xi) dxi``.
-
-The joint kernel ``joint_factors`` serves the product-of-exponentials
-chains, where each of k joint twists is exponentiated at many joint
-values: it forms the powers of hat(xi) and ad(xi) once per twist and
-gives every factor exp(q xi^) and, if asked, its differential
-q J(q xi) by scalar coefficients times those tables.
+The product-of-exponentials chains need two maps of a joint twist xi at
+joint value q: the factor ``exp_se3(xi, q)`` = exp(q xi^) and its
+differential ``joint_jacobian(xi, q)`` = q J(q xi), which maps additive
+twist increments to the left-trivialized derivative,
+d exp(q xi^) exp(-q xi^) = (q J(q xi) dxi)^.  Each forms the powers of
+hat(xi) or ad(xi) once per twist and takes the joint values, which
+broadcast against the twists' batch, only through scalar coefficients;
+q defaults to 1, and ``left_jacobian(xi)`` is J(xi).
 """
 
 import numpy as np
 
-from .errors import NearPiRotationError, StructureError
+from .errors import NearPiRotationError
 
 # Below this rotation angle the exp/log coefficient formulas switch to
 # Taylor expansions.  Their cancellation errors are damped by matching
@@ -43,6 +42,19 @@ _I3, _I4, _I6 = np.eye(3), np.eye(4), np.eye(6)
 _E4 = np.array([0.0, 0.0, 0.0, 1.0])  # bottom row of a pose
 
 
+# The entries of hat(xi) and ad(xi) as indices into [0, xi, -xi]: k reads
+# xi[k - 1] and 6 + k reads -xi[k - 1].
+_HAT = np.array([[0, 9, 2, 4], [3, 0, 7, 5], [8, 1, 0, 6], [0, 0, 0, 0]])
+_AD = np.array([[0, 9, 2, 0, 0, 0], [3, 0, 7, 0, 0, 0], [8, 1, 0, 0, 0, 0],
+                [0, 12, 5, 0, 9, 2], [6, 0, 10, 3, 0, 7], [11, 4, 0, 8, 1, 0]])
+
+
+def _signed_gather(xi, index):
+    # one gather, no arithmetic but the sign
+    xi = np.asarray(xi, dtype=float)
+    return np.concatenate([np.zeros(xi.shape[:-1] + (1,)), xi, -xi], axis=-1)[..., index]
+
+
 def skew(w):
     """(..., 3) vectors -> (..., 3, 3) skew-symmetric matrices."""
     w = np.asarray(w, dtype=float)
@@ -60,27 +72,7 @@ def unskew(W):
 
 def hat(xi):
     """(..., 6) twists -> (..., 4, 4) se(3) matrices."""
-    xi = np.asarray(xi, dtype=float)
-    H = np.zeros(xi.shape[:-1] + (4, 4))
-    H[..., :3, :3] = skew(xi[..., :3])
-    H[..., :3, 3] = xi[..., 3:]
-    return H
-
-
-def vee(M):
-    """4x4 se(3) matrix -> twist coordinates.
-
-    Raises StructureError if the bottom row is nonzero or the upper-left
-    block is not skew-symmetric (tolerance 1e-9).
-    """
-    M = np.asarray(M, dtype=float)
-    if M.shape != (4, 4):
-        raise StructureError(f"expected 4x4 matrix, got {M.shape}")
-    if np.abs(M[3, :]).max() > 1e-9:
-        raise StructureError("bottom row of a twist matrix must be zero")
-    if np.abs(M[:3, :3] + M[:3, :3].T).max() > 1e-9:
-        raise StructureError("rotation block of a twist matrix must be skew-symmetric")
-    return np.concatenate([unskew(M[:3, :3]), M[:3, 3]])
+    return _signed_gather(xi, _HAT)
 
 
 def make_pose(R, t):
@@ -135,35 +127,36 @@ def _branch(theta, threshold):
 
 
 def _so3_coeffs(theta):
-    # a = sin(t)/t, b = (1-cos(t))/t^2, c = (t-sin(t))/t^3, as (..., 1, 1)
+    # b = (1-cos(t))/t^2, c = (t-sin(t))/t^3, as arrays of theta's shape
     small, t = _branch(theta, SMALL_ANGLE)
-    s = np.sin(t)
-    a, b, c = s / t, (1.0 - np.cos(t)) / (t * t), (t - s) / t ** 3
+    b, c = (1.0 - np.cos(t)) / (t * t), (t - np.sin(t)) / t ** 3
     if small.any():  # the Taylor branch costs nothing when no element takes it
         t2 = theta * theta
-        a = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, a)
         b = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0, b)
         c = np.where(small, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0, c)
-    return a[..., None, None], b[..., None, None], c[..., None, None]
+    return b, c
 
 
-def exp_so3(w):
-    """Rodrigues formula for (..., 3) rotation vectors."""
-    w = np.asarray(w, dtype=float)
-    a, b, _ = _so3_coeffs(_norm(w))
-    W = skew(w)
-    return _I3 + a * W + b * (W @ W)
+def exp_se3(xi, q=1.0):
+    """Exponential map exp(q xi^) of (..., 6) twists at joint values q
+    (default 1), broadcast against the twists' batch: k twists (k, 6) at
+    (m, k) joint values give (m, k, 4, 4) poses.
 
-
-def exp_se3(xi):
-    """Exponential map se(3) -> SE(3): (..., 6) twists to (..., 4, 4) poses."""
-    xi = np.asarray(xi, dtype=float)
-    a, b, c = _so3_coeffs(_norm(xi[..., :3]))
-    W = skew(xi[..., :3])
-    W2 = W @ W
-    R = _I3 + a * W + b * W2
-    V = _I3 + b * W + c * W2
-    return make_pose(R, (V @ xi[..., 3:, None])[..., 0])
+    The cubic I + q Xi + b q^2 Xi^2 + c q^3 Xi^3 with Xi = hat(xi) and
+    b, c at theta = |q| |w|: the powers of Xi are formed once per twist
+    and q enters only through scalar coefficients.  The sums are
+    elementwise, so each element's result does not depend on the rest of
+    the batch.  At q = 0 the result is exactly I.
+    """
+    xi, q = np.asarray(xi, dtype=float), np.asarray(q, dtype=float)
+    b, c = _so3_coeffs(np.abs(q) * _norm(xi[..., :3]))
+    # coefficient products in theta's shape, before the broadcast to 4x4:
+    # for one twist they are numpy scalars, far cheaper than (1, 1) arrays
+    q2 = q * q
+    k1, k2, k3 = q[..., None, None], (b * q2)[..., None, None], (c * q2 * q)[..., None, None]
+    X = hat(xi)
+    X2 = X @ X
+    return _I4 + k1 * X + k2 * X2 + k3 * (X2 @ X)
 
 
 def log_se3(T):
@@ -217,23 +210,19 @@ def adjoint(T):
 
 def ad(xi):
     """(..., 6, 6) algebra adjoints of twists: [[w^, 0], [rho^, w^]]."""
-    xi = np.asarray(xi, dtype=float)
-    A = np.zeros(xi.shape[:-1] + (6, 6))
-    W = skew(xi[..., :3])
-    A[..., :3, :3] = W
-    A[..., 3:, 3:] = W
-    A[..., 3:, :3] = skew(xi[..., 3:])
-    return A
+    return _signed_gather(xi, _AD)
 
 
 def _jacobian_coeffs(theta):
     # c2..c5 of the left-Jacobian series in ad(xi), as arrays of theta's shape
     small, t = _branch(theta, JACOBIAN_SMALL_ANGLE)
     s, co, T2 = np.sin(t), np.cos(t), t * t
-    c2 = (4.0 - t * s - 4.0 * co) / (2.0 * T2)
-    c3 = (4.0 * t - 5.0 * s + t * co) / (2.0 * T2 * t)
-    c4 = (2.0 - t * s - 2.0 * co) / (2.0 * T2 * T2)
-    c5 = (2.0 * t - 3.0 * s + t * co) / (2.0 * T2 * T2 * t)
+    ts, tc, d2 = t * s, t * co, 2.0 * T2
+    d4 = d2 * T2
+    c2 = (4.0 - ts - 4.0 * co) / d2
+    c3 = (4.0 * t - 5.0 * s + tc) / (d2 * t)
+    c4 = (2.0 - ts - 2.0 * co) / d4
+    c5 = (2.0 * t - 3.0 * s + tc) / (d4 * t)
     if small.any():
         t2 = theta * theta
         t4 = t2 * t2
@@ -245,65 +234,26 @@ def _jacobian_coeffs(theta):
     return c2, c3, c4, c5
 
 
-def left_jacobian(xi):
-    """Differential of the exponential map at (..., 6) twists ``xi``.
+def joint_jacobian(xi, q=1.0):
+    """Differential q J(q xi) of exp(q xi^) with respect to the (..., 6)
+    twists at fixed joint values q (default 1), broadcast as in exp_se3.
 
-    Closed form: I + c2*O + c3*O^2 + c4*O^3 + c5*O^4 with O = ad(xi) and
-    trigonometric coefficients in theta = |w|; equal to the series
-    sum_k O^k/(k+1)!.  Taylor fallback below JACOBIAN_SMALL_ANGLE.
-    """
-    xi = np.asarray(xi, dtype=float)
-    c2, c3, c4, c5 = (c[..., None, None]
-                      for c in _jacobian_coeffs(_norm(xi[..., :3])))
-    O = ad(xi)
-    O2 = O @ O
-    return _I6 + c2 * O + c3 * O2 + c4 * (O2 @ O) + c5 * (O2 @ O2)
-
-
-def joint_factors(twists, q, jacobian=False):
-    """Joint factors exp(q xi^) (..., k, 4, 4) of k twists (k, 6) at joint
-    values (..., k) and, if asked, their differentials q J(q xi) (..., k, 6, 6).
-
-    The powers Xi^j = hat(xi)^j (j <= 3) and O^j = ad(xi)^j (j <= 4) are
-    formed once per twist; the joint values enter only through scalar
-    coefficients at theta = |q| |w|, the closed forms of exp_se3 and
-    left_jacobian:
-        exp = I + q Xi + b q^2 Xi^2 + c q^3 Xi^3,
-        q J = q (I + c2 q O + c3 q^2 O^2 + c4 q^3 O^3 + c5 q^4 O^4).
-    The sums are elementwise, so each element's result does not depend on
-    the rest of the batch.  At q = 0 the factor is exactly I and the
-    differential exactly 0.
-    """
-    twists = np.asarray(twists, dtype=float)
-    q = np.asarray(q, dtype=float)
-    theta = np.abs(q) * _norm(twists[:, :3])
-    _, b, c = _so3_coeffs(theta)
-    q1 = q[..., None, None]
-    q2 = q1 * q1
-    X = hat(twists)
-    X2 = X @ X
-    E = _I4 + q1 * X + (b * q2) * X2 + (c * q2 * q1) * (X2 @ X)
-    if not jacobian:
-        return E
-    c2, c3, c4, c5 = (v[..., None, None] for v in _jacobian_coeffs(theta))
-    O = ad(twists)
-    O2 = O @ O
-    D = q1 * (_I6 + (c2 * q1) * O + (c3 * q2) * O2 + (c4 * q2 * q1) * (O2 @ O)
-              + (c5 * q2 * q2) * (O2 @ O2))
-    return E, D
-
-
-def joint_jacobian(xi, q):
-    """Differential of ``exp(xi^ q)`` with respect to the twist at fixed q.
-
-    Equals q * left_jacobian(q * xi): the series in ad(q*xi) from the
-    definite-integral expansion times the chain-rule factor q.  Vanishes
-    linearly as q -> 0 (a joint at zero contributes nothing).  Takes
-    (..., 6) twists with (...) joint values; the second output of
-    :func:`joint_factors`, one twist per element.
+    Closed form q (I + c2 q O + c3 q^2 O^2 + c4 q^3 O^3 + c5 q^4 O^4)
+    with O = ad(xi) and trigonometric coefficients at theta = |q| |w|;
+    equal to the series q sum_k (q O)^k/(k+1)!.  Taylor fallback below
+    JACOBIAN_SMALL_ANGLE.  At q = 0 it is exactly 0: a joint at zero
+    contributes nothing.
     """
     xi, q = np.asarray(xi, dtype=float), np.asarray(q, dtype=float)
-    shape = np.broadcast_shapes(xi.shape[:-1], q.shape)
-    D = joint_factors(np.broadcast_to(xi, shape + (6,)).reshape(-1, 6),
-                      np.broadcast_to(q, shape).reshape(-1), jacobian=True)[1]
-    return D.reshape(shape + (6, 6))
+    c2, c3, c4, c5 = _jacobian_coeffs(np.abs(q) * _norm(xi[..., :3]))
+    q2 = q * q
+    k1, k2, k3 = q[..., None, None], (c2 * q)[..., None, None], (c3 * q2)[..., None, None]
+    k4, k5 = (c4 * q2 * q)[..., None, None], (c5 * q2 * q2)[..., None, None]
+    O = ad(xi)
+    O2 = O @ O
+    return k1 * (_I6 + k2 * O + k3 * O2 + k4 * (O2 @ O) + k5 * (O2 @ O2))
+
+
+def left_jacobian(xi):
+    """Differential J(xi) of the exponential map at (..., 6) twists."""
+    return joint_jacobian(xi, 1.0)

@@ -7,29 +7,13 @@ routines are the right tool.
 
 import numpy as np
 
-from .errors import EigenConvergenceError, RankDeficientError
+from .errors import RankDeficientError
 
 
 def symmetrize(M):
     """Exactly symmetric copy of M (averages with the transpose)."""
     M = np.asarray(M, dtype=float)
     return 0.5 * (M + M.T)
-
-
-def sym_eig(M):
-    """Eigendecomposition of a symmetric matrix.
-
-    Returns (eigenvalues descending, eigenvectors as columns) with
-    M = V diag(lam) V^T and V^T V = I.  Raises EigenConvergenceError if
-    the underlying solver fails.
-    """
-    M = symmetrize(M)
-    try:
-        lam, V = np.linalg.eigh(M)
-    except np.linalg.LinAlgError as exc:
-        # LAPACK iteration cap: 30*n implicit QR sweeps
-        raise EigenConvergenceError(30 * M.shape[0]) from exc
-    return lam[::-1].copy(), V[:, ::-1].copy()
 
 
 def project_rotation(M):

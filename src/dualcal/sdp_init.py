@@ -27,7 +27,7 @@ import numpy as np
 from . import liegroup as lie
 from .errors import DegenerateSolutionError, StructureError
 from .kinematics import forward_kinematics
-from .numerics import project_rotation, sym_eig, symmetrize
+from .numerics import project_rotation, symmetrize
 
 log = logging.getLogger("dualcal")
 
@@ -159,11 +159,6 @@ class ConstraintOperator:
         M[self.rows, col] = self.vals
         return M @ M.T
 
-    def toarray(self):
-        """The dense m x DIM x DIM stack of the H_j."""
-        H = np.zeros((self.m, DIM * DIM))
-        H[self.rows, self.flat] = self.vals
-        return H.reshape(self.m, DIM, DIM)
 
 
 def _rx(r, c):
@@ -391,7 +386,8 @@ def extract(W):
     the projected triple (hence feasible for the original QCQP) and
     rank_ratio = lambda2/lambda1 measures tightness.
     """
-    lam, V = sym_eig(W)
+    lam, V = np.linalg.eigh(symmetrize(W))
+    lam, V = lam[::-1], V[:, ::-1]  # descending
     if lam[0] <= 0.0:
         raise DegenerateSolutionError("dominant eigenvalue of W is not positive")
     w = np.sqrt(lam[0]) * V[:, 0]

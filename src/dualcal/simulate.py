@@ -254,8 +254,8 @@ def system_from_dict(d):
         if key not in d:
             raise ValidationError(f"system is missing field '{key}'")
     return DualArmSystem(model_from_dict(d["sensor_arm"]), model_from_dict(d["tool_arm"]),
-                         np.array(d["X"], dtype=float), np.array(d["Y"], dtype=float),
-                         np.array(d["Z"], dtype=float))
+                         *(field_array(d[k], k, (4, 4), "a pose is 4x4 row-major")
+                           for k in "XYZ"))
 
 
 def dataset_to_dict(ds, blind=False):
@@ -320,6 +320,19 @@ def save_dataset(ds, path, blind=False):
         f.write("\n")
 
 
+def _load_json(path, what):
+    """The JSON object in a file, else a ValidationError naming the file."""
+    try:
+        with open(path) as f:
+            d = json.load(f)
+    except FileNotFoundError:
+        raise ValidationError(f"{what} file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from None
+    if not isinstance(d, dict):
+        raise ValidationError(f"{what} file {path} is not a JSON object")
+    return d
+
+
 def load_dataset(path):
-    with open(path) as f:
-        return dataset_from_dict(json.load(f))
+    return dataset_from_dict(_load_json(path, "dataset"))

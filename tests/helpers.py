@@ -21,6 +21,17 @@ def expm_taylor(M, terms=30):
     return out
 
 
+def dexp_taylor(M, terms=30):
+    """Truncated series sum_k M^k/(k+1)! of the differential of the
+    exponential at the algebra adjoint M (reference oracle)."""
+    out = np.eye(M.shape[0])
+    P = np.eye(M.shape[0])
+    for k in range(1, terms):
+        P = P @ M / (k + 1)
+        out = out + P
+    return out
+
+
 def gauss_solve(A, b):
     """Dense solve by Gaussian elimination with partial pivoting."""
     A = np.array(A, dtype=float)

@@ -236,6 +236,46 @@ def test_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--damping", "1e-3"), ("--max-iters", "1")])
+def test_dropped_calibrate_flags_exit_2(workdir, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run("calibrate", "--data", str(workdir / "data.json"), "--out", "calib.json", flag, value)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("calibrate", "--data", "{bad}"),
+    ("init", "--data", "{bad}"),
+    ("identifiability", "--data", "{data}", "--calib", "{bad}"),
+    ("ball-eval", "--clouds", "{bad}", "--calib", "{calib}"),
+], ids=["calibrate", "init", "identifiability", "ball-eval"])
+def test_non_object_json_exits_2_naming_file(workdir, calib_file, tmp_path, capsys, argv):
+    bad = tmp_path / "five.json"
+    bad.write_text("5\n")
+    files = {"bad": bad, "data": workdir / "data.json", "calib": calib_file}
+    assert run(*(a.format(**files) for a in argv), "--out", str(tmp_path / "out.json")) == 2
+    assert f"file {bad} is not a JSON object" in capsys.readouterr().err
+
+
+def test_bad_pose_in_calib_exits_2_naming_field(workdir, calib_file, tmp_path, capsys):
+    d = json.loads(calib_file.read_text())
+    d["X"] = "x"
+    bad = tmp_path / "calib.json"
+    bad.write_text(json.dumps(d))
+    assert run("evaluate", "--data", str(workdir / "data.json"), "--calib", str(bad),
+               "--out", str(tmp_path / "report.json")) == 2
+    assert "error: X is not an array of numbers" in capsys.readouterr().err
+
+
+def test_linalg_failure_exits_3(workdir, tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr("dualcal.cli.stack", fail)
+    assert run("identifiability", "--data", str(workdir / "data.json"),
+               "--out", str(tmp_path / "ident.json")) == 3
+    assert "numerical failure: SVD did not converge" in capsys.readouterr().err
+
+
 def run_init_on_edited_data(workdir, tmp_path, edit):
     d = json.loads((workdir / "data.json").read_text())
     edit(d["samples"])

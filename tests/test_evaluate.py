@@ -54,7 +54,7 @@ def test_rotation_angle_matches_arccos_definition():
     for _ in range(100):
         w = rng.normal(size=3)
         w *= rng.uniform(0.1, 3.0) / np.linalg.norm(w)
-        R = lie.exp_so3(w)
+        R = lie.exp_se3(np.r_[w, 0.0, 0.0, 0.0])[:3, :3]
         via_arccos = np.arccos(np.clip((np.trace(R) - 1) / 2, -1, 1))
         assert abs(rotation_angle(R) - via_arccos) < 1e-7
 
@@ -63,8 +63,8 @@ def test_rotation_angle_conjugation_invariant():
     rng = np.random.default_rng(3)
     for _ in range(50):
         w = rng.normal(size=3)
-        R = lie.exp_so3(w)
-        S = lie.exp_so3(rng.normal(size=3))
+        R = lie.exp_se3(np.r_[w, 0.0, 0.0, 0.0])[:3, :3]
+        S = lie.exp_se3(np.r_[rng.normal(size=3), 0.0, 0.0, 0.0])[:3, :3]
         assert abs(rotation_angle(S @ R @ S.T) - rotation_angle(R)) < 1e-12
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dualcal import liegroup as lie
-from dualcal.errors import NearPiRotationError, StructureError
-from helpers import expm_taylor, rand_twist
+from dualcal.errors import NearPiRotationError
+from helpers import dexp_taylor, expm_taylor, rand_twist
 
 
 def test_hat_zero():
@@ -16,25 +16,6 @@ def test_hat_unit_z():
     expect[0, 1] = -1.0
     expect[1, 0] = 1.0
     assert np.array_equal(H, expect)
-
-
-def test_hat_vee_roundtrip_bitwise():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        xi = rng.uniform(-2, 2, 6)
-        assert np.array_equal(lie.vee(lie.hat(xi)), xi)
-
-
-def test_vee_rejects_bad_structure():
-    M = np.zeros((4, 4))
-    M[3, 0] = 1.0
-    with pytest.raises(StructureError):
-        lie.vee(M)
-    M = np.zeros((4, 4))
-    M[0, 1] = 1.0
-    M[1, 0] = 1.0  # not skew
-    with pytest.raises(StructureError):
-        lie.vee(M)
 
 
 def test_exp_zero_is_identity():
@@ -141,14 +122,7 @@ def test_left_jacobian_matches_series_at_tiny_angle():
     for _ in range(20):
         xi = rand_twist(rng, wmax=1.0)
         xi[:3] *= 1e-9 / max(np.linalg.norm(xi[:3]), 1e-300)
-        J = lie.left_jacobian(xi)
-        O = lie.ad(xi)
-        series = np.eye(6)
-        P = np.eye(6)
-        for k in range(1, 10):
-            P = P @ O / (k + 1)
-            series = series + P
-        assert np.abs(J - series).max() < 1e-10
+        assert np.abs(lie.left_jacobian(xi) - dexp_taylor(lie.ad(xi), 10)).max() < 1e-10
 
 
 def test_left_jacobian_branch_seam_consistency():
@@ -252,41 +226,54 @@ def test_batched_log_near_pi_errors():
         lie.log_se3(T)
 
 
-def test_joint_factors_match_exp_and_left_jacobian():
+def _joint_values(xi, q):
     # q = +-1 keeps the batch's angles |q| |w| on both sides of each seam,
     # the last rows reach each seam through q instead
-    xi, q = _mixed_batch()
     w = np.linalg.norm(xi[:, :3], axis=1)
     seams = np.outer([lie.SMALL_ANGLE, lie.JACOBIAN_SMALL_ANGLE], [1 - 1e-9, 1 + 1e-9]).ravel()
     at_seam = seams[:, None] / np.where(w > 0, w, 1.0)
     ones = np.ones_like(q)
-    Q = np.vstack([ones, -ones, q, -q, at_seam, -at_seam])
+    return np.vstack([ones, -ones, q, -q, at_seam, -at_seam])
+
+
+def test_exp_and_joint_jacobian_at_joint_values_match_series():
+    xi, q = _mixed_batch()
+    Q = _joint_values(xi, q)
     with np.errstate(all="raise"):
-        E, D = lie.joint_factors(xi, Q, jacobian=True)
-        assert np.array_equal(lie.joint_factors(xi, Q), E)
+        E, D = lie.exp_se3(xi, Q), lie.joint_jacobian(xi, Q)
     assert E.shape == Q.shape + (4, 4) and D.shape == Q.shape + (6, 6)
     for i, j in np.ndindex(Q.shape):
-        qxi = Q[i, j] * xi[j]  # |q| reaches 1e6 at the seams of the 1e-7 rad twist
-        for got, expect in ((E[i, j], lie.exp_se3(qxi)),
-                            (D[i, j], Q[i, j] * lie.left_jacobian(qxi))):
-            assert np.abs(got - expect).max() <= 1e-13 * max(1.0, np.abs(expect).max()), (i, j)
+        # |q| reaches 1e6 at the seams of the 1e-7 rad twist; |q w| stays below 10
+        for got, expect in ((E[i, j], expm_taylor(Q[i, j] * lie.hat(xi[j]), 60)),
+                            (D[i, j], Q[i, j] * dexp_taylor(Q[i, j] * lie.ad(xi[j]), 60))):
+            assert np.abs(got - expect).max() <= 1e-11 * max(1.0, np.abs(expect).max()), (i, j)
         assert np.array_equal(E[i, j, 3], [0.0, 0.0, 0.0, 1.0])
 
 
-def test_joint_factors_at_zero_are_exact():
+def test_batched_joint_values_match_per_element_calls_bitwise():
+    xi, q = _mixed_batch()
+    Q = _joint_values(xi, q)
+    E, D = lie.exp_se3(xi, Q), lie.joint_jacobian(xi, Q)
+    for i, j in np.ndindex(Q.shape):
+        assert np.array_equal(E[i, j], lie.exp_se3(xi[j], Q[i, j])), (i, j)
+        assert np.array_equal(D[i, j], lie.joint_jacobian(xi[j], Q[i, j])), (i, j)
+
+
+def test_exp_and_joint_jacobian_at_zero_are_exact():
     xi, _ = _mixed_batch()
-    E, D = lie.joint_factors(xi, np.zeros((2, len(xi))), jacobian=True)
-    assert np.array_equal(E, np.broadcast_to(np.eye(4), E.shape))
-    assert np.array_equal(D, np.zeros(D.shape))
+    Q = np.zeros((2, len(xi)))
+    assert np.array_equal(lie.exp_se3(xi, Q), np.broadcast_to(np.eye(4), Q.shape + (4, 4)))
+    assert np.array_equal(lie.joint_jacobian(xi, Q), np.zeros(Q.shape + (6, 6)))
 
 
-def test_joint_factors_prismatic_twist():
+def test_exp_and_joint_jacobian_of_prismatic_twist():
     xi = np.array([[0.0, 0.0, 0.0, 0.3, -0.2, 0.5]])
     q = np.array([[1.7], [-0.4]])
-    E, D = lie.joint_factors(xi, q, jacobian=True)
+    E, D = lie.exp_se3(xi, q), lie.joint_jacobian(xi, q)
     for k in range(2):
         expect = np.eye(4)
         expect[:3, 3] = q[k, 0] * xi[0, 3:]
         assert np.abs(E[k, 0] - expect).max() <= 1e-15
-        assert np.abs(D[k, 0] - q[k, 0] * lie.left_jacobian(q[k, 0] * xi[0])).max() <= 1e-15
-
+        # ad of a pure translation is nilpotent: q (I + q O / 2)
+        O = lie.ad(xi[0])
+        assert np.abs(D[k, 0] - q[k, 0] * (np.eye(6) + q[k, 0] * O / 2)).max() <= 1e-15

@@ -2,38 +2,8 @@ import numpy as np
 import pytest
 
 from dualcal.errors import RankDeficientError
-from dualcal.numerics import (numeric_rank, project_rotation, solve_damped_normal,
-                              sym_eig, symmetrize)
+from dualcal.numerics import numeric_rank, project_rotation, solve_damped_normal
 from helpers import gauss_solve
-
-
-def test_sym_eig_identity():
-    lam, V = sym_eig(np.eye(3))
-    assert np.allclose(lam, [1, 1, 1])
-    assert np.linalg.norm(V.T @ V - np.eye(3)) < 1e-12
-
-
-def test_sym_eig_diagonal_sorted_descending():
-    lam, V = sym_eig(np.diag([5.0, 2.0, -1.0]))
-    assert np.allclose(lam, [5.0, 2.0, -1.0])
-    # eigenvectors are signed axis permutations
-    assert np.allclose(np.abs(V), np.eye(3))
-
-
-def test_sym_eig_reconstruction_random():
-    rng = np.random.default_rng(0)
-    M = symmetrize(rng.standard_normal((10, 10)))
-    lam, V = sym_eig(M)
-    assert np.abs(V @ np.diag(lam) @ V.T - M).max() < 1e-10 * np.linalg.norm(M)
-    assert np.all(np.diff(lam) <= 1e-12)
-
-
-def test_sym_eig_orthonormality_up_to_dim_150():
-    rng = np.random.default_rng(1)
-    for dim in (2, 17, 64, 150):
-        M = symmetrize(rng.standard_normal((dim, dim)))
-        _, V = sym_eig(M)
-        assert np.linalg.norm(V.T @ V - np.eye(dim)) < 1e-12
 
 
 def test_project_rotation_det_plus_one():
