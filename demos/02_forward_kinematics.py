@@ -4,7 +4,7 @@ import numpy as np
 
 from dualcal import liegroup as lie
 from dualcal.kinematics import default_arm, forward_kinematics, perturb_model
-from dualcal.simulate import draw_joint_deltas, kin_level, pose_deviation, sample_configurations
+from dualcal.simulate import draw_joint_deltas, level, pose_deviation, sample_configurations
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -22,10 +22,10 @@ print(f"\nFK at q={q}:\n", T)
 
 # kinematic-error simulation: perturb each joint twist multiplicatively
 rng = np.random.default_rng(1)
-level = kin_level("M")
-print(f"\nperturbing at level M (rot_sigma={level.rot_sigma:.2e} rad, "
-      f"trans_sigma={level.trans_sigma:.2e} m)")
-perturbed = perturb_model(arm, draw_joint_deltas(arm, level, rng))
+lvl = level("kin", "M")
+print(f"\nperturbing at level M (rot_sigma={lvl.rot_sigma:.2e} rad, "
+      f"trans_sigma={lvl.trans_sigma:.2e} m)")
+perturbed = perturb_model(arm, draw_joint_deltas(arm, lvl, rng))
 configs = [qi for qi, _ in sample_configurations(300, 6, rng, d_min=0.0)]
 rot, trans = pose_deviation(arm, perturbed, configs)
 print(f"induced end-pose deviation over 300 configs: "

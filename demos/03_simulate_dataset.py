@@ -6,10 +6,12 @@ the nominal model at a chosen level, with leveled measurement noise on
 top.
 """
 
+import json
+
 import numpy as np
 
 from dualcal.chain import stack
-from dualcal.simulate import dataset_to_dict, generate_dataset, save_dataset
+from dualcal.simulate import dataset_to_dict, generate_dataset
 
 ds = generate_dataset(m=40, kin_tag="M", noise_tag="M", seed=42)
 print(f"generated {len(ds.samples)} samples, kin level {ds.kin_level}, "
@@ -26,7 +28,8 @@ print(f"residual at ground truth (pure measurement noise): |e| = {np.linalg.norm
 e_nom, _ = stack(ds.nominal_system, ds.samples)
 print(f"residual at the nominal parameters:               |e| = {np.linalg.norm(e_nom):.3e}")
 
-save_dataset(ds, "/tmp/dualcal_demo_dataset.json")
-print("wrote /tmp/dualcal_demo_dataset.json "
-      f"({len(dataset_to_dict(ds)['samples'])} samples; "
-      "pass blind=True to omit the ground truth)")
+record = dataset_to_dict(ds)
+with open("/tmp/dualcal_demo_dataset.json", "w") as f:
+    json.dump(record, f)
+print(f"wrote /tmp/dualcal_demo_dataset.json ({len(record['samples'])} samples; "
+      "dataset_to_dict(ds, blind=True) omits the ground truth)")

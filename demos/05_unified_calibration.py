@@ -11,7 +11,7 @@ import numpy as np
 
 from dualcal.evaluate import evaluate_samples
 from dualcal.simulate import generate_dataset
-from dualcal.solver import SolverConfig, calibrate
+from dualcal.solver import calibrate
 
 ds = generate_dataset(m=120, kin_tag="H", noise_tag="M", seed=11)
 cal, test = ds.samples[:80], ds.samples[80:]
@@ -19,7 +19,7 @@ nominal = ds.nominal_system
 print(f"kinematic level H, measurement noise M; {len(cal)} calibration / "
       f"{len(test)} held-out samples")
 
-init, system, trace = calibrate(nominal, cal, config=SolverConfig(damping=1e-3, tol_inf=1e-8))
+init, system, trace = calibrate(nominal, cal, tol=1e-8)
 print(f"SDP init: eta = {init.eta:.2e}, rank ratio = {init.rank_ratio:.2e}, "
       f"{init.iterations} ADMM iterations")
 print(f"unified refinement: {trace.iterations} iterations, |e| "

@@ -22,8 +22,8 @@ import json
 import numpy as np
 
 from dualcal.kinematics import default_arm, perturb_model
-from dualcal.simulate import (KinLevel, MEAN_NORM_FACTOR, draw_joint_deltas,
-                              pose_deviation, sample_configurations)
+from dualcal.simulate import (MEAN_NORM_FACTOR, Level, draw_joint_deltas, pose_deviation,
+                              sample_configurations)
 
 KIN_TARGETS = {  # level: (mean rotation deg, mean translation mm)
     "L": (0.054, 0.417), "ML": (0.103, 1.083), "M": (0.264, 1.818),
@@ -37,7 +37,7 @@ NOISE_TARGETS = {
 
 def measure_kin(arm, rot_sigma, trans_sigma, rng, n_pert=48, n_cfg=160):
     """Monte-Carlo mean (rot deg, trans mm) FK deviation at given sigmas."""
-    level = KinLevel("probe", rot_sigma, trans_sigma)
+    level = Level("probe", rot_sigma, trans_sigma)
     configs = [q for q, _ in sample_configurations(n_cfg, arm.n, rng, d_min=0.0)]
     rots, transs = [], []
     for _ in range(n_pert):

@@ -8,7 +8,7 @@ left-trivialized residual; columns follow the layout
 [X, Y, Z, xi_a^1..n, xi_c^1..n].
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -194,6 +194,9 @@ def stack(system, samples):
     return lie.log_se3(B @ lie.pose_inv(samples.B)).ravel(), J
 
 
+RANK_REL_THRESHOLD = 1e-8  # the numeric rank counts singular values above sigma_max times this
+
+
 @dataclass
 class IdentifiabilityReport:
     singular_values: np.ndarray
@@ -205,32 +208,27 @@ class IdentifiabilityReport:
     well_posed: bool
 
     def to_dict(self):
-        return {
-            "singular_values": self.singular_values.tolist(),
-            "rank": self.rank,
-            "needed": self.needed,
-            "condition_number": self.condition_number,
-            "threshold": self.threshold,
-            "excitation_violations": self.excitation_violations,
-            "well_posed": self.well_posed,
-        }
+        return {**asdict(self), "singular_values": self.singular_values.tolist()}
 
 
-def identifiability_report(J, samples, q_min=0.15, rank_rel_threshold=1e-8):
+def identifiability_report(J, samples, q_min=0.15):
     """Rank/conditioning diagnostics of a stacked Jacobian.
 
-    Never raises: reports the singular values of J, the numeric rank at
-    sigma_max * rank_rel_threshold, the condition number, and the samples
+    Reports the singular values of J, the numeric rank at
+    sigma_max * RANK_REL_THRESHOLD, the condition number, and the samples
     whose joints sit below q_min (weakly exciting; their twist
     contributions degenerate as q -> 0).  Singular values come from an
     SVD of J itself: an eigendecomposition of J^T J squares the
     condition number and cannot resolve the 1e-8 rank threshold.  With
     fewer rows than parameters the rank is at most the row count and the
-    condition number is infinite.
+    condition number is infinite.  Raises ValidationError only for a NaN
+    or negative q_min.
     """
+    if not q_min >= 0:
+        raise ValidationError(f"q_min must be a nonnegative number, got {q_min}")
     J = np.asarray(J, dtype=float)
     sv = np.linalg.svd(J, compute_uv=False)
-    rank = numeric_rank(sv, rank_rel_threshold)
+    rank = numeric_rank(sv, RANK_REL_THRESHOLD)
     needed = J.shape[1]
     cond = float("inf")
     if len(sv) >= needed and sv[needed - 1] > 1e-300:
@@ -243,7 +241,7 @@ def identifiability_report(J, samples, q_min=0.15, rank_rel_threshold=1e-8):
         rank=rank,
         needed=needed,
         condition_number=cond,
-        threshold=float(sv[0] * rank_rel_threshold),
+        threshold=float(sv[0] * RANK_REL_THRESHOLD),
         excitation_violations=violations,
         well_posed=bool(rank == needed),
     )

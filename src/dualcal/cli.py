@@ -18,11 +18,11 @@ import numpy as np
 from .chain import identifiability_report, residual, stack
 from .errors import CalibrationError, RankDeficientError, ValidationError
 from .evaluate import ball_consistency, evaluate_dataset
+from .kinematics import _require_fields, field_array
 from .sdp_init import initialize
 from .simulate import (_load_json, _sample_field, dataset_to_dict, default_system,
-                       field_array, generate_dataset, load_dataset, system_from_dict,
-                       system_to_dict)
-from .solver import SolverConfig, calibrate
+                       generate_dataset, load_dataset, system_from_dict, system_to_dict)
+from .solver import calibrate
 
 log = logging.getLogger("dualcal")
 
@@ -64,13 +64,10 @@ def cmd_calibrate(args):
     coords = init_record = None
     if args.init:
         init_record = _load_json(args.init, "init")
-        for k in "XYZ":
-            if k not in init_record:
-                raise ValidationError(f"init is missing field '{k}'")
+        _require_fields(init_record, "XYZ", "init")
         coords = [field_array(init_record[k], k, (4, 4), "a pose is 4x4 row-major")
                   for k in "XYZ"]
-    config = SolverConfig(tol_inf=args.tol)
-    init, final, trace = calibrate(nominal, ds.samples, coords, config)
+    init, final, trace = calibrate(nominal, ds.samples, coords, args.tol)
     if init is not None:
         init_record = init.to_dict()
     out = system_to_dict(final)
@@ -118,8 +115,7 @@ def _load_postures(path, na, nc):
     """Joint readings (m, na), (m, nc) and the list of (N_i, 3) clouds of a
     clouds file; the parsed JSON is freed on return, before the fit."""
     d = _load_json(path, "clouds")
-    if "postures" not in d:
-        raise ValidationError("clouds file is missing field 'postures'")
+    _require_fields(d, ("postures",), "clouds file")
     postures = d["postures"]
     if not postures:
         raise ValidationError("clouds field 'postures' is empty")
@@ -127,8 +123,7 @@ def _load_postures(path, na, nc):
     q_c = _sample_field(postures, "q_c", (nc,), f"the tool arm has {nc} joints", "postures")
     clouds = []
     for i, p in enumerate(postures):
-        if "points" not in p:
-            raise ValidationError(f"postures[{i}] is missing field 'points'")
+        _require_fields(p, ("points",), f"postures[{i}]")
         points = p["points"]
         clouds.append(field_array(points, f"postures[{i}].points",
                                   (len(points) if isinstance(points, list) else -1, 3),

@@ -93,14 +93,38 @@ def model_to_dict(model):
     }
 
 
-def model_from_dict(d):
-    for key in ("name", "n", "joint_twists", "zero_offset"):
+def _require_fields(d, keys, what):
+    """Raise a ValidationError naming `what` unless d is a JSON object holding every key."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{what} is not a JSON object")
+    for key in keys:
         if key not in d:
-            raise ValidationError(f"robot model is missing field '{key}'")
-    model = RobotModel(d["name"], d["joint_twists"], d["zero_offset"])
-    if model.n != d["n"]:
-        raise ValidationError(f"field 'n'={d['n']} disagrees with {model.n} joint twists")
-    return model
+            raise ValidationError(f"{what} is missing field '{key}'")
+
+
+def field_array(obj, name, shape, expected):
+    """obj as a finite float array of `shape`, else a ValidationError naming it."""
+    try:
+        v = np.array(obj, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} is not an array of numbers") from None
+    if v.shape != shape:
+        raise ValidationError(f"{name} has {v.size} values, {expected}")
+    if not np.isfinite(v).all():
+        raise ValidationError(f"{name} has a non-finite value")
+    return v
+
+
+def model_from_dict(d, what="robot model"):
+    _require_fields(d, ("name", "n", "joint_twists", "zero_offset"), what)
+    n = d["n"]
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"{what}.n is not a positive integer: {n!r}")
+    return RobotModel(d["name"],
+                      field_array(d["joint_twists"], f"{what}.joint_twists", (n, 6),
+                                  f"n={n} joint twists of 6 values"),
+                      field_array(d["zero_offset"], f"{what}.zero_offset", (6,),
+                                  "a twist has 6 values"))
 
 
 def default_arm(name="ur5_like"):

@@ -17,7 +17,7 @@ twist increments to the left-trivialized derivative,
 d exp(q xi^) exp(-q xi^) = (q J(q xi) dxi)^.  Each forms the powers of
 hat(xi) or ad(xi) once per twist and takes the joint values, which
 broadcast against the twists' batch, only through scalar coefficients;
-q defaults to 1, and ``left_jacobian(xi)`` is J(xi).
+q defaults to 1, so ``joint_jacobian(xi)`` is the left Jacobian J(xi).
 """
 
 import numpy as np
@@ -37,6 +37,8 @@ SMALL_ANGLE = 1e-5
 JACOBIAN_SMALL_ANGLE = 8e-2
 
 _PI_MARGIN = 1e-6
+
+POSE_TOL = 1e-9  # is_pose's bound on the Frobenius norm of R^T R - I
 
 _I3, _I4, _I6 = np.eye(3), np.eye(4), np.eye(6)
 _E4 = np.array([0.0, 0.0, 0.0, 1.0])  # bottom row of a pose
@@ -90,14 +92,14 @@ def pose_inv(T):
     return make_pose(Rt, -(Rt @ T[..., :3, 3:])[..., 0])
 
 
-def is_pose(T, tol=1e-9):
+def is_pose(T):
     """Whether each 4x4 of T (..., 4, 4) is a pose: an orthonormal right-handed
     rotation block and the bottom row [0, 0, 0, 1].  False for other shapes."""
     T = np.asarray(T)
     if T.shape[-2:] != (4, 4):
         return False
     R = T[..., :3, :3]
-    ortho = _norm(np.swapaxes(R, -1, -2) @ R - _I3, axis=(-2, -1)) < tol
+    ortho = _norm(np.swapaxes(R, -1, -2) @ R - _I3, axis=(-2, -1)) < POSE_TOL
     # the bottom row within np.allclose's default tolerances, at a fraction of its cost
     bottom = (np.abs(T[..., 3, :] - _E4) <= 1e-8 + 1e-5 * _E4).all(axis=-1)
     return ortho & (np.linalg.det(R) > 0) & bottom
@@ -253,7 +255,3 @@ def joint_jacobian(xi, q=1.0):
     O2 = O @ O
     return k1 * (_I6 + k2 * O + k3 * O2 + k4 * (O2 @ O) + k5 * (O2 @ O2))
 
-
-def left_jacobian(xi):
-    """Differential J(xi) of the exponential map at (..., 6) twists."""
-    return joint_jacobian(xi, 1.0)

@@ -34,21 +34,16 @@ def numeric_rank(singular_values, rel_threshold=1e-8):
 def solve_damped_normal(J, e, damping):
     """Solve (J^T J + damping*I) d = J^T e by Cholesky.
 
-    J must have at least as many rows as columns.  With damping == 0 a
-    rank-deficient J raises RankDeficientError carrying the numeric rank.
+    J must have at least as many rows as columns.  Raises
+    RankDeficientError, carrying the numeric rank of J, when the Cholesky
+    factorization fails; this is no rank test, since at zero damping a
+    rank-deficient J can still factor through round-off pivots.
     """
     J = np.asarray(J, dtype=float)
     e = np.asarray(e, dtype=float)
     rows, cols = J.shape
     if rows < cols:
         raise ValueError(f"J has fewer rows ({rows}) than columns ({cols})")
-    if damping < 0.0:
-        raise ValueError("damping must be nonnegative")
-    if damping == 0.0:
-        sv = np.linalg.svd(J, compute_uv=False)
-        rank = numeric_rank(sv, 1e-12)
-        if rank < cols:
-            raise RankDeficientError(rank, cols)
     N = J.T @ J + damping * np.eye(cols)
     rhs = J.T @ e
     try:

@@ -17,7 +17,8 @@ import numpy as np
 from . import liegroup as lie
 from .chain import DualArmSystem, Measurements, predict_B
 from .errors import InfeasibleSamplingError, ValidationError
-from .kinematics import forward_kinematics, model_from_dict, model_to_dict, perturb_model
+from .kinematics import (_require_fields, field_array, forward_kinematics, model_from_dict,
+                         model_to_dict, perturb_model)
 
 LEVEL_TAGS = ("L", "ML", "M", "MH", "H", "QH")
 
@@ -26,49 +27,28 @@ MEAN_NORM_FACTOR = float(np.sqrt(8.0 / np.pi))
 
 
 @dataclass
-class NoiseLevel:
-    """Measurement-noise level: isotropic Gaussian twist on B."""
+class Level:
+    """A kinematic-perturbation or measurement-noise level: the Gaussian
+    scales of a twist's rotation and translation parts."""
 
     tag: str
     rot_sigma: float    # radians
     trans_sigma: float  # meters
 
 
-@dataclass
-class KinLevel:
-    """Kinematic-perturbation level: per-joint twist increment scales."""
-
-    tag: str
-    rot_sigma: float    # radians, rotation part of each joint delta
-    trans_sigma: float  # meters, translation part of each joint delta
+_LEVELS = json.loads(resources.files("dualcal.assets").joinpath("levels.json").read_text())
 
 
-def _load_levels():
-    text = resources.files("dualcal.assets").joinpath("levels.json").read_text()
-    return json.loads(text)
-
-
-_LEVELS = _load_levels()
-
-
-def noise_level(tag):
-    """Measurement-noise level by tag; 'none' gives exact measurements."""
+def level(kind, tag):
+    """Level by kind ('kin' or 'noise') and tag; 'none' gives zero sigmas:
+    nominal twists or exact measurements."""
     if tag == "none":
-        return NoiseLevel("none", 0.0, 0.0)
-    if tag not in _LEVELS["noise"]:
-        raise ValidationError(f"unknown noise level '{tag}' (use {LEVEL_TAGS} or 'none')")
-    d = _LEVELS["noise"][tag]
-    return NoiseLevel(tag, d["rot_sigma"], d["trans_sigma"])
-
-
-def kin_level(tag):
-    """Kinematic-perturbation level by tag; 'none' keeps nominal twists."""
-    if tag == "none":
-        return KinLevel("none", 0.0, 0.0)
-    if tag not in _LEVELS["kin"]:
-        raise ValidationError(f"unknown kinematic level '{tag}' (use {LEVEL_TAGS} or 'none')")
-    d = _LEVELS["kin"][tag]
-    return KinLevel(tag, d["rot_sigma"], d["trans_sigma"])
+        return Level("none", 0.0, 0.0)
+    if tag not in _LEVELS[kind]:
+        name = {"kin": "kinematic", "noise": "noise"}[kind]
+        raise ValidationError(f"unknown {name} level '{tag}' (use {LEVEL_TAGS} or 'none')")
+    d = _LEVELS[kind][tag]
+    return Level(tag, d["rot_sigma"], d["trans_sigma"])
 
 
 def level_targets(kind, tag):
@@ -77,38 +57,33 @@ def level_targets(kind, tag):
     return d["target_rot_deg"], d["target_trans_mm"]
 
 
-def sample_configurations(m, n_joints, rng, q_min=0.15, d_min=0.3, max_tries=None):
+def sample_configurations(m, n_joints, rng, q_min=0.15, d_min=0.3):
     """m valid (q_a, q_c) pairs by rejection sampling.
 
     Validity: every joint of both arms stays away from zero
     (|q| >= q_min, where the joint twist contribution degenerates) and
     consecutive samples differ by at least d_min in joint-space
-    infinity-norm on each arm.
+    infinity-norm on each arm.  Gives up after 1000 m candidates.
     """
     if m < 1:
         raise ValidationError("m must be >= 1")
-    if max_tries is None:
-        max_tries = 1000 * m
+    for name, value in (("q_min", q_min), ("d_min", d_min)):
+        if not value >= 0:
+            raise ValidationError(f"{name} must be a nonnegative number, got {value}")
     out = []
-    prev = None
-    tries = 0
-    while len(out) < m:
-        if tries >= max_tries:
-            raise InfeasibleSamplingError(
-                f"could not draw {m} valid configurations in {max_tries} tries "
-                f"(q_min={q_min}, d_min={d_min})")
-        tries += 1
+    for _ in range(1000 * m):
         q_a = rng.uniform(-np.pi, np.pi, n_joints)
         q_c = rng.uniform(-np.pi, np.pi, n_joints)
         if np.abs(q_a).min() < q_min or np.abs(q_c).min() < q_min:
             continue
-        if prev is not None:
-            if (np.abs(q_a - prev[0]).max() < d_min or
-                    np.abs(q_c - prev[1]).max() < d_min):
-                continue
+        if out and (np.abs(q_a - out[-1][0]).max() < d_min or
+                    np.abs(q_c - out[-1][1]).max() < d_min):
+            continue
         out.append((q_a, q_c))
-        prev = (q_a, q_c)
-    return out
+        if len(out) == m:
+            return out
+    raise InfeasibleSamplingError(f"could not draw {m} valid configurations in {1000 * m} "
+                                  f"tries (q_min={q_min}, d_min={d_min})")
 
 
 def draw_joint_deltas(arm, level, rng):
@@ -167,13 +142,10 @@ def perturb_level(arm_a, arm_c, level, rng, report_configs=500):
     return gt_a, gt_c, report
 
 
-def noise_twist(level, rng):
-    d = np.zeros(6)
-    if level.rot_sigma > 0:
-        d[:3] = rng.normal(0.0, level.rot_sigma, 3)
-    if level.trans_sigma > 0:
-        d[3:] = rng.normal(0.0, level.trans_sigma, 3)
-    return d
+def noise_twists(level, rng, m):
+    """m measurement-noise twists (m, 6) in one draw: the same stream as m
+    draws of 3 rotation then 3 translation values."""
+    return rng.normal(0.0, np.repeat([level.rot_sigma, level.trans_sigma], 3), (m, 6))
 
 
 @dataclass
@@ -191,16 +163,14 @@ class SyntheticDataset:
         return self.nominal_system.n
 
 
-def synthesize(system_gt, system_nominal, configs, noise, rng, seed=None,
-               kin_tag="custom", noise_tag=None):
+def synthesize(system_gt, system_nominal, configs, noise, rng, seed=None, kin_tag="custom"):
     """Measurements B_i = gtB_i * exp(noise twist) over the configs."""
     q_a, q_c = np.array([q for q, _ in configs]), np.array([q for _, q in configs])
     B = predict_B(system_gt, q_a, q_c)
     if noise.rot_sigma > 0 or noise.trans_sigma > 0:
-        # one noise twist per sample, drawn in sample order
-        B = B @ lie.exp_se3(np.array([noise_twist(noise, rng) for _ in configs]))
+        B = B @ lie.exp_se3(noise_twists(noise, rng, len(configs)))
     return SyntheticDataset(system_nominal.copy(), system_gt.copy(), Measurements(q_a, q_c, B),
-                            seed, kin_tag, noise_tag or noise.tag)
+                            seed, kin_tag, noise.tag)
 
 
 def default_system():
@@ -226,12 +196,11 @@ def generate_dataset(m, kin_tag, noise_tag, seed, system=None, q_min=0.15,
     """
     rng = np.random.default_rng(seed)
     nominal = system.copy() if system is not None else default_system()
-    klevel = kin_level(kin_tag)
     gt_a, gt_c, report = perturb_level(nominal.sensor_arm, nominal.tool_arm,
-                                       klevel, rng, report_configs=200)
+                                       level("kin", kin_tag), rng, report_configs=200)
     gt = DualArmSystem(gt_a, gt_c, nominal.X.copy(), nominal.Y.copy(), nominal.Z.copy())
     configs = sample_configurations(m, nominal.n, rng, q_min=q_min, d_min=d_min)
-    ds = synthesize(gt, nominal, configs, noise_level(noise_tag), rng, seed=seed,
+    ds = synthesize(gt, nominal, configs, level("noise", noise_tag), rng, seed=seed,
                     kin_tag=kin_tag)
     ds.reports["kinematic_deviation"] = report
     return ds
@@ -249,11 +218,10 @@ def system_to_dict(system):
     }
 
 
-def system_from_dict(d):
-    for key in ("sensor_arm", "tool_arm", "X", "Y", "Z"):
-        if key not in d:
-            raise ValidationError(f"system is missing field '{key}'")
-    return DualArmSystem(model_from_dict(d["sensor_arm"]), model_from_dict(d["tool_arm"]),
+def system_from_dict(d, what="system"):
+    _require_fields(d, ("sensor_arm", "tool_arm", "X", "Y", "Z"), what)
+    return DualArmSystem(model_from_dict(d["sensor_arm"], "sensor_arm"),
+                         model_from_dict(d["tool_arm"], "tool_arm"),
                          *(field_array(d[k], k, (4, 4), "a pose is 4x4 row-major")
                            for k in "XYZ"))
 
@@ -271,22 +239,11 @@ def dataset_to_dict(ds, blind=False):
     }
 
 
-def field_array(obj, name, shape, expected):
-    """obj as a finite float array of `shape`, else a ValidationError naming it."""
-    try:
-        v = np.array(obj, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} is not an array of numbers") from None
-    if v.shape != shape:
-        raise ValidationError(f"{name} has {v.size} values, {expected}")
-    if not np.isfinite(v).all():
-        raise ValidationError(f"{name} has a non-finite value")
-    return v
-
-
 def _sample_field(raw, key, shape, expected, prefix="samples"):
     """Field `key` of every entry of the list `prefix`, stacked; a failure
     names the first bad entry."""
+    if not isinstance(raw, list):
+        raise ValidationError(f"{prefix} is not a list")
     try:
         return field_array([s[key] for s in raw], f"{prefix}[:].{key}", (len(raw),) + shape,
                            expected)
@@ -299,25 +256,18 @@ def _sample_field(raw, key, shape, expected, prefix="samples"):
 
 
 def dataset_from_dict(d):
-    for key in ("nominal_system", "samples", "seed", "kin_level", "noise_level"):
-        if key not in d:
-            raise ValidationError(f"dataset is missing field '{key}'")
+    _require_fields(d, ("nominal_system", "samples", "seed", "kin_level", "noise_level"),
+                    "dataset")
     if not d["samples"]:
         raise ValidationError("dataset field 'samples' is empty")
-    nominal = system_from_dict(d["nominal_system"])
+    nominal = system_from_dict(d["nominal_system"], "nominal_system")
     na, nc = nominal.sensor_arm.n, nominal.tool_arm.n
     samples = Measurements(
         _sample_field(d["samples"], "q_a", (na,), f"the sensor arm has {na} joints"),
         _sample_field(d["samples"], "q_c", (nc,), f"the tool arm has {nc} joints"),
         _sample_field(d["samples"], "B", (4, 4), "a pose is 4x4 row-major"))
-    gt = system_from_dict(d["gt_system"]) if d.get("gt_system") else None
+    gt = system_from_dict(d["gt_system"], "gt_system") if d.get("gt_system") else None
     return SyntheticDataset(nominal, gt, samples, d["seed"], d["kin_level"], d["noise_level"])
-
-
-def save_dataset(ds, path, blind=False):
-    with open(path, "w") as f:
-        json.dump(dataset_to_dict(ds, blind=blind), f)
-        f.write("\n")
 
 
 def _load_json(path, what):

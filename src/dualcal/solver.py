@@ -1,7 +1,7 @@
 """Damped Gauss-Newton refinement of X, Y, Z and both arms' joint twists."""
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -12,18 +12,9 @@ from .sdp_init import initialize
 
 log = logging.getLogger("dualcal")
 
-
-@dataclass
-class SolverConfig:
-    damping: float = 1e-3
-    tol_inf: float = 1e-3       # infinity-norm threshold on the increment
-    max_iters: int = 100
-
-    def __post_init__(self):
-        if self.tol_inf <= 0:
-            raise ValueError("tol_inf must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+# Fixed damping of every step and iteration cap of a solve; read at call time.
+DAMPING = 1e-3
+MAX_ITERS = 100
 
 
 @dataclass
@@ -35,67 +26,65 @@ class SolveTrace:
     iterations: int = 0
 
     def to_dict(self):
-        return {
-            "residual_norms": self.residual_norms,
-            "step_norms": self.step_norms,
-            "dampings": self.dampings,
-            "converged": self.converged,
-            "iterations": self.iterations,
-        }
+        return asdict(self)
 
 
-def step(system, samples, config):
+def step(system, samples):
     """One damped Gauss-Newton step.
 
     The residual model is e(system.apply_delta(d)) ~ e + J d, so the
-    increment minimizes |e + J d|^2 + damping*|d|^2, i.e. it solves
-    (J^T J + damping I) d = -J^T e.  Returns (new_system, delta, e).
+    increment minimizes |e + J d|^2 + DAMPING*|d|^2, i.e. it solves
+    (J^T J + DAMPING I) d = -J^T e.  Returns (new_system, delta, e).
     Raises StructureError when e or J is not finite.
     """
     e, J = stack(system, samples)
     if not (np.isfinite(e).all() and np.isfinite(J).all()):
         raise StructureError("residual or Jacobian is not finite")
-    delta = solve_damped_normal(J, -e, config.damping)
+    delta = solve_damped_normal(J, -e, DAMPING)
     return system.apply_delta(delta), delta, e
 
 
-def solve(initial, samples, config=None):
-    """Iterate until |delta|_inf <= tol_inf or max_iters.
+def solve(initial, samples, tol=1e-3):
+    """Iterate until |delta|_inf <= tol or MAX_ITERS.
 
     The trace records |e|, |delta|_inf and the damping per iteration;
     monotone decrease of |e| is not guaranteed (fixed damping, no line
-    search) but holds on well-initialized problems.
+    search) but holds on well-initialized problems.  Raises ValueError
+    unless tol > 0.
     """
-    if config is None:
-        config = SolverConfig()
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     system = initial
     trace = SolveTrace()
-    for _ in range(config.max_iters):
-        system, delta, e = step(system, samples, config)
+    for _ in range(MAX_ITERS):
+        system, delta, e = step(system, samples)
         step_inf = float(np.abs(delta).max())
         trace.residual_norms.append(float(np.linalg.norm(e)))
         trace.step_norms.append(step_inf)
-        trace.dampings.append(config.damping)
+        trace.dampings.append(DAMPING)
         trace.iterations += 1
-        if step_inf <= config.tol_inf:
+        if step_inf <= tol:
             trace.converged = True
             break
     if not trace.converged:
         log.warning("Gauss-Newton did not converge in %d iterations "
                     "(last |delta|_inf %.3e, tolerance %.3e)",
-                    trace.iterations, trace.step_norms[-1], config.tol_inf)
+                    trace.iterations, trace.step_norms[-1], tol)
     return system, trace
 
 
-def calibrate(nominal, samples, coords=None, config=None):
+def calibrate(nominal, samples, coords=None, tol=1e-3):
     """The unified calibration: certified estimate of X, Y, Z, then Gauss-Newton
-    over the coordinates and both arms' joint twists.
+    over the coordinates and both arms' joint twists, until |delta|_inf <= tol.
 
     nominal is the DualArmSystem whose arms start the refinement.
     coords=(X, Y, Z) replaces that estimate, and init is then None.
     Returns (init, final_system, trace).  Raises ValidationError when the
-    samples give fewer residual rows (6 each) than parameters (12n+18).
+    samples give fewer residual rows (6 each) than parameters (12n+18),
+    and ValueError unless tol > 0, both before the initialization runs.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     if 6 * len(samples) < nominal.dim:
         raise ValidationError(f"calibration needs at least {nominal.dim // 6} samples "
                               f"for {nominal.n} joints per arm, got {len(samples)}")
@@ -104,5 +93,5 @@ def calibrate(nominal, samples, coords=None, config=None):
         init = initialize(nominal.sensor_arm, nominal.tool_arm, samples)
         coords = init.X, init.Y, init.Z
     start = DualArmSystem(nominal.sensor_arm, nominal.tool_arm, *coords)
-    final, trace = solve(start, samples, config)
+    final, trace = solve(start, samples, tol)
     return init, final, trace

@@ -23,10 +23,8 @@ from dualcal.cli import main as cli_main
 from dualcal.evaluate import (ball_consistency, evaluate_samples,
                               min_enclosing_ball, sphere_fit)
 from dualcal.kinematics import RobotModel, forward_kinematics
-from dualcal.simulate import (default_system, generate_dataset, kin_level,
-                              level_targets, noise_level, noise_twist,
-                              perturb_level, sample_configurations)
-from dualcal.solver import SolverConfig
+from dualcal.simulate import (default_system, generate_dataset, level, level_targets,
+                              noise_twists, perturb_level, sample_configurations)
 from helpers import (brute_force_meb, fd_jacobian_columns, noise_free_samples,
                      rand_twist)
 
@@ -51,7 +49,7 @@ def split_dataset(m_cal, m_test, kin_tag, noise_tag, seed):
 
 
 def calibrate(ds, samples, tol=1e-8):
-    return solver.calibrate(ds.nominal_system, samples, config=SolverConfig(tol_inf=tol))
+    return solver.calibrate(ds.nominal_system, samples, tol=tol)
 
 
 def test_criterion_1_lie_kernels():
@@ -66,7 +64,7 @@ def test_criterion_1_lie_kernels():
     for _ in range(1000):
         xi = rand_twist(rng, wmax=2.5)
         d = rng.uniform(-1, 1, 6)
-        an = lie.left_jacobian(xi) @ d
+        an = lie.joint_jacobian(xi) @ d
         M = (lie.exp_se3(xi + h * d) - lie.exp_se3(xi - h * d)) / (2 * h) \
             @ lie.pose_inv(lie.exp_se3(xi))
         fd = np.concatenate([lie.unskew(0.5 * (M[:3, :3] - M[:3, :3].T)), M[:3, 3]])
@@ -85,7 +83,7 @@ def test_criterion_1_lie_kernels():
         above[:3] = w * lie.JACOBIAN_SMALL_ANGLE * (1 + 1e-12)
         below[:3] = w * lie.JACOBIAN_SMALL_ANGLE * (1 - 1e-12)
         worst_seam = max(worst_seam,
-                         np.abs(lie.left_jacobian(above) - lie.left_jacobian(below)).max())
+                         np.abs(lie.joint_jacobian(above) - lie.joint_jacobian(below)).max())
     dt = time.perf_counter() - t0
     ok = worst_rt < 1e-9 and worst_J < 1e-5 and worst_JJ < 1e-5 \
         and worst_seam < 1e-10 and dt < 10.0
@@ -255,8 +253,7 @@ def test_criterion_8_noise_model_fidelity():
     noise_ok = True
     details = []
     for tag in LEVELS:
-        lvl = noise_level(tag)
-        draws = np.array([noise_twist(lvl, rng) for _ in range(10000)])
+        draws = noise_twists(level("noise", tag), rng, 10000)
         rot_mean = np.degrees(np.linalg.norm(draws[:, :3], axis=1).mean())
         trans_mean = 1e3 * np.linalg.norm(draws[:, 3:], axis=1).mean()
         rot_t, trans_t = level_targets("noise", tag)
@@ -272,7 +269,7 @@ def test_criterion_8_noise_model_fidelity():
         rots, transs = [], []
         for _ in range(12):
             _, _, rep = perturb_level(system.sensor_arm, system.tool_arm,
-                                      kin_level(tag), rng, report_configs=120)
+                                      level("kin", tag), rng, report_configs=120)
             rots.append(rep["rot_mean_deg"])
             transs.append(rep["trans_mean_mm"])
         rot_t, trans_t = level_targets("kin", tag)

@@ -257,6 +257,64 @@ def test_non_object_json_exits_2_naming_file(workdir, calib_file, tmp_path, caps
     assert f"file {bad} is not a JSON object" in capsys.readouterr().err
 
 
+def tool_arm_ragged_twists(record):
+    record["tool_arm"]["joint_twists"][2].pop()
+
+
+@pytest.mark.parametrize("target, edit, message", [
+    ("data", lambda d: d.update(samples=5), "error: samples is not a list"),
+    ("clouds", lambda d: d.update(postures=5), "error: postures is not a list"),
+    ("system", lambda d: d.update(sensor_arm=5), "error: sensor_arm is not a JSON object"),
+    ("system", tool_arm_ragged_twists, "error: tool_arm.joint_twists is not an array of numbers"),
+    ("system", lambda d: d["sensor_arm"].update(n="6"),
+     "error: sensor_arm.n is not a positive integer: '6'"),
+], ids=["samples-int", "postures-int", "sensor_arm-int", "ragged-twists", "n-string"])
+def test_wrong_json_type_exits_2_naming_field(workdir, postures, calib_file, tmp_path, capsys,
+                                              target, edit, message):
+    record = {"data": json.loads((workdir / "data.json").read_text()),
+              "clouds": {"postures": copy.deepcopy(postures)},
+              "system": system_to_dict(default_system())}[target]
+    edit(record)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(record))
+    out = str(tmp_path / "out.json")
+    argv = {"data": ("init", "--data", str(bad)),
+            "clouds": ("ball-eval", "--clouds", str(bad), "--calib", str(calib_file)),
+            "system": ("generate", "--system", str(bad), "--samples", "5", "--seed", "1")}[target]
+    assert run(*argv, "--out", out) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("calibrate", "--data", "{data}", "--init", "{init}", "--tol", "nan"),
+     "tol must be positive, got nan"),
+    (("calibrate", "--data", "{data}", "--init", "{init}", "--tol", "0"),
+     "tol must be positive, got 0.0"),
+    (("generate", "--samples", "5", "--seed", "1", "--q-min", "nan"),
+     "q_min must be a nonnegative number, got nan"),
+    (("generate", "--samples", "5", "--seed", "1", "--q-min", "-0.1"),
+     "q_min must be a nonnegative number, got -0.1"),
+    (("generate", "--samples", "5", "--seed", "1", "--d-min", "nan"),
+     "d_min must be a nonnegative number, got nan"),
+    (("generate", "--samples", "5", "--seed", "1", "--d-min", "-0.1"),
+     "d_min must be a nonnegative number, got -0.1"),
+    (("identifiability", "--data", "{data}", "--q-min", "nan"),
+     "q_min must be a nonnegative number, got nan"),
+    (("identifiability", "--data", "{data}", "--q-min", "-0.1"),
+     "q_min must be a nonnegative number, got -0.1"),
+    (("generate", "--samples", "5", "--seed", "1", "--kin-level", "X"),
+     "unknown kinematic level 'X'"),
+], ids=["tol-nan", "tol-zero", "generate-q_min-nan", "generate-q_min-negative",
+        "d_min-nan", "d_min-negative", "identifiability-q_min-nan",
+        "identifiability-q_min-negative", "unknown-kin-level"])
+def test_bad_flag_value_exits_2_naming_it(workdir, init_file, tmp_path, capsys, argv, message):
+    files = {"data": workdir / "data.json", "init": init_file}
+    out = tmp_path / "out.json"
+    assert run(*(a.format(**files) for a in argv), "--out", str(out)) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_pose_in_calib_exits_2_naming_field(workdir, calib_file, tmp_path, capsys):
     d = json.loads(calib_file.read_text())
     d["X"] = "x"

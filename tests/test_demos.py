@@ -1,12 +1,13 @@
-"""Every numbered demo runs to completion (demos/retune_levels.py is a
-tuning run and stays out)."""
+"""Every numbered demo runs to completion; demos/retune_levels.py, a
+Monte-Carlo tuning run, is only loaded."""
 
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("0*.py"))
+DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
+DEMOS = sorted(DEMO_DIR.glob("0*.py"))
 
 
 def test_all_demos_found():
@@ -17,3 +18,9 @@ def test_all_demos_found():
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_retune_levels_loads():
+    # without run_name="__main__" the module body runs but main() does not
+    names = runpy.run_path(str(DEMO_DIR / "retune_levels.py"))
+    assert callable(names["main"]) and callable(names["measure_kin"])

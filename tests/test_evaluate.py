@@ -8,7 +8,7 @@ from dualcal.evaluate import (ball_consistency, evaluate_dataset, evaluate_sampl
                               min_enclosing_ball, sphere_fit)
 from dualcal.kinematics import forward_kinematics
 from dualcal.liegroup import rotation_angle
-from dualcal.simulate import NoiseLevel, default_system, sample_configurations, synthesize
+from dualcal.simulate import Level, default_system, sample_configurations, synthesize
 from helpers import brute_force_meb, loop_sphere_fit, noise_free_samples
 
 
@@ -73,7 +73,7 @@ def test_evaluate_dataset_modes(setup):
     rng = np.random.default_rng(4)
     nominal = default_system()
     configs = sample_configurations(10, 6, rng)
-    ds = synthesize(nominal, nominal, configs, NoiseLevel("none", 0, 0), rng)
+    ds = synthesize(nominal, nominal, configs, Level("none", 0, 0), rng)
     report = evaluate_dataset(ds, nominal, "joint")
     assert report.mode == "joint"
     assert report.e_rot.max() < 1e-12

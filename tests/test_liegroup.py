@@ -104,7 +104,7 @@ def _fd_dexp(xi, d, h=1e-6):
 
 
 def test_left_jacobian_at_zero():
-    assert np.array_equal(lie.left_jacobian(np.zeros(6)), np.eye(6))
+    assert np.array_equal(lie.joint_jacobian(np.zeros(6)), np.eye(6))
 
 
 def test_left_jacobian_finite_difference():
@@ -112,7 +112,7 @@ def test_left_jacobian_finite_difference():
     for _ in range(200):
         xi = rand_twist(rng, wmax=2.5)
         d = rng.uniform(-1, 1, 6)
-        an = lie.left_jacobian(xi) @ d
+        an = lie.joint_jacobian(xi) @ d
         fd = _fd_dexp(xi, d)
         assert np.abs(an - fd).max() <= 1e-5 * max(1.0, np.abs(an).max())
 
@@ -122,7 +122,7 @@ def test_left_jacobian_matches_series_at_tiny_angle():
     for _ in range(20):
         xi = rand_twist(rng, wmax=1.0)
         xi[:3] *= 1e-9 / max(np.linalg.norm(xi[:3]), 1e-300)
-        assert np.abs(lie.left_jacobian(xi) - dexp_taylor(lie.ad(xi), 10)).max() < 1e-10
+        assert np.abs(lie.joint_jacobian(xi) - dexp_taylor(lie.ad(xi), 10)).max() < 1e-10
 
 
 def test_left_jacobian_branch_seam_consistency():
@@ -135,7 +135,7 @@ def test_left_jacobian_branch_seam_consistency():
         above[:3] = w * (lie.JACOBIAN_SMALL_ANGLE * (1 + 1e-12))
         below = xi.copy()
         below[:3] = w * (lie.JACOBIAN_SMALL_ANGLE * (1 - 1e-12))
-        assert np.abs(lie.left_jacobian(above) - lie.left_jacobian(below)).max() < 1e-10
+        assert np.abs(lie.joint_jacobian(above) - lie.joint_jacobian(below)).max() < 1e-10
 
 
 def test_joint_jacobian_zero_motion_limit():
@@ -161,19 +161,12 @@ def test_joint_jacobian_finite_difference():
         assert np.abs(an - fd).max() <= 1e-5 * max(1.0, np.abs(an).max())
 
 
-def test_joint_jacobian_at_unit_q_equals_left_jacobian():
-    rng = np.random.default_rng(10)
-    for _ in range(50):
-        xi = rand_twist(rng)
-        assert np.abs(lie.joint_jacobian(xi, 1.0) - lie.left_jacobian(xi)).max() < 1e-14
-
-
 def test_prismatic_twist_supported():
     # zero rotation part goes through the series fallback
     xi = np.array([0.0, 0.0, 0.0, 0.3, -0.2, 0.5])
     T = lie.exp_se3(xi)
     assert np.allclose(T[:3, 3], xi[3:], atol=1e-15)
-    J = lie.left_jacobian(xi)
+    J = lie.joint_jacobian(xi)
     d = np.array([0.1, 0.2, 0.3, -0.1, 0.05, 0.0])
     assert np.abs(J @ d - _fd_dexp(xi, d)).max() < 1e-5
 
@@ -196,7 +189,7 @@ def test_batched_kernels_match_per_row_calls():
         batched = {
             "exp_se3": T,
             "log_se3": lie.log_se3(T),
-            "left_jacobian": lie.left_jacobian(xi),
+            "left_jacobian": lie.joint_jacobian(xi),
             "joint_jacobian": lie.joint_jacobian(xi, q),
             "adjoint": lie.adjoint(T),
             "pose_inv": lie.pose_inv(T),
@@ -206,7 +199,7 @@ def test_batched_kernels_match_per_row_calls():
             single = {
                 "exp_se3": lie.exp_se3(xi[i]),
                 "log_se3": lie.log_se3(T[i]),
-                "left_jacobian": lie.left_jacobian(xi[i]),
+                "left_jacobian": lie.joint_jacobian(xi[i]),
                 "joint_jacobian": lie.joint_jacobian(xi[i], q[i]),
                 "adjoint": lie.adjoint(T[i]),
                 "pose_inv": lie.pose_inv(T[i]),

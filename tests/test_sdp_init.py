@@ -9,7 +9,7 @@ from dualcal import sdp_init as sdp
 from dualcal.chain import Measurements
 from dualcal.errors import DegenerateSolutionError, StructureError
 from dualcal.evaluate import evaluate_samples
-from dualcal.simulate import default_system, generate_dataset, noise_level, noise_twist
+from dualcal.simulate import default_system, generate_dataset, level, noise_twists
 from helpers import noise_free_samples, rand_pose
 
 
@@ -244,9 +244,8 @@ def test_certify_rejects_corrupted_candidate(noise_free_setup, noise_free_soluti
 def test_lower_bound_and_eta_on_noisy_data():
     rng = np.random.default_rng(10)
     system = default_system()
-    level = noise_level("QH")
     clean = noise_free_samples(system, rng, 20)
-    noise = np.array([noise_twist(level, rng) for _ in range(len(clean))])
+    noise = noise_twists(level("noise", "QH"), rng, len(clean))
     samples = Measurements(clean.q_a, clean.q_c, clean.B @ lie.exp_se3(noise))
     problem = sdp.build_problem(system.sensor_arm, system.tool_arm, samples)
     res = sdp.solve_sdp(problem)

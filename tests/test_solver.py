@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from dualcal import liegroup as lie
+from dualcal import solver
 from dualcal.chain import DualArmSystem, Measurements, stack
-from dualcal.errors import RankDeficientError, StructureError, ValidationError
+from dualcal.errors import StructureError, ValidationError
 from dualcal.kinematics import perturb_model
 from dualcal.simulate import default_system
-from dualcal.solver import SolverConfig, calibrate, solve, step
+from dualcal.solver import calibrate, solve, step
 from helpers import noise_free_samples
 
 
@@ -27,7 +28,7 @@ def fields(system):
 
 def test_step_zero_residual_no_motion(setup):
     gt, samples = setup
-    new, delta, e = step(gt, samples, SolverConfig())
+    new, delta, e = step(gt, samples)
     assert np.abs(e).max() < 1e-12
     assert np.abs(delta).max() < 1e-12
     for a, b in zip(fields(new), fields(gt)):
@@ -40,7 +41,7 @@ def test_single_step_contracts_coordinate_error(setup):
     bump[6:12] = 1e-4  # Y only
     start = gt.apply_delta(bump)
     e0, _ = stack(start, samples)
-    new, _, _ = step(start, samples, SolverConfig(damping=1e-3))
+    new, _, _ = step(start, samples)
     e1, _ = stack(new, samples)
     assert np.linalg.norm(e1) < np.linalg.norm(e0) / 100.0
 
@@ -51,7 +52,7 @@ def test_solve_converges_quadratically_to_zero_residual(setup):
     gt, samples = setup
     rng = np.random.default_rng(1)
     start = gt.apply_delta(rng.normal(0, 1e-5, gt.dim))
-    final, trace = solve(start, samples, SolverConfig(tol_inf=1e-12))
+    final, trace = solve(start, samples, tol=1e-12)
     e, _ = stack(final, samples)
     assert trace.iterations <= 5
     assert np.linalg.norm(e) < 1e-12
@@ -59,7 +60,7 @@ def test_solve_converges_quadratically_to_zero_residual(setup):
 
 def test_solve_at_ground_truth_converges_immediately(setup):
     gt, samples = setup
-    final, trace = solve(gt, samples, SolverConfig(tol_inf=1e-9))
+    final, trace = solve(gt, samples, tol=1e-9)
     assert trace.converged
     assert trace.iterations == 1
     assert trace.step_norms[0] < 1e-10
@@ -74,7 +75,7 @@ def test_solve_recovers_from_kinematic_perturbation():
         nominal.X, nominal.Y, nominal.Z)
     samples = noise_free_samples(gt_system, rng, 80)
     holdout = noise_free_samples(gt_system, rng, 30)
-    final, trace = solve(nominal, samples, SolverConfig(tol_inf=1e-12))
+    final, trace = solve(nominal, samples, tol=1e-12)
     assert trace.converged
     e_train, _ = stack(final, samples)
     e_test, _ = stack(final, holdout)
@@ -87,8 +88,8 @@ def test_trace_is_deterministic(setup):
     gt, samples = setup
     rng = np.random.default_rng(3)
     start = gt.apply_delta(rng.normal(0, 1e-4, gt.dim))
-    f1, t1 = solve(start, samples, SolverConfig(tol_inf=1e-10))
-    f2, t2 = solve(start, samples, SolverConfig(tol_inf=1e-10))
+    f1, t1 = solve(start, samples, tol=1e-10)
+    f2, t2 = solve(start, samples, tol=1e-10)
     assert t1.residual_norms == t2.residual_norms
     assert t1.step_norms == t2.step_norms
     assert all(np.array_equal(a, b) for a, b in zip(fields(f1), fields(f2)))
@@ -107,7 +108,7 @@ def test_gauge_shift_of_zero_offset_absorbed():
     gt_system = DualArmSystem(shifted_arm, nominal.tool_arm,
                               nominal.X, nominal.Y, nominal.Z)
     samples = noise_free_samples(gt_system, rng, 60)
-    final, trace = solve(nominal, samples, SolverConfig(tol_inf=1e-12))  # nominal zero offset
+    final, trace = solve(nominal, samples, tol=1e-12)  # nominal zero offset
     e, _ = stack(final, samples)
     assert np.linalg.norm(e) < 1e-10
 
@@ -118,15 +119,9 @@ def test_final_residual_never_worse(setup):
     for trial in range(3):
         start = gt.apply_delta(rng.normal(0, 3e-4, gt.dim))
         e0, _ = stack(start, samples)
-        final, _ = solve(start, samples, SolverConfig(tol_inf=1e-10))
+        final, _ = solve(start, samples, tol=1e-10)
         e1, _ = stack(final, samples)
         assert np.linalg.norm(e1) <= np.linalg.norm(e0)
-
-
-def test_undamped_step_on_gauge_deficient_system_errors(setup):
-    gt, samples = setup
-    with pytest.raises(RankDeficientError):
-        step(gt, samples, SolverConfig(damping=0.0))
 
 
 def test_step_on_non_finite_residual_errors(setup):
@@ -135,23 +130,30 @@ def test_step_on_non_finite_residual_errors(setup):
     q_a[4, 2] = np.nan
     bad = Measurements(q_a, samples.q_c, samples.B)
     with pytest.raises(StructureError, match="not finite"):
-        step(gt, bad, SolverConfig())
+        step(gt, bad)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(tol_inf=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iters=0)
+def test_tol_validation(setup, monkeypatch):
+    gt, samples = setup
+
+    def no_sdp(*args, **kwargs):
+        raise AssertionError("the initialization ran although tol is invalid")
+    monkeypatch.setattr("dualcal.solver.initialize", no_sdp)
+    for tol in (0.0, -1e-3, float("nan")):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve(gt, samples, tol)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            calibrate(gt, samples, tol=tol)
 
 
-def test_solve_warns_only_when_not_converged(setup, caplog):
+def test_solve_warns_only_when_not_converged(setup, caplog, monkeypatch):
     gt, samples = setup
     start = gt.apply_delta(np.full(gt.dim, 1e-4))
     with caplog.at_level(logging.WARNING, logger="dualcal"):
-        _, trace = solve(start, samples, SolverConfig(tol_inf=1e-9))
+        _, trace = solve(start, samples, tol=1e-9)
         assert trace.converged and not caplog.records
-        _, trace = solve(start, samples, SolverConfig(tol_inf=1e-9, max_iters=1))
+        monkeypatch.setattr(solver, "MAX_ITERS", 1)
+        _, trace = solve(start, samples, tol=1e-9)
     assert not trace.converged
     assert len(caplog.records) == 1 and "did not converge" in caplog.records[0].getMessage()
 
@@ -170,8 +172,7 @@ def test_calibrate_from_given_coords_skips_sdp(monkeypatch):
     def no_sdp(*args, **kwargs):
         raise AssertionError("the SDP ran although coordinates were given")
     monkeypatch.setattr("dualcal.solver.initialize", no_sdp)
-    init, final, trace = calibrate(nominal, samples, (nominal.X, nominal.Y, nominal.Z),
-                                   SolverConfig(tol_inf=1e-12))
+    init, final, trace = calibrate(nominal, samples, (nominal.X, nominal.Y, nominal.Z), tol=1e-12)
     assert init is None
     assert trace.converged
     e, _ = stack(final, samples)
