@@ -26,7 +26,7 @@ ds = generate_dataset(m=40, kin_tag="MH", noise_tag="M", seed=7)
 nominal = ds.nominal_system
 print(f"dataset: {len(ds.samples)} samples, kinematic level MH, noise level M")
 
-problem = sdp.build_problem(nominal.sensor_arm, nominal.tool_arm, ds.samples)
+problem = sdp.build_problem(nominal, ds.samples)
 print(f"lifted QCQP: dim {sdp.DIM}, {len(problem.constraints)} quadratic "
       f"constraints, |Q|_F = {np.linalg.norm(problem.Q):.1f}")
 
@@ -42,7 +42,7 @@ res = sdp.solve_sdp(problem)
 print(f"ADMM fallback: {res.iterations} iterations in {time.perf_counter() - t0:.1f} s, "
       f"residuals {res.primal_res:.1e}/{res.dual_res:.1e}, p_sdp = {res.p_sdp:.6e}")
 w_star, X, Y, Z, rank_ratio = sdp.extract(res.W)
-eta, abs_gap, p_cert = sdp.certify(w_star, problem.Q, res.p_sdp, problem.residual_stack)
+eta, abs_gap, p_cert = sdp.certify(problem, w_star, res.p_sdp)
 print(f"rank ratio lambda2/lambda1 = {rank_ratio:.2e} (rank-1 => relaxation tight)")
 print(f"certificate: eta = {eta:.2e}, absolute gap = {abs_gap:.2e}")
 gap = max(np.abs(a - b).max() for a, b in ((init.X, X), (init.Y, Y), (init.Z, Z)))

@@ -7,6 +7,8 @@ deviations on held-out samples compare the coordinate-only
 initialization against the unified result.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from dualcal.evaluate import evaluate_samples
@@ -20,15 +22,14 @@ print(f"kinematic level H, measurement noise M; {len(cal)} calibration / "
       f"{len(test)} held-out samples")
 
 init, system, trace = calibrate(nominal, cal, tol=1e-8)
-print(f"SDP init: eta = {init.eta:.2e}, rank ratio = {init.rank_ratio:.2e}, "
-      f"{init.iterations} ADMM iterations")
+steps = {"certified-local": "Gauss-Newton", "admm": "ADMM"}[init.method]
+print(f"SDP init ({init.method}): eta = {init.eta:.2e}, rank ratio = {init.rank_ratio:.2e}, "
+      f"{init.iterations} {steps} iterations")
 print(f"unified refinement: {trace.iterations} iterations, |e| "
       f"{trace.residual_norms[0]:.3e} -> {trace.residual_norms[-1]:.3e}")
 
-rep_init = evaluate_samples(test, init.X, init.Y, init.Z,
-                            nominal.sensor_arm, nominal.tool_arm, "coordinate_only")
-rep_unified = evaluate_samples(test, system.X, system.Y, system.Z,
-                               system.sensor_arm, system.tool_arm, "joint")
+rep_init = evaluate_samples(replace(nominal, X=init.X, Y=init.Y, Z=init.Z), test)
+rep_unified = evaluate_samples(system, test)
 print("\nheld-out closed-loop deviations (mean over 40 samples):")
 print(f"  SDP init, nominal kinematics : "
       f"{np.degrees(rep_init.e_rot.mean()):.4f} deg / {1e3 * rep_init.e_trans.mean():.3f} mm")

@@ -7,12 +7,14 @@ radius of the minimum enclosing ball of the fitted centers scores the
 calibration (smaller = more consistent).
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from dualcal import liegroup as lie
 from dualcal.evaluate import ball_consistency
 from dualcal.kinematics import forward_kinematics
-from dualcal.simulate import default_system, generate_dataset
+from dualcal.simulate import generate_dataset
 
 rng = np.random.default_rng(3)
 ds = generate_dataset(m=10, kin_tag="none", noise_tag="none", seed=3)
@@ -32,15 +34,13 @@ for i in range(len(ds.samples)):
     clouds.append(lie.apply_pose(sensor_from_flange, pts_E2))
 print(f"rendered {len(clouds)} ball clouds (150 pts each, 20 um scan noise)")
 
-result = ball_consistency(clouds, q_a, q_c, system.X, system.Y,
-                          system.sensor_arm, system.tool_arm)
+result = ball_consistency(system, clouds, q_a, q_c)
 print(f"perfect calibration : r_MEB = {1e3 * result.r_meb:.4f} mm, "
       f"fitted radii {1e3 * result.radii.mean():.3f} mm")
 
 for dy_mm in (0.5, 1.0, 2.0):
     Y_bad = system.Y.copy()
     Y_bad[:3, 3] += np.array([dy_mm * 1e-3, 0, 0])
-    bad = ball_consistency(clouds, q_a, q_c, system.X, Y_bad,
-                           system.sensor_arm, system.tool_arm)
+    bad = ball_consistency(replace(system, Y=Y_bad), clouds, q_a, q_c)
     print(f"{dy_mm:.1f} mm base-offset error: r_MEB = {1e3 * bad.r_meb:.4f} mm")
 print("\nmiscalibration shows up directly as multi-view inconsistency.")

@@ -38,11 +38,11 @@ NOISE_TARGETS = {
 def measure_kin(arm, rot_sigma, trans_sigma, rng, n_pert=48, n_cfg=160):
     """Monte-Carlo mean (rot deg, trans mm) FK deviation at given sigmas."""
     level = Level("probe", rot_sigma, trans_sigma)
-    configs = [q for q, _ in sample_configurations(n_cfg, arm.n, rng, d_min=0.0)]
+    q, _ = sample_configurations(n_cfg, arm.n, rng, d_min=0.0)
     rots, transs = [], []
     for _ in range(n_pert):
         gt = perturb_model(arm, draw_joint_deltas(arm, level, rng))
-        rot, trans = pose_deviation(arm, gt, configs)
+        rot, trans = pose_deviation(arm, gt, q)
         rots.append(rot.mean())
         transs.append(trans.mean())
     return np.degrees(np.mean(rots)), 1e3 * np.mean(transs)

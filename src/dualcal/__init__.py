@@ -7,7 +7,7 @@ certifiably correct SDP initialization for the coordinates.
 """
 
 from .chain import DualArmSystem, Measurements, identifiability_report
-from .evaluate import ball_consistency, evaluate_dataset
+from .evaluate import ball_consistency, evaluate_samples
 from .kinematics import RobotModel
 from .sdp_init import initialize
 from .simulate import generate_dataset, load_dataset

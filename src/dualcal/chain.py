@@ -211,8 +211,9 @@ class IdentifiabilityReport:
         return {**asdict(self), "singular_values": self.singular_values.tolist()}
 
 
-def identifiability_report(J, samples, q_min=0.15):
-    """Rank/conditioning diagnostics of a stacked Jacobian.
+def identifiability_report(system, samples, q_min=0.15):
+    """Rank/conditioning diagnostics of the stacked Jacobian J of a system
+    on samples.
 
     Reports the singular values of J, the numeric rank at
     sigma_max * RANK_REL_THRESHOLD, the condition number, and the samples
@@ -226,7 +227,7 @@ def identifiability_report(J, samples, q_min=0.15):
     """
     if not q_min >= 0:
         raise ValidationError(f"q_min must be a nonnegative number, got {q_min}")
-    J = np.asarray(J, dtype=float)
+    _, J = stack(system, samples)
     sv = np.linalg.svd(J, compute_uv=False)
     rank = numeric_rank(sv, RANK_REL_THRESHOLD)
     needed = J.shape[1]

@@ -12,12 +12,13 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .chain import identifiability_report, residual, stack
+from .chain import identifiability_report, residual
 from .errors import CalibrationError, RankDeficientError, ValidationError
-from .evaluate import ball_consistency, evaluate_dataset
+from .evaluate import ball_consistency, evaluate_samples
 from .kinematics import _require_fields, field_array
 from .sdp_init import initialize
 from .simulate import (_load_json, _sample_field, dataset_to_dict, default_system,
@@ -52,22 +53,20 @@ def cmd_generate(args):
 
 def cmd_init(args):
     ds = load_dataset(args.data)
-    nominal = ds.nominal_system
-    init = initialize(nominal.sensor_arm, nominal.tool_arm, ds.samples)
+    init = initialize(ds.nominal_system, ds.samples)
     _write_json(init.to_dict(), args.out)
     return 0
 
 
 def cmd_calibrate(args):
     ds = load_dataset(args.data)
-    nominal = ds.nominal_system
     coords = init_record = None
     if args.init:
         init_record = _load_json(args.init, "init")
         _require_fields(init_record, "XYZ", "init")
         coords = [field_array(init_record[k], k, (4, 4), "a pose is 4x4 row-major")
                   for k in "XYZ"]
-    init, final, trace = calibrate(nominal, ds.samples, coords, args.tol)
+    init, final, trace = calibrate(ds.nominal_system, ds.samples, coords, args.tol)
     if init is not None:
         init_record = init.to_dict()
     out = system_to_dict(final)
@@ -88,10 +87,14 @@ def _load_calib_system(path):
 def cmd_evaluate(args):
     ds = load_dataset(args.data)
     calib = _load_calib_system(args.calib)
-    report = evaluate_dataset(ds, calib, "coordinate_only" if args.nominal_kinematics else "joint")
-    _write_json(report.to_dict(), args.out)
+    mode = "joint"
+    if args.nominal_kinematics:  # score X, Y, Z alone, on the nominal arms
+        nominal = ds.nominal_system
+        calib = replace(calib, sensor_arm=nominal.sensor_arm, tool_arm=nominal.tool_arm)
+        mode = "coordinate_only"
+    d = {"mode": mode, **evaluate_samples(calib, ds.samples).to_dict()}
+    _write_json(d, args.out)
     if args.csv:
-        d = report.to_dict()
         with open(args.csv, "w") as f:
             f.write("metric,mean,std,median,q1,q3,max\n")
             for name in ("rot_deg", "trans_mm"):
@@ -105,22 +108,21 @@ def cmd_evaluate(args):
 def cmd_identifiability(args):
     ds = load_dataset(args.data)
     source = _load_calib_system(args.calib) if args.calib else ds.nominal_system
-    _, J = stack(source, ds.samples)
-    report = identifiability_report(J, ds.samples, q_min=args.q_min)
+    report = identifiability_report(source, ds.samples, q_min=args.q_min)
     _write_json(report.to_dict(), args.out)
     return 0
 
 
-def _load_postures(path, na, nc):
-    """Joint readings (m, na), (m, nc) and the list of (N_i, 3) clouds of a
+def _load_postures(path, n):
+    """Joint readings q_a, q_c (m, n) and the list of (N_i, 3) clouds of a
     clouds file; the parsed JSON is freed on return, before the fit."""
     d = _load_json(path, "clouds")
     _require_fields(d, ("postures",), "clouds file")
     postures = d["postures"]
     if not postures:
         raise ValidationError("clouds field 'postures' is empty")
-    q_a = _sample_field(postures, "q_a", (na,), f"the sensor arm has {na} joints", "postures")
-    q_c = _sample_field(postures, "q_c", (nc,), f"the tool arm has {nc} joints", "postures")
+    q_a = _sample_field(postures, "q_a", (n,), f"the sensor arm has {n} joints", "postures")
+    q_c = _sample_field(postures, "q_c", (n,), f"the tool arm has {n} joints", "postures")
     clouds = []
     for i, p in enumerate(postures):
         _require_fields(p, ("points",), f"postures[{i}]")
@@ -137,12 +139,10 @@ def cmd_ball_eval(args):
         if not args.data:
             raise ValidationError("--nominal-kinematics needs --data for the nominal arms")
         nominal = load_dataset(args.data).nominal_system
-        arm_a, arm_c = nominal.sensor_arm, nominal.tool_arm
-    else:
-        arm_a, arm_c = calib.sensor_arm, calib.tool_arm
-    q_a, q_c, clouds = _load_postures(args.clouds, arm_a.n, arm_c.n)
+        calib = replace(calib, sensor_arm=nominal.sensor_arm, tool_arm=nominal.tool_arm)
+    q_a, q_c, clouds = _load_postures(args.clouds, calib.n)
     try:
-        result = ball_consistency(clouds, q_a, q_c, calib.X, calib.Y, arm_a, arm_c)
+        result = ball_consistency(calib, clouds, q_a, q_c)
     except RankDeficientError as exc:
         raise ValidationError(f"postures[{exc.index}].points do not determine a sphere: "
                               "need 4 or more points, not all in one plane") from None

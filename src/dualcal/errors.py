@@ -14,7 +14,8 @@ class NearPiRotationError(CalibrationError):
 
 
 class RankDeficientError(CalibrationError):
-    """Linear system is rank deficient (undamped solve only)."""
+    """A fit or solve is rank deficient: a degenerate cloud in the sphere fit,
+    or a failed Cholesky factorization in the damped normal-equation solve."""
 
     def __init__(self, rank, needed, index=None):
         self.rank = rank

@@ -17,16 +17,8 @@ from .kinematics import forward_kinematics
 log = logging.getLogger("dualcal")
 
 
-def _loop_deviations(samples, X, Y, Z, arm_a, arm_c):
-    """Loop deviations E = (A X B)^-1 Y C Z, (m, 4, 4), with A and C from
-    the given arms: nominal ones score a coordinate-only calibration."""
-    A, C = forward_kinematics(arm_a, samples.q_a), forward_kinematics(arm_c, samples.q_c)
-    return lie.pose_inv(A @ X @ samples.B) @ Y @ C @ Z
-
-
 @dataclass
 class EvalReport:
-    mode: str
     e_rot: np.ndarray    # radians, per sample
     e_trans: np.ndarray  # meters, per sample
 
@@ -40,7 +32,6 @@ class EvalReport:
         rot_deg = np.degrees(self.e_rot)
         trans_mm = 1e3 * self.e_trans
         return {
-            "mode": self.mode,
             "e_rot_deg": rot_deg.tolist(),
             "e_trans_mm": trans_mm.tolist(),
             "rot_deg": self._stats(rot_deg),
@@ -48,27 +39,16 @@ class EvalReport:
         }
 
 
-def evaluate_samples(samples, X, Y, Z, arm_a, arm_c, mode):
-    E = _loop_deviations(samples, X, Y, Z, arm_a, arm_c)
-    return EvalReport(mode, lie.rotation_angle(E[:, :3, :3]),
-                      np.linalg.norm(E[:, :3, 3], axis=-1))
+def evaluate_samples(system, samples):
+    """Closed-loop report of a system on samples, from the loop deviations
+    E = (A X B)^-1 Y C Z with A and C from the system's own arms.
 
-
-def evaluate_dataset(dataset, calib_system, mode="joint"):
-    """Closed-loop report for a calibration result on a dataset.
-
-    mode 'joint' recomputes A/C with the calibrated kinematics; mode
-    'coordinate_only' keeps the dataset's nominal kinematics so only
-    X, Y, Z are evaluated.
-    """
-    if mode == "joint":
-        arm_a, arm_c = calib_system.sensor_arm, calib_system.tool_arm
-    elif mode == "coordinate_only":
-        arm_a, arm_c = dataset.nominal_system.sensor_arm, dataset.nominal_system.tool_arm
-    else:
-        raise ValueError(f"unknown evaluation mode '{mode}'")
-    return evaluate_samples(dataset.samples, calib_system.X, calib_system.Y,
-                            calib_system.Z, arm_a, arm_c, mode)
+    A system that carries the nominal arms scores X, Y, Z alone, as a
+    coordinate-only calibration."""
+    A = forward_kinematics(system.sensor_arm, samples.q_a)
+    C = forward_kinematics(system.tool_arm, samples.q_c)
+    E = lie.pose_inv(A @ system.X @ samples.B) @ system.Y @ C @ system.Z
+    return EvalReport(lie.rotation_angle(E[:, :3, :3]), np.linalg.norm(E[:, :3, 3], axis=-1))
 
 
 # --- sphere fitting --------------------------------------------------------
@@ -222,13 +202,13 @@ class BallConsistency:
         }
 
 
-def ball_consistency(point_clouds, q_a, q_c, X, Y, arm_a, arm_c):
+def ball_consistency(system, point_clouds, q_a, q_c):
     """Cooperative-measuring consistency score.
 
     point_clouds holds one (N_i, 3) sensor-frame cloud per posture and
     q_a, q_c the (m, n) joint readings of the postures.  Each cloud is
     mapped to the common tool-flange frame by p' = C^-1 Y^-1 A X p with
-    A, C from the supplied arms, a sphere is fitted per posture (one
+    A, C from the system's arms, a sphere is fitted per posture (one
     batched fit per distinct point count), and the minimum enclosing ball
     of the fitted centers gives r_MEB (smaller is better).  A degenerate
     cloud raises RankDeficientError whose ``index`` is the first such
@@ -237,8 +217,8 @@ def ball_consistency(point_clouds, q_a, q_c, X, Y, arm_a, arm_c):
     m = len(point_clouds)
     if m == 0 or len(q_a) != m or len(q_c) != m:
         raise ValueError("need one point cloud per posture, and at least one posture")
-    A, C = forward_kinematics(arm_a, q_a), forward_kinematics(arm_c, q_c)
-    T = lie.pose_inv(C) @ lie.pose_inv(Y) @ A @ X
+    A, C = forward_kinematics(system.sensor_arm, q_a), forward_kinematics(system.tool_arm, q_c)
+    T = lie.pose_inv(C) @ lie.pose_inv(system.Y) @ A @ system.X
     counts = np.array([len(cloud) for cloud in point_clouds])
     centers, radii, rmss = np.empty((m, 3)), np.empty(m), np.empty(m)
     degenerate = []

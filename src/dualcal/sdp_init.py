@@ -268,15 +268,15 @@ class SDPProblem:
     residual_stack: np.ndarray  # rows G with Q = G^T G
 
 
-def build_problem(sensor_arm, tool_arm, samples):
+def build_problem(nominal, samples):
     """Assemble the SDP from nominal-kinematics poses and measured B.
 
-    A_i and C_i come from the nominal forward kinematics: at
-    initialization time kinematic error is part of the measurement
-    noise.
+    A_i and C_i come from the forward kinematics of the nominal system's
+    arms: at initialization time kinematic error is part of the
+    measurement noise.
     """
-    G = build_residual_stack(forward_kinematics(sensor_arm, samples.q_a), samples.B,
-                             forward_kinematics(tool_arm, samples.q_c))
+    G = build_residual_stack(forward_kinematics(nominal.sensor_arm, samples.q_a), samples.B,
+                             forward_kinematics(nominal.tool_arm, samples.q_c))
     return SDPProblem(symmetrize(G.T @ G), build_constraints(), G)
 
 
@@ -398,8 +398,9 @@ def extract(W):
     return lift(X, Y, Z), X, Y, Z, rank_ratio
 
 
-def certify(w_star, Q, p_sdp, residual_stack):
-    """A-posteriori sub-optimality gap of a feasible candidate.
+def certify(problem, w_star, bound):
+    """A-posteriori sub-optimality gap of a feasible candidate against a
+    lower bound of the SDP (the ADMM objective or the Lagrangian bound).
 
     Returns (eta, abs_gap, p_certified).  The candidate objective is
     evaluated through the residual stack G as |G w|^2 (a sum of squares,
@@ -410,10 +411,10 @@ def certify(w_star, Q, p_sdp, residual_stack):
     noise.  The denominator floor 1e-12*tr(Q) guards the noise-free case
     where the optimum itself vanishes.
     """
-    r = residual_stack @ w_star
+    r = problem.residual_stack @ w_star
     obj = float(r @ r)
-    p_cert = max(min(float(p_sdp), obj), 0.0)
-    floor = 1e-12 * float(np.trace(Q))
+    p_cert = max(min(float(bound), obj), 0.0)
+    floor = 1e-12 * float(np.trace(problem.Q))
     abs_gap = obj - p_cert
     eta = abs_gap / max(p_cert, floor)
     return float(eta), float(abs_gap), float(p_cert)
@@ -510,7 +511,7 @@ def certified_local(problem):
     def fail(reason):
         log.info("certified-local init failed (%s); falling back to ADMM", reason)
 
-    G, Q = problem.residual_stack, problem.Q
+    G = problem.residual_stack
     if not np.isfinite(G).all():
         return fail("the residual stack has a non-finite entry")
     try:
@@ -522,21 +523,21 @@ def certified_local(problem):
         return fail(f"Gauss-Newton did not converge in {iterations} iterations")
     w = lift(X, Y, Z)
     bound, lambda_min_rel = lagrangian_bound(problem, w)
-    eta, abs_gap, p_cert = certify(w, Q, bound, G)
+    eta, abs_gap, p_cert = certify(problem, w, bound)
     if not (lambda_min_rel >= -CERT_EIG_TOL and eta <= CERT_ETA):
         return fail(f"lambda_min(S)/tr(Q) = {lambda_min_rel:.3e}, eta = {eta:.3e}")
     return InitResult(X, Y, Z, eta, abs_gap, p_cert, 0.0, iterations, True,
                       None, None, "certified-local", lambda_min_rel)
 
 
-def initialize(sensor_arm, tool_arm, samples):
-    """Full certifiable initialization pipeline.
+def initialize(nominal, samples):
+    """Full certifiable initialization pipeline, on the nominal system's arms.
 
     Tries certified_local first; when its certificate fails, solves the
     SDP by ADMM, extracts and certifies.
     """
     log.info("certifiable initialization (m=%d samples)", len(samples))
-    problem = build_problem(sensor_arm, tool_arm, samples)
+    problem = build_problem(nominal, samples)
     init = certified_local(problem)
     if init is not None:
         log.info("init: certified-local, eta=%.3e lambda_min_rel=%.3e iters=%d",
@@ -544,8 +545,7 @@ def initialize(sensor_arm, tool_arm, samples):
         return init
     res = solve_sdp(problem)
     w_star, X, Y, Z, rank_ratio = extract(res.W)
-    eta, abs_gap, p_cert = certify(w_star, problem.Q, res.p_sdp,
-                                   problem.residual_stack)
+    eta, abs_gap, p_cert = certify(problem, w_star, res.p_sdp)
     log.info("init: admm, eta=%.3e rank_ratio=%.3e iters=%d", eta, rank_ratio, res.iterations)
     if not res.converged:
         log.warning("SDP initialization: ADMM did not converge in %d iterations "

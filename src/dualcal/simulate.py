@@ -9,7 +9,7 @@ and are frozen in assets/levels.json.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
@@ -17,8 +17,8 @@ import numpy as np
 from . import liegroup as lie
 from .chain import DualArmSystem, Measurements, predict_B
 from .errors import InfeasibleSamplingError, ValidationError
-from .kinematics import (_require_fields, field_array, forward_kinematics, model_from_dict,
-                         model_to_dict, perturb_model)
+from .kinematics import (_require_fields, default_arm, field_array, forward_kinematics,
+                         model_from_dict, model_to_dict, perturb_model)
 
 LEVEL_TAGS = ("L", "ML", "M", "MH", "H", "QH")
 
@@ -58,30 +58,37 @@ def level_targets(kind, tag):
 
 
 def sample_configurations(m, n_joints, rng, q_min=0.15, d_min=0.3):
-    """m valid (q_a, q_c) pairs by rejection sampling.
+    """Joint readings q_a, q_c (m, n_joints) of m valid configurations, by
+    rejection sampling.
 
     Validity: every joint of both arms stays away from zero
     (|q| >= q_min, where the joint twist contribution degenerates) and
     consecutive samples differ by at least d_min in joint-space
-    infinity-norm on each arm.  Gives up after 1000 m candidates.
+    infinity-norm on each arm.  Draws lie in [-pi, pi), so a q_min of pi
+    or more, or a d_min of 2 pi or more for m >= 2, is refused before
+    drawing.  Gives up after 1000 m candidates.
     """
     if m < 1:
         raise ValidationError("m must be >= 1")
-    for name, value in (("q_min", q_min), ("d_min", d_min)):
+    for name, value, bound, text in (("q_min", q_min, np.pi, "pi"),
+                                     ("d_min", d_min, 2 * np.pi if m > 1 else np.inf, "2 pi")):
         if not value >= 0:
             raise ValidationError(f"{name} must be a nonnegative number, got {value}")
-    out = []
+        if value >= bound:
+            raise ValidationError(f"{name} must be less than {text}, since joint draws lie "
+                                  f"in [-pi, pi), got {value}")
+    q_a, q_c = [], []
     for _ in range(1000 * m):
-        q_a = rng.uniform(-np.pi, np.pi, n_joints)
-        q_c = rng.uniform(-np.pi, np.pi, n_joints)
-        if np.abs(q_a).min() < q_min or np.abs(q_c).min() < q_min:
+        a = rng.uniform(-np.pi, np.pi, n_joints)
+        c = rng.uniform(-np.pi, np.pi, n_joints)
+        if np.abs(a).min() < q_min or np.abs(c).min() < q_min:
             continue
-        if out and (np.abs(q_a - out[-1][0]).max() < d_min or
-                    np.abs(q_c - out[-1][1]).max() < d_min):
+        if q_a and (np.abs(a - q_a[-1]).max() < d_min or np.abs(c - q_c[-1]).max() < d_min):
             continue
-        out.append((q_a, q_c))
-        if len(out) == m:
-            return out
+        q_a.append(a)
+        q_c.append(c)
+        if len(q_a) == m:
+            return np.array(q_a), np.array(q_c)
     raise InfeasibleSamplingError(f"could not draw {m} valid configurations in {1000 * m} "
                                   f"tries (q_min={q_min}, d_min={d_min})")
 
@@ -111,20 +118,20 @@ def draw_joint_deltas(arm, level, rng):
     return deltas
 
 
-def pose_deviation(arm_nom, arm_gt, configs):
-    """Rotation (rad) and translation (m) FK deviations per config."""
-    Tn = forward_kinematics(arm_nom, np.array(configs))
-    Tg = forward_kinematics(arm_gt, np.array(configs))
+def pose_deviation(arm_nom, arm_gt, q):
+    """Rotation (rad) and translation (m) FK deviations at (m, n) joint values."""
+    Tn, Tg = forward_kinematics(arm_nom, q), forward_kinematics(arm_gt, q)
     rot = lie.rotation_angle(Tn[:, :3, :3] @ np.swapaxes(Tg[:, :3, :3], -1, -2))
     return rot, np.linalg.norm(Tn[:, :3, 3] - Tg[:, :3, 3], axis=-1)
 
 
-def perturb_level(arm_a, arm_c, level, rng, report_configs=500):
-    """Perturb both arms at the given level and report the induced
-    end-pose deviations (mean/std, degrees and millimeters) over random
-    valid configurations."""
-    gt_a = perturb_model(arm_a, draw_joint_deltas(arm_a, level, rng))
-    gt_c = perturb_model(arm_c, draw_joint_deltas(arm_c, level, rng))
+def perturb_level(system, level, rng, report_configs=500):
+    """Ground-truth system with both arms perturbed at the given level, and
+    a report of the induced end-pose deviations (mean/std, degrees and
+    millimeters) over random valid configurations."""
+    arms = {"sensor_arm": system.sensor_arm, "tool_arm": system.tool_arm}
+    gt = replace(system, **{name: perturb_model(arm, draw_joint_deltas(arm, level, rng))
+                            for name, arm in arms.items()})
     def stats(rot, trans):
         return {"rot_mean_deg": float(np.degrees(rot.mean())),
                 "rot_std_deg": float(np.degrees(rot.std())),
@@ -133,13 +140,12 @@ def perturb_level(arm_a, arm_c, level, rng, report_configs=500):
 
     report = {"level": level.tag}
     deviations = []
-    for name, nom, gt in (("sensor_arm", arm_a, gt_a), ("tool_arm", arm_c, gt_c)):
-        configs = [q for q, _ in sample_configurations(report_configs, nom.n, rng,
-                                                       d_min=0.0)]
-        deviations.append(pose_deviation(nom, gt, configs))
+    for name, nom in arms.items():
+        q, _ = sample_configurations(report_configs, nom.n, rng, d_min=0.0)
+        deviations.append(pose_deviation(nom, getattr(gt, name), q))
         report[name] = stats(*deviations[-1])
     report.update(stats(*(np.concatenate(d) for d in zip(*deviations))))
-    return gt_a, gt_c, report
+    return gt, report
 
 
 def noise_twists(level, rng, m):
@@ -153,24 +159,18 @@ class SyntheticDataset:
     nominal_system: DualArmSystem
     gt_system: DualArmSystem  # None in blind exports
     samples: Measurements
-    seed: int
+    seed: int                 # seed and levels are None in a dataset that does not record them
     kin_level: str
     noise_level: str
     reports: dict = field(default_factory=dict)
 
-    @property
-    def n(self):
-        return self.nominal_system.n
 
-
-def synthesize(system_gt, system_nominal, configs, noise, rng, seed=None, kin_tag="custom"):
-    """Measurements B_i = gtB_i * exp(noise twist) over the configs."""
-    q_a, q_c = np.array([q for q, _ in configs]), np.array([q for _, q in configs])
+def synthesize(system_gt, q_a, q_c, noise, rng):
+    """Measurements B_i = gtB_i * exp(noise twist) at (m, n) joint readings."""
     B = predict_B(system_gt, q_a, q_c)
     if noise.rot_sigma > 0 or noise.trans_sigma > 0:
-        B = B @ lie.exp_se3(noise_twists(noise, rng, len(configs)))
-    return SyntheticDataset(system_nominal.copy(), system_gt.copy(), Measurements(q_a, q_c, B),
-                            seed, kin_tag, noise.tag)
+        B = B @ lie.exp_se3(noise_twists(noise, rng, len(q_a)))
+    return Measurements(q_a, q_c, B)
 
 
 def default_system():
@@ -179,7 +179,6 @@ def default_system():
     Two UR5-like arms with bases 1.2 m apart and rotated 2.3 rad about
     the vertical, plus small flange-to-sensor and flange-to-tool offsets.
     """
-    from .kinematics import default_arm
     X = lie.exp_se3(np.array([0.10, -0.05, 0.15, 0.05, -0.03, 0.08]))
     Y = lie.exp_se3(np.array([0.05, 0.08, 2.30, 1.15, -0.35, 0.10]))
     Z = lie.exp_se3(np.array([-0.10, 0.20, 0.30, 0.02, 0.04, -0.06]))
@@ -196,14 +195,11 @@ def generate_dataset(m, kin_tag, noise_tag, seed, system=None, q_min=0.15,
     """
     rng = np.random.default_rng(seed)
     nominal = system.copy() if system is not None else default_system()
-    gt_a, gt_c, report = perturb_level(nominal.sensor_arm, nominal.tool_arm,
-                                       level("kin", kin_tag), rng, report_configs=200)
-    gt = DualArmSystem(gt_a, gt_c, nominal.X.copy(), nominal.Y.copy(), nominal.Z.copy())
-    configs = sample_configurations(m, nominal.n, rng, q_min=q_min, d_min=d_min)
-    ds = synthesize(gt, nominal, configs, level("noise", noise_tag), rng, seed=seed,
-                    kin_tag=kin_tag)
-    ds.reports["kinematic_deviation"] = report
-    return ds
+    gt, report = perturb_level(nominal, level("kin", kin_tag), rng, report_configs=200)
+    q_a, q_c = sample_configurations(m, nominal.n, rng, q_min=q_min, d_min=d_min)
+    samples = synthesize(gt, q_a, q_c, level("noise", noise_tag), rng)
+    return SyntheticDataset(nominal, gt, samples, seed, kin_tag, noise_tag,
+                            {"kinematic_deviation": report})
 
 
 # --- JSON schema -----------------------------------------------------------
@@ -256,8 +252,7 @@ def _sample_field(raw, key, shape, expected, prefix="samples"):
 
 
 def dataset_from_dict(d):
-    _require_fields(d, ("nominal_system", "samples", "seed", "kin_level", "noise_level"),
-                    "dataset")
+    _require_fields(d, ("nominal_system", "samples"), "dataset")
     if not d["samples"]:
         raise ValidationError("dataset field 'samples' is empty")
     nominal = system_from_dict(d["nominal_system"], "nominal_system")
@@ -267,7 +262,8 @@ def dataset_from_dict(d):
         _sample_field(d["samples"], "q_c", (nc,), f"the tool arm has {nc} joints"),
         _sample_field(d["samples"], "B", (4, 4), "a pose is 4x4 row-major"))
     gt = system_from_dict(d["gt_system"], "gt_system") if d.get("gt_system") else None
-    return SyntheticDataset(nominal, gt, samples, d["seed"], d["kin_level"], d["noise_level"])
+    return SyntheticDataset(nominal, gt, samples, d.get("seed"), d.get("kin_level"),
+                            d.get("noise_level"))
 
 
 def _load_json(path, what):

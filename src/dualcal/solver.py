@@ -90,7 +90,7 @@ def calibrate(nominal, samples, coords=None, tol=1e-3):
                               f"for {nominal.n} joints per arm, got {len(samples)}")
     init = None
     if coords is None:
-        init = initialize(nominal.sensor_arm, nominal.tool_arm, samples)
+        init = initialize(nominal, samples)
         coords = init.X, init.Y, init.Z
     start = DualArmSystem(nominal.sensor_arm, nominal.tool_arm, *coords)
     final, trace = solve(start, samples, tol)

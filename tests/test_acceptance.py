@@ -10,6 +10,7 @@ body and tests/test_chain.py for the verification.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -122,8 +123,7 @@ def test_criterion_3_noise_free_exact_recovery():
     t0 = time.perf_counter()
     ds, cal, test = split_dataset(80, 40, "M", "none", seed=300)
     init, system, trace = calibrate(ds, cal, tol=1e-12)
-    rep = evaluate_samples(test, system.X, system.Y, system.Z,
-                           system.sensor_arm, system.tool_arm, "joint")
+    rep = evaluate_samples(system, test)
     dt = time.perf_counter() - t0
     ok = rep.e_rot.mean() < 1e-8 and rep.e_trans.mean() < 1e-8 and dt < 120.0
     report(3, ok, f"held-out mean e_R {rep.e_rot.mean():.2e} rad (<1e-8), "
@@ -139,11 +139,10 @@ def noisy_sdp_trials():
     for i in range(50):
         ds = generate_dataset(20, "QH", "QH", seed=4000 + i)
         nominal = ds.nominal_system
-        problem = sdp.build_problem(nominal.sensor_arm, nominal.tool_arm, ds.samples)
+        problem = sdp.build_problem(nominal, ds.samples)
         res = sdp.solve_sdp(problem)
         w_star, X, Y, Z, rank_ratio = sdp.extract(res.W)
-        eta, abs_gap, p_cert = sdp.certify(w_star, problem.Q, res.p_sdp,
-                                           problem.residual_stack)
+        eta, abs_gap, p_cert = sdp.certify(problem, w_star, res.p_sdp)
         gt = ds.gt_system
         w_gt = sdp.lift(gt.X, gt.Y, gt.Z)
         gt_obj = float(w_gt @ problem.Q @ w_gt)
@@ -161,7 +160,7 @@ def test_criterion_4_sdp_tightness_and_certificate(noisy_sdp_trials):
     for seed in (400, 401, 402):
         ds = generate_dataset(20, "M", "none", seed=seed)
         nominal = ds.nominal_system
-        init = sdp.initialize(nominal.sensor_arm, nominal.tool_arm, ds.samples)
+        init = sdp.initialize(nominal, ds.samples)
         nf_ok &= init.rank_ratio < 1e-6 and init.eta <= 1e-6
         nf_detail.append((init.rank_ratio, init.eta))
     n_small = sum(1 for r in trials if r["eta"] < 1e-3)
@@ -194,11 +193,8 @@ def test_criterion_6_trend_reproduction():
             ds, cal, test = split_dataset(80, 40, tag, "M", seed=6000 + 100 * li + s)
             init, system, trace = calibrate(ds, cal, tol=1e-8)
             nominal = ds.nominal_system
-            rep_sdp = evaluate_samples(test, init.X, init.Y, init.Z,
-                                       nominal.sensor_arm, nominal.tool_arm,
-                                       "coordinate_only")
-            rep_uni = evaluate_samples(test, system.X, system.Y, system.Z,
-                                       system.sensor_arm, system.tool_arm, "joint")
+            rep_sdp = evaluate_samples(replace(nominal, X=init.X, Y=init.Y, Z=init.Z), test)
+            rep_uni = evaluate_samples(system, test)
             e_sdp.append(rep_sdp.e_trans.mean())
             e_uni.append(rep_uni.e_trans.mean())
         sdp_means.append(np.mean(e_sdp))
@@ -217,17 +213,14 @@ def test_criterion_7_identifiability_diagnostics():
     t0 = time.perf_counter()
     gt_system = default_system()
     rng = np.random.default_rng(700)
-    configs = sample_configurations(80, 6, rng)
-    q_a, q_c = np.array(configs).swapaxes(0, 1)
+    q_a, q_c = sample_configurations(80, 6, rng)
     samples = Measurements(q_a, q_c, predict_B(gt_system, q_a, q_c))
-    _, J = stack(gt_system, samples)
-    rep = identifiability_report(J, samples)
+    rep = identifiability_report(gt_system, samples)
 
     qa, qc = q_a[:40].copy(), q_c[:40]
     qa[:, 2] = 0.0
     pinned = Measurements(qa, qc, predict_B(gt_system, qa, qc))
-    _, Jp = stack(gt_system, pinned)
-    rep_pinned = identifiability_report(Jp, pinned)
+    rep_pinned = identifiability_report(gt_system, pinned)
     clause_b = (not rep_pinned.well_posed) and rep_pinned.excitation_violations
     dt = time.perf_counter() - t0
 
@@ -268,8 +261,7 @@ def test_criterion_8_noise_model_fidelity():
     for tag in LEVELS:
         rots, transs = [], []
         for _ in range(12):
-            _, _, rep = perturb_level(system.sensor_arm, system.tool_arm,
-                                      level("kin", tag), rng, report_configs=120)
+            _, rep = perturb_level(system, level("kin", tag), rng, report_configs=120)
             rots.append(rep["rot_mean_deg"])
             transs.append(rep["trans_mean_mm"])
         rot_t, trans_t = level_targets("kin", tag)
@@ -312,8 +304,7 @@ def test_criterion_9_evaluation_kernels():
         C = forward_kinematics(system.tool_arm, q_c[i])
         T = lie.pose_inv(system.X) @ lie.pose_inv(A) @ system.Y @ C
         clouds.append(lie.apply_pose(T, pts_E2))
-    result = ball_consistency(clouds, q_a, q_c, system.X, system.Y,
-                              system.sensor_arm, system.tool_arm)
+    result = ball_consistency(system, clouds, q_a, q_c)
     ball_ok = result.r_meb < 1e-9
     ok = meb_ok and sphere_ok and ball_ok
     report(9, ok, f"MEB==brute force on 50 sets: {meb_ok}; sphere exact: "

@@ -187,11 +187,11 @@ def postures(workdir):
     return postures
 
 
-def run_ball_eval(postures, calib_file, tmp_path):
+def run_ball_eval(postures, calib_file, tmp_path, *flags):
     clouds = tmp_path / "clouds.json"
     clouds.write_text(json.dumps({"postures": postures}))
     return run("ball-eval", "--clouds", str(clouds), "--calib", str(calib_file),
-               "--out", str(tmp_path / "ball.json"))
+               "--out", str(tmp_path / "ball.json"), *flags)
 
 
 def test_ball_eval_command(postures, calib_file, tmp_path):
@@ -200,6 +200,23 @@ def test_ball_eval_command(postures, calib_file, tmp_path):
     # calibrated chain aligns the clouds to well under a millimeter
     assert d["r_meb_mm"] < 0.2
     assert len(d["centers"]) == 8
+
+
+def test_ball_eval_nominal_kinematics(workdir, postures, calib_file, tmp_path):
+    assert run_ball_eval(postures, calib_file, tmp_path) == 0
+    joint = json.loads((tmp_path / "ball.json").read_text())
+    assert run_ball_eval(postures, calib_file, tmp_path, "--nominal-kinematics",
+                         "--data", str(workdir / "data.json")) == 0
+    nominal = json.loads((tmp_path / "ball.json").read_text())
+    assert len(nominal["centers"]) == 8
+    # the nominal arms carry the level-M kinematic error that the calibration removed
+    assert nominal["r_meb_mm"] > joint["r_meb_mm"]
+
+
+def test_ball_eval_nominal_kinematics_needs_data(postures, calib_file, tmp_path, capsys):
+    assert run_ball_eval(postures, calib_file, tmp_path, "--nominal-kinematics") == 2
+    assert "--nominal-kinematics needs --data" in capsys.readouterr().err
+    assert not (tmp_path / "ball.json").exists()
 
 
 def test_ball_eval_ragged_clouds(postures, calib_file, tmp_path):
@@ -228,6 +245,28 @@ def test_missing_field_named(tmp_path, capsys):
     rc = run("init", "--data", str(bad), "--out", str(tmp_path / "x.json"))
     assert rc == 2
     assert "nominal_system" in capsys.readouterr().err
+
+
+def test_dataset_without_synthetic_metadata(workdir, tmp_path):
+    # a measured dataset records no seed or levels, and no command reads them
+    d = json.loads((workdir / "data.json").read_text())
+    for key in ("seed", "kin_level", "noise_level"):
+        del d[key]
+    measured = tmp_path / "measured.json"
+    measured.write_text(json.dumps(d))
+
+    def outputs(data, tag):
+        init, calib, report, ident = (str(tmp_path / f"{tag}.{name}.json")
+                                      for name in ("init", "calib", "report", "ident"))
+        assert run("init", "--data", str(data), "--out", init) == 0
+        assert run("calibrate", "--data", str(data), "--init", init, "--out", calib) == 0
+        assert run("evaluate", "--data", str(data), "--calib", calib, "--out", report) == 0
+        assert run("identifiability", "--data", str(data), "--calib", calib,
+                   "--out", ident) == 0
+        return [open(path, "rb").read() for path in (init, calib, report, ident)]
+
+    assert outputs(measured, "measured") == outputs(workdir / "data.json", "synthetic")
+    assert load_dataset(measured).seed is None
 
 
 def test_unknown_flag_exits_2():
@@ -298,6 +337,10 @@ def test_wrong_json_type_exits_2_naming_field(workdir, postures, calib_file, tmp
      "d_min must be a nonnegative number, got nan"),
     (("generate", "--samples", "5", "--seed", "1", "--d-min", "-0.1"),
      "d_min must be a nonnegative number, got -0.1"),
+    (("generate", "--samples", "120", "--seed", "1", "--q-min", "4"),
+     "q_min must be less than pi, since joint draws lie in [-pi, pi), got 4.0"),
+    (("generate", "--samples", "5", "--seed", "1", "--d-min", "7"),
+     "d_min must be less than 2 pi, since joint draws lie in [-pi, pi), got 7.0"),
     (("identifiability", "--data", "{data}", "--q-min", "nan"),
      "q_min must be a nonnegative number, got nan"),
     (("identifiability", "--data", "{data}", "--q-min", "-0.1"),
@@ -305,7 +348,8 @@ def test_wrong_json_type_exits_2_naming_field(workdir, postures, calib_file, tmp
     (("generate", "--samples", "5", "--seed", "1", "--kin-level", "X"),
      "unknown kinematic level 'X'"),
 ], ids=["tol-nan", "tol-zero", "generate-q_min-nan", "generate-q_min-negative",
-        "d_min-nan", "d_min-negative", "identifiability-q_min-nan",
+        "d_min-nan", "d_min-negative", "generate-q_min-unreachable", "d_min-unreachable",
+        "identifiability-q_min-nan",
         "identifiability-q_min-negative", "unknown-kin-level"])
 def test_bad_flag_value_exits_2_naming_it(workdir, init_file, tmp_path, capsys, argv, message):
     files = {"data": workdir / "data.json", "init": init_file}
@@ -328,7 +372,7 @@ def test_bad_pose_in_calib_exits_2_naming_field(workdir, calib_file, tmp_path, c
 def test_linalg_failure_exits_3(workdir, tmp_path, capsys, monkeypatch):
     def fail(*args):
         raise np.linalg.LinAlgError("SVD did not converge")
-    monkeypatch.setattr("dualcal.cli.stack", fail)
+    monkeypatch.setattr("dualcal.chain.stack", fail)
     assert run("identifiability", "--data", str(workdir / "data.json"),
                "--out", str(tmp_path / "ident.json")) == 3
     assert "numerical failure: SVD did not converge" in capsys.readouterr().err

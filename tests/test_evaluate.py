@@ -1,11 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dualcal import liegroup as lie
 from dualcal.chain import Measurements
 from dualcal.errors import RankDeficientError
-from dualcal.evaluate import (ball_consistency, evaluate_dataset, evaluate_samples,
-                              min_enclosing_ball, sphere_fit)
+from dualcal.evaluate import ball_consistency, evaluate_samples, min_enclosing_ball, sphere_fit
 from dualcal.kinematics import forward_kinematics
 from dualcal.liegroup import rotation_angle
 from dualcal.simulate import Level, default_system, sample_configurations, synthesize
@@ -21,8 +22,7 @@ def setup():
 
 def test_closed_loop_zero_for_perfect_parameters(setup):
     system, samples = setup
-    err = evaluate_samples(samples, system.X, system.Y, system.Z,
-                           system.sensor_arm, system.tool_arm, "joint")
+    err = evaluate_samples(system, samples)
     assert err.e_rot.max() < 1e-12
     assert err.e_trans.max() < 1e-12
 
@@ -37,8 +37,7 @@ def test_closed_loop_detects_injected_deviation(setup):
     delta = np.concatenate([dw, dr])
     s = samples[:1]
     bumped = Measurements(s.q_a, s.q_c, s.B @ lie.exp_se3(delta))
-    err = evaluate_samples(bumped, system.X, system.Y, system.Z,
-                           system.sensor_arm, system.tool_arm, "joint")
+    err = evaluate_samples(system, bumped)
     assert abs(err.e_rot[0] - 0.01) < 0.01 * 0.05
     assert abs(err.e_trans[0] - 0.002) < 0.002 * 0.05
 
@@ -68,16 +67,16 @@ def test_rotation_angle_conjugation_invariant():
         assert abs(rotation_angle(S @ R @ S.T) - rotation_angle(R)) < 1e-12
 
 
-def test_evaluate_dataset_modes(setup):
+def test_evaluate_samples_on_calibrated_and_nominal_arms(setup):
     system, _ = setup
     rng = np.random.default_rng(4)
     nominal = default_system()
-    configs = sample_configurations(10, 6, rng)
-    ds = synthesize(nominal, nominal, configs, Level("none", 0, 0), rng)
-    report = evaluate_dataset(ds, nominal, "joint")
-    assert report.mode == "joint"
+    q_a, q_c = sample_configurations(10, 6, rng)
+    samples = synthesize(nominal, q_a, q_c, Level("none", 0, 0), rng)
+    report = evaluate_samples(nominal, samples)
     assert report.e_rot.max() < 1e-12
-    report2 = evaluate_dataset(ds, nominal, "coordinate_only")
+    coordinate_only = replace(system, sensor_arm=nominal.sensor_arm, tool_arm=nominal.tool_arm)
+    report2 = evaluate_samples(coordinate_only, samples)
     assert report2.e_rot.max() < 1e-12
     d = report.to_dict()
     assert "rot_deg" in d and "trans_mm" in d and len(d["e_rot_deg"]) == 10
@@ -206,8 +205,7 @@ def test_ball_consistency_perfect_calibration(setup):
     center = np.array([0.02, -0.01, 0.05])
     clouds = _synthetic_clouds(system, samples[:10], center, 0.0254, rng)
     q_a, q_c = samples.q_a[:10], samples.q_c[:10]
-    result = ball_consistency(clouds, q_a, q_c, system.X, system.Y,
-                              system.sensor_arm, system.tool_arm)
+    result = ball_consistency(system, clouds, q_a, q_c)
     assert result.r_meb < 1e-9
     assert np.abs(result.centers - center).max() < 1e-9
     assert np.abs(result.radii - 0.0254).max() < 1e-9
@@ -221,8 +219,7 @@ def test_ball_consistency_sensitive_to_miscalibration(setup):
     Y_bad = system.Y.copy()
     Y_bad[:3, 3] += np.array([0.001, 0.0, 0.0])  # 1 mm base-to-base error
     q_a, q_c = samples.q_a[:10], samples.q_c[:10]
-    result = ball_consistency(clouds, q_a, q_c, system.X, Y_bad,
-                              system.sensor_arm, system.tool_arm)
+    result = ball_consistency(replace(system, Y=Y_bad), clouds, q_a, q_c)
     assert result.r_meb >= 0.5e-3
 
 
@@ -234,8 +231,7 @@ def test_ball_consistency_ragged_clouds_match_per_posture_fits(setup):
     clouds = [c[:80] if i % 3 else c[:40] for i, c in enumerate(clouds)]
     clouds = [c + rng.normal(0.0, 5e-5, c.shape) for c in clouds]
     q_a, q_c = samples.q_a[:10], samples.q_c[:10]
-    result = ball_consistency(clouds, q_a, q_c, system.X, system.Y,
-                              system.sensor_arm, system.tool_arm)
+    result = ball_consistency(system, clouds, q_a, q_c)
     for i, cloud in enumerate(clouds):
         A = forward_kinematics(system.sensor_arm, q_a[i])
         C = forward_kinematics(system.tool_arm, q_c[i])
@@ -247,6 +243,5 @@ def test_ball_consistency_ragged_clouds_match_per_posture_fits(setup):
     clouds[7] = clouds[7][:3]
     clouds[5] = clouds[5][:, [0, 1, 0]]
     with pytest.raises(RankDeficientError) as exc:
-        ball_consistency(clouds, q_a, q_c, system.X, system.Y,
-                         system.sensor_arm, system.tool_arm)
+        ball_consistency(system, clouds, q_a, q_c)
     assert exc.value.index == 5

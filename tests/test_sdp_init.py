@@ -1,5 +1,6 @@
 import logging
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ def dense_H(constraints):
 def noise_free_setup():
     system = default_system()
     samples = noise_free_samples(system, np.random.default_rng(3), 20)
-    problem = sdp.build_problem(system.sensor_arm, system.tool_arm, samples)
+    problem = sdp.build_problem(system, samples)
     return system, samples, problem
 
 
@@ -200,8 +201,7 @@ def test_extract_noise_free_recovers_truth(noise_free_setup, noise_free_solution
     assert np.linalg.norm(X[:3, 3] - system.X[:3, 3]) < 1e-5
     assert np.linalg.norm(Y[:3, 3] - system.Y[:3, 3]) < 1e-5
     assert np.linalg.norm(Z[:3, 3] - system.Z[:3, 3]) < 1e-5
-    eta, abs_gap, p_cert = sdp.certify(w_star, problem.Q, noise_free_solution.p_sdp,
-                                       problem.residual_stack)
+    eta, abs_gap, p_cert = sdp.certify(problem, w_star, noise_free_solution.p_sdp)
     assert 0.0 <= eta <= 1e-6
 
 
@@ -236,8 +236,7 @@ def test_certify_rejects_corrupted_candidate(noise_free_setup, noise_free_soluti
     rng = np.random.default_rng(9)
     Xbad = rand_pose(rng)  # random rotation substituted for the true X
     w_bad = sdp.lift(Xbad, system.Y, system.Z)
-    eta, _, _ = sdp.certify(w_bad, problem.Q, noise_free_solution.p_sdp,
-                            problem.residual_stack)
+    eta, _, _ = sdp.certify(problem, w_bad, noise_free_solution.p_sdp)
     assert eta > 1e-1
 
 
@@ -247,21 +246,20 @@ def test_lower_bound_and_eta_on_noisy_data():
     clean = noise_free_samples(system, rng, 20)
     noise = noise_twists(level("noise", "QH"), rng, len(clean))
     samples = Measurements(clean.q_a, clean.q_c, clean.B @ lie.exp_se3(noise))
-    problem = sdp.build_problem(system.sensor_arm, system.tool_arm, samples)
+    problem = sdp.build_problem(system, samples)
     res = sdp.solve_sdp(problem)
     w_gt = sdp.lift(system.X, system.Y, system.Z)
     gt_obj = w_gt @ problem.Q @ w_gt
     assert res.p_sdp <= gt_obj + 10 * res.tol
     w_star, X, Y, Z, rank_ratio = sdp.extract(res.W)
-    eta, abs_gap, p_cert = sdp.certify(w_star, problem.Q, res.p_sdp,
-                                       problem.residual_stack)
+    eta, abs_gap, p_cert = sdp.certify(problem, w_star, res.p_sdp)
     assert eta < 1e-3
     assert p_cert > 0
 
 
 def test_initialize_pipeline_to_dict(noise_free_setup):
     system, samples, _ = noise_free_setup
-    init = sdp.initialize(system.sensor_arm, system.tool_arm, samples)
+    init = sdp.initialize(system, samples)
     d = init.to_dict()
     for key in ("X", "Y", "Z", "eta", "p_sdp", "rank_ratio", "iterations", "converged",
                 "primal_res", "dual_res", "method", "lambda_min_rel"):
@@ -280,7 +278,7 @@ def test_initialize_warns_when_admm_does_not_converge(noise_free_setup, caplog, 
     monkeypatch.setattr(sdp, "local_solve", fail_local_solve)
     monkeypatch.setattr(sdp, "ADMM_MAX_ITERS", 25)
     with caplog.at_level(logging.WARNING, logger="dualcal"):
-        init = sdp.initialize(system.sensor_arm, system.tool_arm, samples)
+        init = sdp.initialize(system, samples)
     assert not init.converged
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1 and "did not converge" in warnings[0].getMessage()
@@ -307,13 +305,13 @@ def qh_problems():
     for seed in range(4000, 4005):
         ds = generate_dataset(20, "QH", "QH", seed=seed)
         nominal = ds.nominal_system
-        out.append(sdp.build_problem(nominal.sensor_arm, nominal.tool_arm, ds.samples))
+        out.append(sdp.build_problem(nominal, ds.samples))
     return out
 
 
 def test_certified_local_on_noise_free_and_qh_data(noise_free_setup, qh_problems):
     system, samples, _ = noise_free_setup
-    init = sdp.initialize(system.sensor_arm, system.tool_arm, samples)
+    init = sdp.initialize(system, samples)
     assert init.method == "certified-local"
     assert init.eta <= sdp.CERT_ETA and init.lambda_min_rel >= -sdp.CERT_EIG_TOL
     assert init.primal_res is None and init.dual_res is None and init.rank_ratio == 0.0
@@ -349,7 +347,7 @@ def test_perturbed_candidate_fails_certificate(qh_problems):
     init = sdp.certified_local(problem)
     w = sdp.lift(*perturbed(init.X, init.Y, init.Z))
     # against the certified bound the perturbed candidate is visibly sub-optimal
-    eta, _, _ = sdp.certify(w, problem.Q, init.p_sdp, problem.residual_stack)
+    eta, _, _ = sdp.certify(problem, w, init.p_sdp)
     assert eta > sdp.CERT_ETA
     # and its own multipliers leave S = Q - A*(lambda) indefinite
     _, lambda_min_rel = sdp.lagrangian_bound(problem, w)
@@ -367,7 +365,7 @@ def test_initialize_falls_back_to_admm_when_certificate_fails(monkeypatch, caplo
 
     monkeypatch.setattr(sdp, "local_solve", perturbed_local_solve)
     with caplog.at_level(logging.INFO, logger="dualcal"):
-        init = sdp.initialize(nominal.sensor_arm, nominal.tool_arm, ds.samples)
+        init = sdp.initialize(nominal, ds.samples)
     assert init.method == "admm" and init.lambda_min_rel is None
     assert init.converged and init.primal_res is not None and init.eta < 1e-3
     assert any("falling back to ADMM" in r.getMessage() for r in caplog.records)
@@ -380,13 +378,12 @@ def test_certified_init_beats_linear_lift_on_held_out_data():
     for seed in range(4000, 4005):
         ds = generate_dataset(60, "QH", "QH", seed=seed)
         nominal = ds.nominal_system
-        arms = nominal.sensor_arm, nominal.tool_arm
         train, held_out = ds.samples[:20], ds.samples[20:]
-        init = sdp.initialize(*arms, train)
+        init = sdp.initialize(nominal, train)
         assert init.method == "certified-local"
-        linear = sdp.linear_lift(sdp.build_problem(*arms, train).residual_stack)
-        reports = [evaluate_samples(held_out, *xyz, *arms, "coordinate_only")
-                   for xyz in (linear, (init.X, init.Y, init.Z))]
+        linear = sdp.linear_lift(sdp.build_problem(nominal, train).residual_stack)
+        reports = [evaluate_samples(replace(nominal, X=X, Y=Y, Z=Z), held_out)
+                   for X, Y, Z in (linear, (init.X, init.Y, init.Z))]
         rot.append([r.e_rot.mean() for r in reports])
         trans.append([r.e_trans.mean() for r in reports])
     # [linear, certified] per dataset; per dataset the rotation errors can

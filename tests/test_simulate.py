@@ -6,7 +6,6 @@ import pytest
 from dualcal import liegroup as lie
 from dualcal.chain import stack
 from dualcal.errors import InfeasibleSamplingError, ValidationError
-from dualcal.kinematics import default_arm
 from dualcal.simulate import (LEVEL_TAGS, MEAN_NORM_FACTOR, Level, dataset_from_dict,
                               dataset_to_dict, default_system, draw_joint_deltas,
                               generate_dataset, level, level_targets, load_dataset,
@@ -36,22 +35,21 @@ def test_noise_sigma_matches_analytic_mean():
 
 def test_sample_configurations_rules():
     rng = np.random.default_rng(0)
-    one = sample_configurations(1, 6, rng)
-    assert len(one) == 1
-    assert np.abs(one[0][0]).min() >= 0.15
-    many = sample_configurations(40, 6, rng, q_min=0.15, d_min=0.3)
-    for (qa, qc), (qa2, qc2) in zip(many, many[1:]):
-        assert np.abs(qa2 - qa).max() >= 0.3
-        assert np.abs(qc2 - qc).max() >= 0.3
-    for qa, qc in many:
-        assert np.abs(qa).min() >= 0.15 and np.abs(qc).min() >= 0.15
+    q_a, q_c = sample_configurations(1, 6, rng)
+    assert q_a.shape == q_c.shape == (1, 6)
+    assert np.abs(q_a[0]).min() >= 0.15
+    q_a, q_c = sample_configurations(40, 6, rng, q_min=0.15, d_min=0.3)
+    assert q_a.shape == q_c.shape == (40, 6)
+    for q in (q_a, q_c):
+        assert np.abs(np.diff(q, axis=0)).max(axis=1).min() >= 0.3
+        assert np.abs(q).min() >= 0.15
 
 
 def test_sample_configurations_deterministic():
     a = sample_configurations(80, 6, np.random.default_rng(42))
     b = sample_configurations(80, 6, np.random.default_rng(42))
-    for (qa, qc), (qa2, qc2) in zip(a, b):
-        assert np.array_equal(qa, qa2) and np.array_equal(qc, qc2)
+    for q, q2 in zip(a, b):
+        assert np.array_equal(q, q2)
 
 
 def test_sample_configurations_infeasible_rules():
@@ -66,23 +64,36 @@ def test_sample_configurations_rejects_bad_rule(rule, value):
         sample_configurations(5, 6, np.random.default_rng(0), **{rule: value})
 
 
+@pytest.mark.parametrize("rule, value, bound", [("q_min", np.pi, "pi"), ("q_min", 4.0, "pi"),
+                                                ("d_min", 2 * np.pi, "2 pi")])
+def test_sample_configurations_refuses_unreachable_rule_before_drawing(rule, value, bound):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValidationError, match=f"{rule} must be less than {bound}"):
+        sample_configurations(5, 6, rng, **{rule: value})
+    assert rng.bit_generator.state == state
+
+
+def test_sample_configurations_single_draw_has_no_spacing_rule():
+    q_a, q_c = sample_configurations(1, 6, np.random.default_rng(0), d_min=7.0)
+    assert q_a.shape == q_c.shape == (1, 6)
+
+
 def test_perturb_level_zero_sigmas_identity():
-    arm_a, arm_c = default_arm("a"), default_arm("c")
+    system = default_system()
     zero = Level("zero", 0.0, 0.0)
-    gt_a, gt_c, report = perturb_level(arm_a, arm_c, zero, np.random.default_rng(2),
-                                       report_configs=20)
-    assert np.array_equal(gt_a.joint_twists, arm_a.joint_twists)
+    gt, report = perturb_level(system, zero, np.random.default_rng(2), report_configs=20)
+    assert np.array_equal(gt.sensor_arm.joint_twists, system.sensor_arm.joint_twists)
     assert report["rot_mean_deg"] == 0.0
     assert report["trans_mean_mm"] == 0.0
 
 
 def test_perturb_level_M_matches_published_means():
-    arm_a, arm_c = default_arm("a"), default_arm("c")
+    system = default_system()
     rng = np.random.default_rng(3)
     rots, transs = [], []
     for _ in range(12):
-        _, _, rep = perturb_level(arm_a, arm_c, level("kin", "M"), rng,
-                                  report_configs=120)
+        _, rep = perturb_level(system, level("kin", "M"), rng, report_configs=120)
         rots.append(rep["rot_mean_deg"])
         transs.append(rep["trans_mean_mm"])
     rot_deg, trans_mm = level_targets("kin", "M")
@@ -93,9 +104,9 @@ def test_perturb_level_M_matches_published_means():
 def test_synthesize_exact_without_noise():
     system = default_system()
     rng = np.random.default_rng(4)
-    configs = sample_configurations(10, 6, rng)
-    ds = synthesize(system, system, configs, Level("none", 0.0, 0.0), rng)
-    e, _ = stack(system, ds.samples)
+    q_a, q_c = sample_configurations(10, 6, rng)
+    samples = synthesize(system, q_a, q_c, Level("none", 0.0, 0.0), rng)
+    e, _ = stack(system, samples)
     assert np.abs(e).max() < 1e-12
 
 
