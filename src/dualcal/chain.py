@@ -50,10 +50,6 @@ class DualArmSystem:
         """Length of the increment: X, Y, Z and 2n joint twists, 6 each."""
         return 12 * self.n + 18
 
-    def copy(self):
-        return DualArmSystem(self.sensor_arm.copy(), self.tool_arm.copy(),
-                             self.X.copy(), self.Y.copy(), self.Z.copy())
-
     def apply_delta(self, delta):
         """New system with the increment applied per 6-block, in column order.
 
@@ -195,6 +191,7 @@ def stack(system, samples):
 
 
 RANK_REL_THRESHOLD = 1e-8  # the numeric rank counts singular values above sigma_max times this
+Q_MIN = 0.15  # rad: a joint below it excites its twist weakly; flagged here, never sampled
 
 
 @dataclass
@@ -211,7 +208,7 @@ class IdentifiabilityReport:
         return {**asdict(self), "singular_values": self.singular_values.tolist()}
 
 
-def identifiability_report(system, samples, q_min=0.15):
+def identifiability_report(system, samples, q_min=Q_MIN):
     """Rank/conditioning diagnostics of the stacked Jacobian J of a system
     on samples.
 

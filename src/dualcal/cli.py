@@ -16,12 +16,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from .chain import identifiability_report, residual
+from .chain import Q_MIN, identifiability_report, residual
 from .errors import CalibrationError, RankDeficientError, ValidationError
 from .evaluate import ball_consistency, evaluate_samples
 from .kinematics import _require_fields, field_array
 from .sdp_init import initialize
-from .simulate import (_load_json, _sample_field, dataset_to_dict, default_system,
+from .simulate import (D_MIN, _load_json, _sample_field, dataset_to_dict, default_system,
                        generate_dataset, load_dataset, system_from_dict, system_to_dict)
 from .solver import calibrate
 
@@ -80,13 +80,18 @@ def cmd_calibrate(args):
     return 0
 
 
-def _load_calib_system(path):
-    return system_from_dict(_load_json(path, "calibration"))
+def _load_calib_system(path, ds=None):
+    """The calibration file's system; given a dataset, with its joint count."""
+    calib = system_from_dict(_load_json(path, "calibration"))
+    if ds is not None and calib.n != ds.nominal_system.n:
+        raise ValidationError(f"the calibration's arms have {calib.n} joints, "
+                              f"the dataset's have {ds.nominal_system.n}")
+    return calib
 
 
 def cmd_evaluate(args):
     ds = load_dataset(args.data)
-    calib = _load_calib_system(args.calib)
+    calib = _load_calib_system(args.calib, None if args.nominal_kinematics else ds)
     mode = "joint"
     if args.nominal_kinematics:  # score X, Y, Z alone, on the nominal arms
         nominal = ds.nominal_system
@@ -107,7 +112,7 @@ def cmd_evaluate(args):
 
 def cmd_identifiability(args):
     ds = load_dataset(args.data)
-    source = _load_calib_system(args.calib) if args.calib else ds.nominal_system
+    source = _load_calib_system(args.calib, ds) if args.calib else ds.nominal_system
     report = identifiability_report(source, ds.samples, q_min=args.q_min)
     _write_json(report.to_dict(), args.out)
     return 0
@@ -162,8 +167,8 @@ def build_parser():
     g.add_argument("--kin-level", default="M", help="L|ML|M|MH|H|QH|none")
     g.add_argument("--noise-level", default="M", help="L|ML|M|MH|H|QH|none")
     g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--q-min", type=float, default=0.15)
-    g.add_argument("--d-min", type=float, default=0.3)
+    g.add_argument("--q-min", type=float, default=Q_MIN)
+    g.add_argument("--d-min", type=float, default=D_MIN)
     g.add_argument("--blind", action="store_true", help="omit the ground-truth system")
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
@@ -194,7 +199,7 @@ def build_parser():
     d = sub.add_parser("identifiability", help="rank/excitation diagnostics")
     d.add_argument("--data", required=True)
     d.add_argument("--calib", help="evaluate at a calibrated state (default: nominal)")
-    d.add_argument("--q-min", type=float, default=0.15)
+    d.add_argument("--q-min", type=float, default=Q_MIN)
     d.add_argument("--out", required=True)
     d.set_defaults(func=cmd_identifiability)
 

@@ -1,7 +1,7 @@
 """Closed-loop deviation metrics and the cooperative-measuring score.
 
-Angles are radians and lengths meters everywhere internally; reports
-convert to degrees/millimeters only at the serialization boundary.
+Angles are radians and lengths meters everywhere internally; a report
+converts to degrees/millimeters only at the serialization boundary.
 """
 
 import logging

@@ -37,9 +37,6 @@ class RobotModel:
     def n(self):
         return self.joint_twists.shape[0]
 
-    def copy(self):
-        return RobotModel(self.name, self.joint_twists.copy(), self.zero_offset.copy())
-
 
 @lru_cache(maxsize=16)
 def _zero_pose(key):

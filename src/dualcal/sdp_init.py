@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import liegroup as lie
-from .errors import DegenerateSolutionError, StructureError
+from .errors import DegenerateSolutionError, StructureError, ValidationError
 from .kinematics import forward_kinematics
 from .numerics import project_rotation, symmetrize
 
@@ -534,8 +534,11 @@ def initialize(nominal, samples):
     """Full certifiable initialization pipeline, on the nominal system's arms.
 
     Tries certified_local first; when its certificate fails, solves the
-    SDP by ADMM, extracts and certifies.
+    SDP by ADMM, extracts and certifies.  Raises ValidationError, before
+    building the problem, for under 3 samples (6 rows each for X/Y/Z's 18 unknowns).
     """
+    if 6 * len(samples) < 18:
+        raise ValidationError(f"initialization needs at least 3 samples, got {len(samples)}")
     log.info("certifiable initialization (m=%d samples)", len(samples))
     problem = build_problem(nominal, samples)
     init = certified_local(problem)

@@ -9,13 +9,13 @@ and are frozen in assets/levels.json.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
 
 from . import liegroup as lie
-from .chain import DualArmSystem, Measurements, predict_B
+from .chain import Q_MIN, DualArmSystem, Measurements, predict_B
 from .errors import InfeasibleSamplingError, ValidationError
 from .kinematics import (_require_fields, default_arm, field_array, forward_kinematics,
                          model_from_dict, model_to_dict, perturb_model)
@@ -24,6 +24,8 @@ LEVEL_TAGS = ("L", "ML", "M", "MH", "H", "QH")
 
 # mean norm of N(0, sigma^2 I_3) is sigma * sqrt(8/pi)
 MEAN_NORM_FACTOR = float(np.sqrt(8.0 / np.pi))
+
+D_MIN = 0.3  # rad, least joint-space spacing of consecutive configurations (sample_configurations)
 
 
 @dataclass
@@ -57,7 +59,7 @@ def level_targets(kind, tag):
     return d["target_rot_deg"], d["target_trans_mm"]
 
 
-def sample_configurations(m, n_joints, rng, q_min=0.15, d_min=0.3):
+def sample_configurations(m, n_joints, rng, q_min=Q_MIN, d_min=D_MIN):
     """Joint readings q_a, q_c (m, n_joints) of m valid configurations, by
     rejection sampling.
 
@@ -125,27 +127,11 @@ def pose_deviation(arm_nom, arm_gt, q):
     return rot, np.linalg.norm(Tn[:, :3, 3] - Tg[:, :3, 3], axis=-1)
 
 
-def perturb_level(system, level, rng, report_configs=500):
-    """Ground-truth system with both arms perturbed at the given level, and
-    a report of the induced end-pose deviations (mean/std, degrees and
-    millimeters) over random valid configurations."""
+def perturb_level(system, level, rng):
+    """Ground truth: both arms' joint twists perturbed at the level, sensor arm first."""
     arms = {"sensor_arm": system.sensor_arm, "tool_arm": system.tool_arm}
-    gt = replace(system, **{name: perturb_model(arm, draw_joint_deltas(arm, level, rng))
-                            for name, arm in arms.items()})
-    def stats(rot, trans):
-        return {"rot_mean_deg": float(np.degrees(rot.mean())),
-                "rot_std_deg": float(np.degrees(rot.std())),
-                "trans_mean_mm": float(1e3 * trans.mean()),
-                "trans_std_mm": float(1e3 * trans.std())}
-
-    report = {"level": level.tag}
-    deviations = []
-    for name, nom in arms.items():
-        q, _ = sample_configurations(report_configs, nom.n, rng, d_min=0.0)
-        deviations.append(pose_deviation(nom, getattr(gt, name), q))
-        report[name] = stats(*deviations[-1])
-    report.update(stats(*(np.concatenate(d) for d in zip(*deviations))))
-    return gt, report
+    return replace(system, **{name: perturb_model(arm, draw_joint_deltas(arm, level, rng))
+                              for name, arm in arms.items()})
 
 
 def noise_twists(level, rng, m):
@@ -162,7 +148,6 @@ class SyntheticDataset:
     seed: int                 # seed and levels are None in a dataset that does not record them
     kin_level: str
     noise_level: str
-    reports: dict = field(default_factory=dict)
 
 
 def synthesize(system_gt, q_a, q_c, noise, rng):
@@ -185,21 +170,19 @@ def default_system():
     return DualArmSystem(default_arm("sensor_arm"), default_arm("tool_arm"), X, Y, Z)
 
 
-def generate_dataset(m, kin_tag, noise_tag, seed, system=None, q_min=0.15,
-                     d_min=0.3):
+def generate_dataset(m, kin_tag, noise_tag, seed, system=None, q_min=Q_MIN, d_min=D_MIN):
     """Deterministic end-to-end dataset generation from a seed.
 
-    Perturbs the nominal kinematics at the kinematic level (the result
-    is the ground truth), samples valid configurations, and corrupts the
-    exact measurements at the measurement-noise level.
+    Three draws on one generator, in this order: the ground truth (the
+    nominal kinematics perturbed at the kinematic level), the valid
+    configurations, and the measurement noise at the noise level.
     """
     rng = np.random.default_rng(seed)
-    nominal = system.copy() if system is not None else default_system()
-    gt, report = perturb_level(nominal, level("kin", kin_tag), rng, report_configs=200)
+    nominal = system if system is not None else default_system()
+    gt = perturb_level(nominal, level("kin", kin_tag), rng)
     q_a, q_c = sample_configurations(m, nominal.n, rng, q_min=q_min, d_min=d_min)
     samples = synthesize(gt, q_a, q_c, level("noise", noise_tag), rng)
-    return SyntheticDataset(nominal, gt, samples, seed, kin_tag, noise_tag,
-                            {"kinematic_deviation": report})
+    return SyntheticDataset(nominal, gt, samples, seed, kin_tag, noise_tag)
 
 
 # --- JSON schema -----------------------------------------------------------

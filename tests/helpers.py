@@ -1,14 +1,17 @@
 """Shared oracles for the test suite.
 
-Everything here is deliberately independent of the package's own code
-paths: truncated-series exponentials, plain Gaussian elimination, and
-brute-force geometry give reference values the library must reproduce.
+Everything here but `level_deviation` is deliberately independent of
+the package's own code paths: truncated-series exponentials, plain
+Gaussian elimination, and brute-force geometry give reference values the
+library must reproduce.  `level_deviation` measures a kinematic level
+through the public simulation API.
 """
 
 import numpy as np
 
 from dualcal import liegroup as lie
 from dualcal.chain import Measurements, predict_B
+from dualcal.simulate import perturb_level, pose_deviation, sample_configurations
 
 
 def expm_taylor(M, terms=30):
@@ -71,6 +74,23 @@ def valid_config(rng, n, q_min=0.15):
         q = rng.uniform(-np.pi, np.pi, n)
         if np.abs(q).min() >= q_min:
             return q
+
+
+def level_deviation(system, level, rng, configs):
+    """Mean end-pose deviation (deg, mm) of a ground truth drawn by
+    perturb_level from the nominal arms, pooled over both arms at
+    `configs` random configurations each.  Draws the ground truth, then
+    the sensor arm's configurations, then the tool arm's."""
+    gt = perturb_level(system, level, rng)
+    rot, trans = [], []
+    for name in ("sensor_arm", "tool_arm"):
+        nominal = getattr(system, name)
+        q, _ = sample_configurations(configs, nominal.n, rng, d_min=0.0)
+        r, t = pose_deviation(nominal, getattr(gt, name), q)
+        rot.append(r)
+        trans.append(t)
+    return (float(np.degrees(np.concatenate(rot).mean())),
+            float(1e3 * np.concatenate(trans).mean()))
 
 
 def noise_free_samples(system, rng, m, n=6):

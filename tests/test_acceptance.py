@@ -25,9 +25,9 @@ from dualcal.evaluate import (ball_consistency, evaluate_samples,
                               min_enclosing_ball, sphere_fit)
 from dualcal.kinematics import RobotModel, forward_kinematics
 from dualcal.simulate import (default_system, generate_dataset, level, level_targets,
-                              noise_twists, perturb_level, sample_configurations)
-from helpers import (brute_force_meb, fd_jacobian_columns, noise_free_samples,
-                     rand_twist)
+                              noise_twists, sample_configurations)
+from helpers import (brute_force_meb, fd_jacobian_columns, level_deviation,
+                     noise_free_samples, rand_twist)
 
 LEVELS = ("L", "ML", "M", "MH", "H", "QH")
 
@@ -259,11 +259,8 @@ def test_criterion_8_noise_model_fidelity():
     kin_ok = True
     system = default_system()
     for tag in LEVELS:
-        rots, transs = [], []
-        for _ in range(12):
-            _, rep = perturb_level(system, level("kin", tag), rng, report_configs=120)
-            rots.append(rep["rot_mean_deg"])
-            transs.append(rep["trans_mean_mm"])
+        rots, transs = zip(*(level_deviation(system, level("kin", tag), rng, 120)
+                             for _ in range(12)))
         rot_t, trans_t = level_targets("kin", tag)
         ok_level = (abs(np.mean(rots) - rot_t) < 0.25 * rot_t
                     and abs(np.mean(transs) - trans_t) < 0.25 * trans_t)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ def samples(gt_system):
 def test_predict_trivial_identity():
     n = 3
     arm = RobotModel("zero", np.zeros((n, 6)), np.zeros(6))
-    system = DualArmSystem(arm, arm.copy(), np.eye(4), np.eye(4), np.eye(4))
+    system = DualArmSystem(arm, copy.deepcopy(arm), np.eye(4), np.eye(4), np.eye(4))
     B = predict_B(system, np.array([[0.3, -1.0, 2.0]]), np.array([[1.1, 0.4, -0.7]]))
     assert np.abs(B - np.eye(4)).max() < 1e-15
 
@@ -232,7 +234,7 @@ def test_identifiability_rank_under_full_excitation(gt_system):
 def test_gauge_orbit_preserves_measurements(gt_system, samples):
     # finite gauge transforms that leave every prediction untouched
     G = lie.exp_se3(np.array([0.02, -0.01, 0.03, 0.01, 0.02, -0.015]))
-    st = gt_system.copy()
+    st = copy.deepcopy(gt_system)
     st.sensor_arm.joint_twists[:] = gt_system.sensor_arm.joint_twists @ lie.adjoint(G).T
     E_a = lie.exp_se3(gt_system.sensor_arm.zero_offset)
     st.X = lie.pose_inv(E_a) @ G @ E_a @ gt_system.X
@@ -241,7 +243,7 @@ def test_gauge_orbit_preserves_measurements(gt_system, samples):
     assert np.abs(e).max() < 1e-12
 
     H = lie.exp_se3(np.array([-0.015, 0.02, 0.01, -0.02, 0.01, 0.02]))
-    st = gt_system.copy()
+    st = copy.deepcopy(gt_system)
     st.tool_arm.joint_twists[:] = gt_system.tool_arm.joint_twists @ lie.adjoint(H).T
     st.Y = gt_system.Y @ lie.pose_inv(H)
     E_c = lie.exp_se3(gt_system.tool_arm.zero_offset)

@@ -167,6 +167,17 @@ def test_calibrate_too_few_samples_fails_fast(ten_samples, tmp_path, capsys):
     assert "at least 15 samples" in err and "got 10" in err
 
 
+def test_init_too_few_samples_fails_fast(workdir, tmp_path, capsys):
+    def edit(samples):
+        del samples[2:]
+    t0 = time.perf_counter()
+    assert run_init_on_edited_data(workdir, tmp_path, edit) == 2
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert "at least 3 samples" in err and "got 2" in err
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.fixture(scope="module")
 def postures(workdir):
     ds = load_dataset(workdir / "data.json")
@@ -367,6 +378,25 @@ def test_bad_pose_in_calib_exits_2_naming_field(workdir, calib_file, tmp_path, c
     assert run("evaluate", "--data", str(workdir / "data.json"), "--calib", str(bad),
                "--out", str(tmp_path / "report.json")) == 2
     assert "error: X is not an array of numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags, code", [
+    ("evaluate", (), 2),
+    ("identifiability", (), 2),
+    ("evaluate", ("--nominal-kinematics",), 0),  # the dataset's arms replace the file's
+])
+def test_calib_with_wrong_joint_count(workdir, calib_file, tmp_path, capsys, command, flags,
+                                      code):
+    d = json.loads(calib_file.read_text())
+    for arm in ("sensor_arm", "tool_arm"):
+        d[arm].update(n=5, joint_twists=d[arm]["joint_twists"][:5])
+    five = tmp_path / "calib5.json"
+    five.write_text(json.dumps(d))
+    assert run(command, "--data", str(workdir / "data.json"), "--calib", str(five),
+               "--out", str(tmp_path / "out.json"), *flags) == code
+    if code == 2:
+        assert ("error: the calibration's arms have 5 joints, the dataset's have 6"
+                in capsys.readouterr().err)
 
 
 def test_linalg_failure_exits_3(workdir, tmp_path, capsys, monkeypatch):

@@ -382,10 +382,10 @@ def test_certified_init_beats_linear_lift_on_held_out_data():
         init = sdp.initialize(nominal, train)
         assert init.method == "certified-local"
         linear = sdp.linear_lift(sdp.build_problem(nominal, train).residual_stack)
-        reports = [evaluate_samples(replace(nominal, X=X, Y=Y, Z=Z), held_out)
-                   for X, Y, Z in (linear, (init.X, init.Y, init.Z))]
-        rot.append([r.e_rot.mean() for r in reports])
-        trans.append([r.e_trans.mean() for r in reports])
+        scores = [evaluate_samples(replace(nominal, X=X, Y=Y, Z=Z), held_out)
+                  for X, Y, Z in (linear, (init.X, init.Y, init.Z))]
+        rot.append([r.e_rot.mean() for r in scores])
+        trans.append([r.e_trans.mean() for r in scores])
     # [linear, certified] per dataset; per dataset the rotation errors can
     # tie within noise (seed 4004: 2.13 vs 2.17 deg), so rotation is pooled
     trans, rot = np.array(trans), np.array(rot)

@@ -6,11 +6,12 @@ import pytest
 from dualcal import liegroup as lie
 from dualcal.chain import stack
 from dualcal.errors import InfeasibleSamplingError, ValidationError
-from dualcal.simulate import (LEVEL_TAGS, MEAN_NORM_FACTOR, Level, dataset_from_dict,
-                              dataset_to_dict, default_system, draw_joint_deltas,
-                              generate_dataset, level, level_targets, load_dataset,
-                              noise_twists, perturb_level, pose_deviation,
-                              sample_configurations, synthesize)
+from dualcal.simulate import (LEVEL_TAGS, MEAN_NORM_FACTOR, Level, SyntheticDataset,
+                              dataset_from_dict, dataset_to_dict, default_system,
+                              draw_joint_deltas, generate_dataset, level, level_targets,
+                              load_dataset, noise_twists, perturb_level, sample_configurations,
+                              synthesize)
+from helpers import level_deviation
 
 
 def test_levels_available():
@@ -82,20 +83,17 @@ def test_sample_configurations_single_draw_has_no_spacing_rule():
 def test_perturb_level_zero_sigmas_identity():
     system = default_system()
     zero = Level("zero", 0.0, 0.0)
-    gt, report = perturb_level(system, zero, np.random.default_rng(2), report_configs=20)
+    rng = np.random.default_rng(2)
+    gt = perturb_level(system, zero, rng)
     assert np.array_equal(gt.sensor_arm.joint_twists, system.sensor_arm.joint_twists)
-    assert report["rot_mean_deg"] == 0.0
-    assert report["trans_mean_mm"] == 0.0
+    assert level_deviation(system, zero, rng, 20) == (0.0, 0.0)
 
 
 def test_perturb_level_M_matches_published_means():
     system = default_system()
     rng = np.random.default_rng(3)
-    rots, transs = [], []
-    for _ in range(12):
-        _, rep = perturb_level(system, level("kin", "M"), rng, report_configs=120)
-        rots.append(rep["rot_mean_deg"])
-        transs.append(rep["trans_mean_mm"])
+    rots, transs = zip(*(level_deviation(system, level("kin", "M"), rng, 120)
+                         for _ in range(12)))
     rot_deg, trans_mm = level_targets("kin", "M")
     assert abs(np.mean(rots) - rot_deg) < 0.25 * rot_deg
     assert abs(np.mean(transs) - trans_mm) < 0.25 * trans_mm
@@ -137,6 +135,17 @@ def test_generate_dataset_deterministic_bytes():
     assert json.dumps(dataset_to_dict(ds1)) == json.dumps(dataset_to_dict(ds2))
     ds3 = generate_dataset(15, "M", "M", seed=8)
     assert not np.array_equal(ds3.samples.q_a[0], ds1.samples.q_a[0])
+
+
+def test_generate_dataset_draws_ground_truth_then_configurations_then_noise():
+    ds = generate_dataset(12, "M", "M", seed=21)
+    rng = np.random.default_rng(21)
+    system = default_system()
+    gt = perturb_level(system, level("kin", "M"), rng)
+    q_a, q_c = sample_configurations(12, system.n, rng)
+    samples = synthesize(gt, q_a, q_c, level("noise", "M"), rng)
+    expected = SyntheticDataset(system, gt, samples, 21, "M", "M")
+    assert json.dumps(dataset_to_dict(ds)) == json.dumps(dataset_to_dict(expected))
 
 
 def test_dataset_json_roundtrip(tmp_path):

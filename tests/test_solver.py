@@ -1,3 +1,4 @@
+import copy
 import logging
 
 import numpy as np
@@ -101,7 +102,7 @@ def test_gauge_shift_of_zero_offset_absorbed():
     # the discrepancy folds into the flange-to-sensor transform
     rng = np.random.default_rng(4)
     nominal = default_system()
-    shifted_arm = nominal.sensor_arm.copy()
+    shifted_arm = copy.deepcopy(nominal.sensor_arm)
     delta = np.array([0.002, -0.001, 0.003, 0.001, -0.002, 0.001])
     shifted_arm.zero_offset = lie.log_se3(
         lie.exp_se3(shifted_arm.zero_offset) @ lie.exp_se3(delta))
