@@ -37,9 +37,10 @@ def _setup_logging():
 
 
 def _write_json(obj, path):
+    # json.dumps encodes in one C call; json.dump streams through the
+    # pure-Python encoder, for the same bytes
     with open(path, "w") as f:
-        json.dump(obj, f)
-        f.write("\n")
+        f.write(json.dumps(obj) + "\n")
     log.info("wrote %s", path)
 
 

@@ -21,7 +21,6 @@ MAX_ITERS = 100
 class SolveTrace:
     residual_norms: list = field(default_factory=list)
     step_norms: list = field(default_factory=list)   # infinity norms
-    dampings: list = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
 
@@ -47,7 +46,7 @@ def step(system, samples):
 def solve(initial, samples, tol=1e-3):
     """Iterate until |delta|_inf <= tol or MAX_ITERS.
 
-    The trace records |e|, |delta|_inf and the damping per iteration;
+    The trace records |e| and |delta|_inf per iteration;
     monotone decrease of |e| is not guaranteed (fixed damping, no line
     search) but holds on well-initialized problems.  Raises ValueError
     unless tol > 0.
@@ -61,7 +60,6 @@ def solve(initial, samples, tol=1e-3):
         step_inf = float(np.abs(delta).max())
         trace.residual_norms.append(float(np.linalg.norm(e)))
         trace.step_norms.append(step_inf)
-        trace.dampings.append(DAMPING)
         trace.iterations += 1
         if step_inf <= tol:
             trace.converged = True

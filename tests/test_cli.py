@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from dualcal import liegroup as lie
-from dualcal.cli import main
+from dualcal.chain import identifiability_report
+from dualcal.cli import _write_json, main
 from dualcal.kinematics import forward_kinematics
-from dualcal.simulate import default_system, load_dataset, system_to_dict
+from dualcal.simulate import (dataset_to_dict, default_system, generate_dataset, load_dataset,
+                              system_to_dict)
 
 
 def run(*argv):
@@ -157,6 +159,18 @@ def test_identifiability_with_fewer_rows_than_parameters(ten_samples, tmp_path):
     assert d["needed"] == 90 and len(d["singular_values"]) == 60
     assert d["rank"] <= 60
     assert d["well_posed"] is False
+
+
+def test_written_json_is_byte_identical_to_json_dump(tmp_path):
+    ds = generate_dataset(10, "M", "M", seed=42)
+    report = identifiability_report(ds.nominal_system, ds.samples).to_dict()
+    assert report["condition_number"] == np.inf  # written as Infinity
+    for obj in (dataset_to_dict(ds), report):
+        _write_json(obj, tmp_path / "written.json")
+        with open(tmp_path / "dumped.json", "w") as f:
+            json.dump(obj, f)
+            f.write("\n")
+        assert (tmp_path / "written.json").read_bytes() == (tmp_path / "dumped.json").read_bytes()
 
 
 def test_calibrate_too_few_samples_fails_fast(ten_samples, tmp_path, capsys):

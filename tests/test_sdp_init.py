@@ -1,5 +1,4 @@
 import logging
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -104,11 +103,33 @@ def test_objective_zero_at_ground_truth(noise_free_setup):
     assert np.linalg.eigvalsh(problem.Q).min() > -1e-9  # PSD
 
 
-def test_constraint_counts_and_families(constraints):
+# the constraint families as index ranges of build_constraints' build order
+FAMILIES = {"Rx_orth": range(0, 6), "Rx_hand": range(6, 9), "Ry_orth": range(9, 15),
+            "Ry_hand": range(15, 18), "K_orth": range(18, 63), "K_block": range(63, 135),
+            "V_block": range(135, 159), "homog": range(159, 160)}
+# the entries of the lifted vector that each family's H_j touch
+RX, RY, K, V = range(0, 9), range(9, 18), range(18, 99), range(105, 132)
+FAMILY_ENTRIES = {"Rx_orth": {*RX}, "Rx_hand": {*RX, 132}, "Ry_orth": {*RY},
+                  "Ry_hand": {*RY, 132}, "K_orth": {*K}, "K_block": {*RY, *K},
+                  "V_block": {*RY, *V}, "homog": {132}}
+
+
+def test_constraint_counts_and_families(constraints, dense_H):
     assert len(constraints) == 160
-    counts = Counter(constraints.family)
+    counts = {name: len(rows) for name, rows in FAMILIES.items()}
     assert counts == {"Rx_orth": 6, "Rx_hand": 3, "Ry_orth": 6, "Ry_hand": 3,
                       "K_orth": 45, "K_block": 72, "V_block": 24, "homog": 1}
+    assert [j for rows in FAMILIES.values() for j in rows] == list(range(160))
+    for name, rows in FAMILIES.items():
+        touched = set(np.nonzero(np.abs(dense_H[rows]).sum(axis=(0, 1)))[0])
+        assert touched == FAMILY_ENTRIES[name], name
+
+
+def test_constraints_read_only_and_built_once(constraints):
+    assert sdp.build_constraints() is constraints
+    for a in (constraints.rows, constraints.flat, constraints.vals, constraints.rho):
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 def test_constraints_exactly_symmetric(dense_H):
@@ -125,9 +146,7 @@ def test_constraints_feasible_at_valid_lifts(constraints, dense_H):
 
 
 def family_violations(constraints, dense_H, w, family):
-    return [abs(w @ H @ w - rho)
-            for H, rho, fam in zip(dense_H, constraints.rho, constraints.family)
-            if fam == family]
+    return [abs(w @ dense_H[j] @ w - constraints.rho[j]) for j in FAMILIES[family]]
 
 
 def test_constraints_detect_scaled_rotation(constraints, dense_H):
@@ -269,7 +288,7 @@ def test_initialize_pipeline_to_dict(noise_free_setup):
     assert d["eta"] <= 1e-6
 
 
-def fail_local_solve(G, X, Y, Z):
+def fail_local_solve(Q, X, Y, Z):
     return X, Y, Z, sdp.LOCAL_MAX_ITERS, False
 
 
@@ -359,8 +378,8 @@ def test_initialize_falls_back_to_admm_when_certificate_fails(monkeypatch, caplo
     nominal = ds.nominal_system
     local_solve = sdp.local_solve
 
-    def perturbed_local_solve(G, X, Y, Z):
-        X, Y, Z, iterations, converged = local_solve(G, X, Y, Z)
+    def perturbed_local_solve(Q, X, Y, Z):
+        X, Y, Z, iterations, converged = local_solve(Q, X, Y, Z)
         return (*perturbed(X, Y, Z), iterations, converged)
 
     monkeypatch.setattr(sdp, "local_solve", perturbed_local_solve)
@@ -381,7 +400,7 @@ def test_certified_init_beats_linear_lift_on_held_out_data():
         train, held_out = ds.samples[:20], ds.samples[20:]
         init = sdp.initialize(nominal, train)
         assert init.method == "certified-local"
-        linear = sdp.linear_lift(sdp.build_problem(nominal, train).residual_stack)
+        linear = sdp.linear_lift(sdp.build_problem(nominal, train).Q)
         scores = [evaluate_samples(replace(nominal, X=X, Y=Y, Z=Z), held_out)
                   for X, Y, Z in (linear, (init.X, init.Y, init.Z))]
         rot.append([r.e_rot.mean() for r in scores])
@@ -391,3 +410,22 @@ def test_certified_init_beats_linear_lift_on_held_out_data():
     trans, rot = np.array(trans), np.array(rot)
     assert (trans[:, 1] <= trans[:, 0]).all()
     assert rot[:, 1].mean() <= rot[:, 0].mean()
+
+
+def test_linear_lift_of_Q_matches_least_squares_on_the_stack():
+    ds = generate_dataset(80, "M", "M", seed=11)
+    problem = sdp.build_problem(ds.nominal_system, ds.samples)
+    G = problem.residual_stack
+    v = np.linalg.lstsq(G[:, :sdp.HOM], -G[:, sdp.HOM], rcond=None)[0]
+    for est, ref in zip(sdp.linear_lift(problem.Q), sdp.project_lift(np.append(v, 1.0))):
+        assert np.abs(est - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("m, certified", [(15, 16), (18, 20)])
+def test_certified_local_counts_at_small_m(m, certified):
+    # certified_local never runs ADMM: None is a fallback
+    count = 0
+    for seed in range(20):
+        ds = generate_dataset(m, "M", "M", seed=seed)
+        count += sdp.certified_local(sdp.build_problem(ds.nominal_system, ds.samples)) is not None
+    assert count >= certified
