@@ -15,7 +15,6 @@ import numpy as np
 from . import liegroup as lie
 from .errors import StructureError, ValidationError
 from .kinematics import RobotModel, zero_pose
-from .numerics import numeric_rank
 
 
 @dataclass
@@ -226,7 +225,7 @@ def identifiability_report(system, samples, q_min=Q_MIN):
         raise ValidationError(f"q_min must be a nonnegative number, got {q_min}")
     _, J = stack(system, samples)
     sv = np.linalg.svd(J, compute_uv=False)
-    rank = numeric_rank(sv, RANK_REL_THRESHOLD)
+    rank = int(np.sum(sv > sv[0] * RANK_REL_THRESHOLD))
     needed = J.shape[1]
     cond = float("inf")
     if len(sv) >= needed and sv[needed - 1] > 1e-300:

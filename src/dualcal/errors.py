@@ -14,13 +14,13 @@ class NearPiRotationError(CalibrationError):
 
 
 class RankDeficientError(CalibrationError):
-    """A fit or solve is rank deficient: a degenerate cloud in the sphere fit,
-    or a failed Cholesky factorization in the damped normal-equation solve."""
+    """The sphere fit's points do not determine a sphere: fewer than four,
+    or all in one plane."""
 
     def __init__(self, rank, needed, index=None):
         self.rank = rank
         self.needed = needed
-        self.index = index  # which item of a batch, when the solve was batched
+        self.index = index  # which cloud of a batch, when the fit was batched
         where = "" if index is None else f" at index {index}"
         super().__init__(f"system is rank deficient{where}: numeric rank {rank} < {needed}")
 

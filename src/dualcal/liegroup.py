@@ -106,12 +106,9 @@ def is_pose(T):
 
 
 def apply_pose(T, points):
-    """Transform one point (3,) or a stack of points (N, 3) by a pose, or
-    a batch of clouds (..., N, 3) by poses (..., 4, 4)."""
-    p = np.asarray(points, dtype=float)
-    if p.ndim == 1:
-        return T[:3, :3] @ p + T[:3, 3]
-    out = p @ np.swapaxes(T[..., :3, :3], -1, -2)
+    """Transform a stack of points (N, 3) by a pose, or a batch of clouds
+    (..., N, 3) by poses (..., 4, 4)."""
+    out = np.asarray(points, dtype=float) @ np.swapaxes(T[..., :3, :3], -1, -2)
     out += T[..., None, :3, 3]
     return out
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import liegroup as lie
 from .errors import DegenerateSolutionError, StructureError, ValidationError
 from .kinematics import forward_kinematics
-from .numerics import project_rotation, symmetrize
+from .numerics import project_rotation
 
 log = logging.getLogger("dualcal")
 
@@ -66,10 +66,6 @@ def _kron(A, B):
     """Kronecker product of the last two axes, broadcast over the rest."""
     K = np.einsum("...ij,...kl->...ikjl", A, B)
     return K.reshape(K.shape[:-4] + (K.shape[-4] * K.shape[-3], K.shape[-2] * K.shape[-1]))
-
-
-def _unvec(v, shape):
-    return np.asarray(v, dtype=float).reshape(shape, order="F")
 
 
 def lift(X, Y, Z):
@@ -284,7 +280,7 @@ def build_problem(nominal, samples):
     """
     G = build_residual_stack(forward_kinematics(nominal.sensor_arm, samples.q_a), samples.B,
                              forward_kinematics(nominal.tool_arm, samples.q_c))
-    return SDPProblem(symmetrize(G.T @ G), build_constraints(), G)
+    return SDPProblem(G.T @ G, build_constraints(), G)
 
 
 @dataclass
@@ -323,7 +319,8 @@ def solve_sdp(problem):
     def proj_psd(X):
         lam, V = np.linalg.eigh(X)
         pos = lam > 0  # none positive: an empty product, the zero matrix
-        return symmetrize((V[:, pos] * lam[pos]) @ V[:, pos].T)
+        P = (V[:, pos] * lam[pos]) @ V[:, pos].T
+        return 0.5 * (P + P.T)  # exactly symmetric, as extract's eigh assumes
 
     tol = ADMM_TOL * (1.0 + np.linalg.norm(Q))
     sigma = max(np.linalg.norm(Q) / 20.0, 1e-3)
@@ -371,9 +368,9 @@ def project_lift(w):
     if w[HOM] <= 1e-9 * np.linalg.norm(w):
         raise DegenerateSolutionError("homogeneous entry of the lifted vector is ~0")
     w = w / w[HOM]
-    Rx = project_rotation(_unvec(w[RX0:RX0 + 9], (3, 3)))
-    Ry = project_rotation(_unvec(w[RY0:RY0 + 9], (3, 3)))
-    K = _unvec(w[K0:K0 + 81], (9, 9))
+    Rx = project_rotation(w[RX0:RX0 + 9].reshape((3, 3), order="F"))
+    Ry = project_rotation(w[RY0:RY0 + 9].reshape((3, 3), order="F"))
+    K = w[K0:K0 + 81].reshape((9, 9), order="F")
     RzT = np.empty((3, 3))
     for p in range(3):
         for q in range(3):
@@ -381,7 +378,7 @@ def project_lift(w):
     Rz = project_rotation(RzT.T)
     tx = w[TX0:TX0 + 3].copy()
     ty = w[TY0:TY0 + 3].copy()
-    Vty = _unvec(w[V0:V0 + 27], (3, 9))
+    Vty = w[V0:V0 + 27].reshape((3, 9), order="F")
     tz = np.array([np.trace(Ry.T @ Vty[:, 3 * j:3 * j + 3]) / 3.0 for j in range(3)])
     return lie.make_pose(Rx, tx), lie.make_pose(Ry, ty), lie.make_pose(Rz, tz)
 
@@ -393,7 +390,7 @@ def extract(W):
     the projected triple (hence feasible for the original QCQP) and
     rank_ratio = lambda2/lambda1 measures tightness.
     """
-    lam, V = np.linalg.eigh(symmetrize(W))
+    lam, V = np.linalg.eigh(W)
     lam, V = lam[::-1], V[:, ::-1]  # descending
     if lam[0] <= 0.0:
         raise DegenerateSolutionError("dominant eigenvalue of W is not positive")

@@ -256,7 +256,7 @@ def _load_json(path, what):
             d = json.load(f)
     except FileNotFoundError:
         raise ValidationError(f"{what} file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from None
     if not isinstance(d, dict):
         raise ValidationError(f"{what} file {path} is not a JSON object")

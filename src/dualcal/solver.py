@@ -7,7 +7,6 @@ import numpy as np
 
 from .chain import DualArmSystem, stack
 from .errors import StructureError, ValidationError
-from .numerics import solve_damped_normal
 from .sdp_init import initialize
 
 log = logging.getLogger("dualcal")
@@ -33,13 +32,14 @@ def step(system, samples):
 
     The residual model is e(system.apply_delta(d)) ~ e + J d, so the
     increment minimizes |e + J d|^2 + DAMPING*|d|^2, i.e. it solves
-    (J^T J + DAMPING I) d = -J^T e.  Returns (new_system, delta, e).
-    Raises StructureError when e or J is not finite.
+    (J^T J + DAMPING I) d = -J^T e, whose matrix has every eigenvalue
+    >= DAMPING.  Returns (new_system, delta, e).  Raises StructureError
+    when e or J is not finite.
     """
     e, J = stack(system, samples)
     if not (np.isfinite(e).all() and np.isfinite(J).all()):
         raise StructureError("residual or Jacobian is not finite")
-    delta = solve_damped_normal(J, -e, DAMPING)
+    delta = np.linalg.solve(J.T @ J + DAMPING * np.eye(J.shape[1]), -(J.T @ e))
     return system.apply_delta(delta), delta, e
 
 

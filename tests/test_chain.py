@@ -212,23 +212,33 @@ def test_apply_delta_at_pi_rotation():
     assert (np.abs(J - fd).max(axis=0) / np.maximum(scale, 1e-9)).max() < 1e-4
 
 
-def test_identifiability_rank_under_full_excitation(gt_system):
+@pytest.fixture(scope="module")
+def full_excitation_report(gt_system):
+    rng = np.random.default_rng(6)
+    q_a, q_c = sample_configurations(80, 6, rng)
+    return identifiability_report(gt_system, Measurements(q_a, q_c, predict_B(gt_system, q_a, q_c)))
+
+
+def test_identifiability_rank_under_full_excitation(full_excitation_report):
     # The stacked Jacobian always carries an exact 12-dimensional null
     # space: conjugating all of one arm's joint twists by any G in SE(3)
     # is absorbed exactly by the neighbouring coordinate transforms (see
     # test_gauge_orbit_preserves_measurements), 6 directions per arm.
     # Under full excitation the rank therefore saturates at 12n+6, not
     # at the parameter count 12n+18.
-    rng = np.random.default_rng(6)
-    q_a, q_c = sample_configurations(80, 6, rng)
-    samples80 = Measurements(q_a, q_c, predict_B(gt_system, q_a, q_c))
-    rep = identifiability_report(gt_system, samples80)
+    rep = full_excitation_report
     assert rep.rank == 12 * 6 + 6
     assert not rep.excitation_violations
     # spectral gap between the excited directions and the gauge orbit
     sv = rep.singular_values
     assert sv[77] > 1e8 * sv[78]
     assert not rep.well_posed  # well_posed demands the full 12n+18
+
+
+def test_identifiability_rank_counts_singular_values_above_threshold(full_excitation_report):
+    rep = full_excitation_report
+    sv = rep.singular_values
+    assert rep.rank == np.sum(sv > rep.threshold) == 78
 
 
 def test_gauge_orbit_preserves_measurements(gt_system, samples):

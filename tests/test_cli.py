@@ -307,18 +307,35 @@ def test_dropped_calibrate_flags_exit_2(workdir, flag, value):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv", [
+# one command per input file a command reads: --data, --calib and --clouds
+BAD_FILE_ARGV = pytest.mark.parametrize("argv", [
     ("calibrate", "--data", "{bad}"),
     ("init", "--data", "{bad}"),
     ("identifiability", "--data", "{data}", "--calib", "{bad}"),
     ("ball-eval", "--clouds", "{bad}", "--calib", "{calib}"),
 ], ids=["calibrate", "init", "identifiability", "ball-eval"])
-def test_non_object_json_exits_2_naming_file(workdir, calib_file, tmp_path, capsys, argv):
-    bad = tmp_path / "five.json"
-    bad.write_text("5\n")
+
+
+def run_on_bad_file(workdir, calib_file, tmp_path, argv, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
     files = {"bad": bad, "data": workdir / "data.json", "calib": calib_file}
     assert run(*(a.format(**files) for a in argv), "--out", str(tmp_path / "out.json")) == 2
+    return bad
+
+
+@BAD_FILE_ARGV
+def test_non_object_json_exits_2_naming_file(workdir, calib_file, tmp_path, capsys, argv):
+    bad = run_on_bad_file(workdir, calib_file, tmp_path, argv, b"5\n")
     assert f"file {bad} is not a JSON object" in capsys.readouterr().err
+
+
+@BAD_FILE_ARGV
+def test_non_utf8_file_exits_2_naming_file(workdir, calib_file, tmp_path, capsys, argv):
+    # a UTF-16 byte-order mark is not valid UTF-8
+    bad = run_on_bad_file(workdir, calib_file, tmp_path, argv, b"\xff\xfe{}")
+    err = capsys.readouterr().err
+    assert f"file {bad} is not valid JSON: 'utf-8' codec can't decode byte 0xff" in err
 
 
 def tool_arm_ragged_twists(record):

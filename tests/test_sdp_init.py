@@ -103,6 +103,15 @@ def test_objective_zero_at_ground_truth(noise_free_setup):
     assert np.linalg.eigvalsh(problem.Q).min() > -1e-9  # PSD
 
 
+@pytest.mark.parametrize("m", [3, 80, 400])
+def test_objective_matrix_exactly_symmetric(m):
+    # Q = G^T G is symmetric bit for bit, as the certificate's eigvalsh of
+    # S = Q - A*(lambda), which reads one triangle, assumes
+    ds = generate_dataset(m, "QH", "QH", seed=m)
+    Q = sdp.build_problem(ds.nominal_system, ds.samples).Q
+    assert np.array_equal(Q, Q.T)
+
+
 # the constraint families as index ranges of build_constraints' build order
 FAMILIES = {"Rx_orth": range(0, 6), "Rx_hand": range(6, 9), "Ry_orth": range(9, 15),
             "Ry_hand": range(15, 18), "K_orth": range(18, 63), "K_block": range(63, 135),
@@ -170,12 +179,12 @@ def test_constraints_detect_broken_kronecker_structure(constraints, dense_H):
 
 
 def test_constraint_operator_matches_dense_constraints(constraints, dense_H):
-    from dualcal.numerics import symmetrize
     op = constraints
     assert op.flat.size == np.count_nonzero(dense_H) == 1540
     rng = np.random.default_rng(6)
     for _ in range(5):
-        X = symmetrize(rng.standard_normal((133, 133)))
+        X = rng.standard_normal((133, 133))
+        X = X + X.T
         y = rng.standard_normal(len(constraints))
         AX = op(X)
         assert np.abs(AX - [np.sum(H * X) for H in dense_H]).max() < 1e-12

@@ -11,7 +11,7 @@ from dualcal.errors import StructureError, ValidationError
 from dualcal.kinematics import perturb_model
 from dualcal.simulate import default_system
 from dualcal.solver import calibrate, solve, step
-from helpers import noise_free_samples
+from helpers import gauss_solve, noise_free_samples
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +34,24 @@ def test_step_zero_residual_no_motion(setup):
     assert np.abs(delta).max() < 1e-12
     for a, b in zip(fields(new), fields(gt)):
         assert np.abs(a - b).max() < 1e-12
+
+
+def test_step_solves_damped_normal_equations():
+    rng = np.random.default_rng(8)
+    gt = default_system()
+    samples = noise_free_samples(gt, rng, 20)
+    start = DualArmSystem(
+        perturb_model(gt.sensor_arm, rng.normal(0, 5e-4, (6, 6))),
+        perturb_model(gt.tool_arm, rng.normal(0, 5e-4, (6, 6))),
+        gt.X, gt.Y, gt.Z).apply_delta(np.r_[rng.normal(0, 1e-3, 18), np.zeros(72)])
+    new, delta, e = step(start, samples)
+    e_ref, J = stack(start, samples)
+    assert np.array_equal(e, e_ref)
+    expect = gauss_solve(J.T @ J + solver.DAMPING * np.eye(J.shape[1]), -(J.T @ e))
+    assert np.abs(delta - expect).max() < 1e-9
+    assert np.abs(delta).max() > 1e-4  # a step that moves, not a trivially zero one
+    for a, b in zip(fields(new), fields(start.apply_delta(delta))):
+        assert np.array_equal(a, b)
 
 
 def test_single_step_contracts_coordinate_error(setup):
