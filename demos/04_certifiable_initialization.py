@@ -27,7 +27,7 @@ nominal = ds.nominal_system
 print(f"dataset: {len(ds.samples)} samples, kinematic level MH, noise level M")
 
 problem = sdp.build_problem(nominal, ds.samples)
-print(f"lifted QCQP: dim {sdp.DIM}, {len(problem.constraints)} quadratic "
+print(f"lifted QCQP: dim {sdp.DIM}, {len(sdp.build_constraints())} quadratic "
       f"constraints, |Q|_F = {np.linalg.norm(problem.Q):.1f}")
 
 t0 = time.perf_counter()

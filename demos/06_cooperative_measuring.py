@@ -12,8 +12,8 @@ from dataclasses import replace
 import numpy as np
 
 from dualcal import liegroup as lie
+from dualcal.chain import predict_B
 from dualcal.evaluate import ball_consistency
-from dualcal.kinematics import forward_kinematics
 from dualcal.simulate import generate_dataset
 
 rng = np.random.default_rng(3)
@@ -23,15 +23,14 @@ ball_center_E2 = np.array([0.02, -0.01, 0.05])  # fixed in the tool-flange frame
 radius = 0.0254
 
 q_a, q_c = ds.samples.q_a, ds.samples.q_c
+# sensor-from-flange X^-1 A^-1 Y C of each posture: the chain's B' without its Z
+sensor_from_flange = predict_B(system, q_a, q_c) @ lie.pose_inv(system.Z)
 clouds = []
 for i in range(len(ds.samples)):
     dirs = rng.normal(size=(150, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     pts_E2 = ball_center_E2 + radius * dirs + rng.normal(0, 2e-5, (150, 3))
-    A = forward_kinematics(system.sensor_arm, q_a[i])
-    C = forward_kinematics(system.tool_arm, q_c[i])
-    sensor_from_flange = lie.pose_inv(system.X) @ lie.pose_inv(A) @ system.Y @ C
-    clouds.append(lie.apply_pose(sensor_from_flange, pts_E2))
+    clouds.append(lie.apply_pose(sensor_from_flange[i], pts_E2))
 print(f"rendered {len(clouds)} ball clouds (150 pts each, 20 um scan noise)")
 
 result = ball_consistency(system, clouds, q_a, q_c)

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import liegroup as lie
-from .errors import StructureError, ValidationError
+from .errors import CalibrationError, ValidationError
 from .kinematics import RobotModel, zero_pose
 
 
@@ -60,7 +60,7 @@ class DualArmSystem:
         """
         delta = np.asarray(delta, dtype=float)
         if delta.shape != (self.dim,):
-            raise StructureError(f"delta must have length {self.dim}")
+            raise CalibrationError(f"delta must have length {self.dim}")
         d, n = delta.reshape(-1, 6), self.n
         Ex, Ey, Ez = lie.exp_se3(d[:3])
         arms = [RobotModel(arm.name, arm.joint_twists + dj, arm.zero_offset.copy())
@@ -88,11 +88,11 @@ class Measurements:
         self.q_a, self.q_c, self.B = (np.asarray(v, dtype=float)
                                       for v in (self.q_a, self.q_c, self.B))
         if self.q_a.ndim != 2 or len(self.q_a) < 1:
-            raise StructureError("need at least one sample: q_a must be (m, n) with m >= 1")
+            raise CalibrationError("need at least one sample: q_a must be (m, n) with m >= 1")
         m, n = self.q_a.shape
         if self.q_c.shape != (m, n) or self.B.shape != (m, 4, 4):
-            raise StructureError(f"q_c {self.q_c.shape} and B {self.B.shape} do not match "
-                                 f"q_a {(m, n)}: need (m, n) and (m, 4, 4)")
+            raise CalibrationError(f"q_c {self.q_c.shape} and B {self.B.shape} do not match "
+                                   f"q_a {(m, n)}: need (m, n) and (m, 4, 4)")
         bad = np.flatnonzero(~lie.is_pose(self.B))
         if bad.size:
             raise ValidationError(f"samples[{bad[0]}].B is not a valid pose")
@@ -153,7 +153,7 @@ def _chain(system, q_a, q_c, jacobian):
     from the memo of kinematics.zero_pose."""
     q_a, q_c = np.asarray(q_a, dtype=float), np.asarray(q_c, dtype=float)
     if q_a.ndim != 2 or q_a.shape[1] != system.n or q_c.shape != q_a.shape:
-        raise StructureError("joint readings do not match the system's joint count")
+        raise CalibrationError("joint readings do not match the system's joint count")
     arm_a, arm_c = system.sensor_arm, system.tool_arm
     twists = np.concatenate([arm_a.joint_twists[::-1], arm_c.joint_twists])
     q = np.concatenate([-q_a[:, ::-1], q_c], axis=1)
@@ -207,22 +207,19 @@ class IdentifiabilityReport:
         return {**asdict(self), "singular_values": self.singular_values.tolist()}
 
 
-def identifiability_report(system, samples, q_min=Q_MIN):
+def identifiability_report(system, samples):
     """Rank/conditioning diagnostics of the stacked Jacobian J of a system
     on samples.
 
     Reports the singular values of J, the numeric rank at
     sigma_max * RANK_REL_THRESHOLD, the condition number, and the samples
-    whose joints sit below q_min (weakly exciting; their twist
+    whose joints sit below Q_MIN (weakly exciting; their twist
     contributions degenerate as q -> 0).  Singular values come from an
     SVD of J itself: an eigendecomposition of J^T J squares the
     condition number and cannot resolve the 1e-8 rank threshold.  With
     fewer rows than parameters the rank is at most the row count and the
-    condition number is infinite.  Raises ValidationError only for a NaN
-    or negative q_min.
+    condition number is infinite.
     """
-    if not q_min >= 0:
-        raise ValidationError(f"q_min must be a nonnegative number, got {q_min}")
     _, J = stack(system, samples)
     sv = np.linalg.svd(J, compute_uv=False)
     rank = int(np.sum(sv > sv[0] * RANK_REL_THRESHOLD))
@@ -232,7 +229,7 @@ def identifiability_report(system, samples, q_min=Q_MIN):
         cond = float(sv[0] / sv[needed - 1])
     q = np.stack((samples.q_a, samples.q_c), axis=1)  # (m, arm, n)
     violations = [{"sample": int(i), "arm": "ac"[a], "joint": int(k), "q": float(q[i, a, k])}
-                  for i, a, k in np.argwhere(np.abs(q) < q_min)]
+                  for i, a, k in np.argwhere(np.abs(q) < Q_MIN)]
     return IdentifiabilityReport(
         singular_values=sv,
         rank=rank,

@@ -16,12 +16,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from .chain import Q_MIN, identifiability_report, residual
+from .chain import identifiability_report, residual
 from .errors import CalibrationError, RankDeficientError, ValidationError
 from .evaluate import ball_consistency, evaluate_samples
 from .kinematics import _require_fields, field_array
 from .sdp_init import initialize
-from .simulate import (D_MIN, _load_json, _sample_field, dataset_to_dict, default_system,
+from .simulate import (_load_json, _sample_field, dataset_to_dict, default_system,
                        generate_dataset, load_dataset, system_from_dict, system_to_dict)
 from .solver import calibrate
 
@@ -46,8 +46,8 @@ def _write_json(obj, path):
 
 def cmd_generate(args):
     system = system_from_dict(_load_json(args.system, "system")) if args.system else default_system()
-    ds = generate_dataset(args.samples, args.kin_level, args.noise_level,
-                          args.seed, system=system, q_min=args.q_min, d_min=args.d_min)
+    ds = generate_dataset(args.samples, args.kin_level, args.noise_level, args.seed,
+                          system=system)
     _write_json(dataset_to_dict(ds, blind=args.blind), args.out)
     return 0
 
@@ -114,7 +114,7 @@ def cmd_evaluate(args):
 def cmd_identifiability(args):
     ds = load_dataset(args.data)
     source = _load_calib_system(args.calib, ds) if args.calib else ds.nominal_system
-    report = identifiability_report(source, ds.samples, q_min=args.q_min)
+    report = identifiability_report(source, ds.samples)
     _write_json(report.to_dict(), args.out)
     return 0
 
@@ -168,8 +168,6 @@ def build_parser():
     g.add_argument("--kin-level", default="M", help="L|ML|M|MH|H|QH|none")
     g.add_argument("--noise-level", default="M", help="L|ML|M|MH|H|QH|none")
     g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--q-min", type=float, default=Q_MIN)
-    g.add_argument("--d-min", type=float, default=D_MIN)
     g.add_argument("--blind", action="store_true", help="omit the ground-truth system")
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
@@ -200,7 +198,6 @@ def build_parser():
     d = sub.add_parser("identifiability", help="rank/excitation diagnostics")
     d.add_argument("--data", required=True)
     d.add_argument("--calib", help="evaluate at a calibrated state (default: nominal)")
-    d.add_argument("--q-min", type=float, default=Q_MIN)
     d.add_argument("--out", required=True)
     d.set_defaults(func=cmd_identifiability)
 

@@ -1,16 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types.  A failure is a plain CalibrationError (CLI exit 3)
+unless a caller catches it apart: the three subclasses below."""
 
 
 class CalibrationError(Exception):
     """Base class for all toolkit-specific failures."""
-
-
-class StructureError(CalibrationError):
-    """Input matrix/vector does not have the required structure."""
-
-
-class NearPiRotationError(CalibrationError):
-    """Rotation angle too close to pi for a stable logarithm."""
 
 
 class RankDeficientError(CalibrationError):
@@ -23,10 +16,6 @@ class RankDeficientError(CalibrationError):
         self.index = index  # which cloud of a batch, when the fit was batched
         where = "" if index is None else f" at index {index}"
         super().__init__(f"system is rank deficient{where}: numeric rank {rank} < {needed}")
-
-
-class InfeasibleSamplingError(CalibrationError):
-    """Rejection sampling could not satisfy the validity rules."""
 
 
 class DegenerateSolutionError(CalibrationError):

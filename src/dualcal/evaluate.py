@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liegroup as lie
+from .chain import predict_B
 from .errors import RankDeficientError
-from .kinematics import forward_kinematics
 
 log = logging.getLogger("dualcal")
 
@@ -41,13 +41,11 @@ class EvalReport:
 
 def evaluate_samples(system, samples):
     """Closed-loop report of a system on samples, from the loop deviations
-    E = (A X B)^-1 Y C Z with A and C from the system's own arms.
+    E = (A X B)^-1 Y C Z = B^-1 B', B' the chain's prediction from the system.
 
     A system that carries the nominal arms scores X, Y, Z alone, as a
     coordinate-only calibration."""
-    A = forward_kinematics(system.sensor_arm, samples.q_a)
-    C = forward_kinematics(system.tool_arm, samples.q_c)
-    E = lie.pose_inv(A @ system.X @ samples.B) @ system.Y @ C @ system.Z
+    E = lie.pose_inv(samples.B) @ predict_B(system, samples.q_a, samples.q_c)
     return EvalReport(lie.rotation_angle(E[:, :3, :3]), np.linalg.norm(E[:, :3, 3], axis=-1))
 
 
@@ -207,8 +205,8 @@ def ball_consistency(system, point_clouds, q_a, q_c):
 
     point_clouds holds one (N_i, 3) sensor-frame cloud per posture and
     q_a, q_c the (m, n) joint readings of the postures.  Each cloud is
-    mapped to the common tool-flange frame by p' = C^-1 Y^-1 A X p with
-    A, C from the system's arms, a sphere is fitted per posture (one
+    mapped to the common tool-flange frame by p' = C^-1 Y^-1 A X p = Z B'^-1 p
+    (B' the chain's prediction), a sphere is fitted per posture (one
     batched fit per distinct point count), and the minimum enclosing ball
     of the fitted centers gives r_MEB (smaller is better).  A degenerate
     cloud raises RankDeficientError whose ``index`` is the first such
@@ -217,8 +215,7 @@ def ball_consistency(system, point_clouds, q_a, q_c):
     m = len(point_clouds)
     if m == 0 or len(q_a) != m or len(q_c) != m:
         raise ValueError("need one point cloud per posture, and at least one posture")
-    A, C = forward_kinematics(system.sensor_arm, q_a), forward_kinematics(system.tool_arm, q_c)
-    T = lie.pose_inv(C) @ lie.pose_inv(system.Y) @ A @ system.X
+    T = system.Z @ lie.pose_inv(predict_B(system, q_a, q_c))
     counts = np.array([len(cloud) for cloud in point_clouds])
     centers, radii, rmss = np.empty((m, 3)), np.empty(m), np.empty(m)
     degenerate = []

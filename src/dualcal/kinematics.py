@@ -8,7 +8,7 @@ from importlib import resources
 import numpy as np
 
 from . import liegroup as lie
-from .errors import StructureError, ValidationError
+from .errors import CalibrationError, ValidationError
 
 
 @dataclass
@@ -58,7 +58,7 @@ def forward_kinematics(model, q):
     """End pose exp(xi^1 q^1) ... exp(xi^n q^n) exp(xi_st); (m, n) joints give (m, 4, 4)."""
     q = np.asarray(q, dtype=float)
     if q.ndim not in (1, 2) or q.shape[-1] != model.n:
-        raise StructureError(f"joint vector length {q.shape} does not match n={model.n}")
+        raise CalibrationError(f"joint vector length {q.shape} does not match n={model.n}")
     E = lie.exp_se3(model.joint_twists, q)
     T = E[..., 0, :, :]
     for k in range(1, model.n):
@@ -73,7 +73,7 @@ def perturb_model(model, deltas):
     """
     deltas = np.atleast_2d(np.asarray(deltas, dtype=float))
     if deltas.shape != (model.n, 6):
-        raise StructureError(f"expected {model.n} twist deltas, got {deltas.shape}")
+        raise CalibrationError(f"expected {model.n} twist deltas, got {deltas.shape}")
     new_twists = model.joint_twists.copy()
     moved = np.any(deltas != 0.0, axis=1)
     new_twists[moved] = lie.log_se3(lie.exp_se3(model.joint_twists[moved])

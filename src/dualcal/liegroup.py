@@ -22,7 +22,7 @@ q defaults to 1, so ``joint_jacobian(xi)`` is the left Jacobian J(xi).
 
 import numpy as np
 
-from .errors import NearPiRotationError
+from .errors import CalibrationError
 
 # Below this rotation angle the exp/log coefficient formulas switch to
 # Taylor expansions.  Their cancellation errors are damped by matching
@@ -161,7 +161,7 @@ def exp_se3(xi, q=1.0):
 def log_se3(T):
     """Logarithm map SE(3) -> twist coordinates: (..., 4, 4) to (..., 6).
 
-    Raises NearPiRotationError when any rotation angle is within 1e-6 of
+    Raises CalibrationError when any rotation angle is within 1e-6 of
     pi; callers decide how to recover (calibration increments are small,
     so this path is unreachable in normal operation).
     """
@@ -169,7 +169,7 @@ def log_se3(T):
     R = T[..., :3, :3]
     theta = np.arccos(np.clip((np.trace(R, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0))
     if np.any(theta >= np.pi - _PI_MARGIN):
-        raise NearPiRotationError(
+        raise CalibrationError(
             f"rotation angle {np.max(theta):.9f} within {_PI_MARGIN} of pi; logarithm unstable")
     small, t = _branch(theta, SMALL_ANGLE)
     t2 = theta * theta

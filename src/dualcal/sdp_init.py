@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import liegroup as lie
-from .errors import DegenerateSolutionError, StructureError, ValidationError
+from .errors import CalibrationError, DegenerateSolutionError, ValidationError
 from .kinematics import forward_kinematics
 from .numerics import project_rotation
 
@@ -194,10 +194,10 @@ class _Triplets:
         self.rho.append(float(rho))
 
 
-def _orthonormality(b, idx):
-    for l in range(3):
-        for k in range(l, 3):
-            for r in range(3):
+def _orthonormality(b, idx, n=3):
+    for l in range(n):
+        for k in range(l, n):
+            for r in range(n):
                 b.add(idx(r, l), idx(r, k), 1.0)
             b.done(1.0 if l == k else 0.0)
 
@@ -236,11 +236,7 @@ def _constraints():
     _handedness(b, _rx)
     _orthonormality(b, _ry)
     _handedness(b, _ry)
-    for p in range(9):
-        for q in range(p, 9):
-            for r in range(9):
-                b.add(_kk(r, p), _kk(r, q), 1.0)
-            b.done(1.0 if p == q else 0.0)
+    _orthonormality(b, _kk, 9)
     for p in range(3):
         for q in range(3):
             _scalar_multiple_of_identity(
@@ -266,8 +262,7 @@ def build_constraints():
 
 @dataclass
 class SDPProblem:
-    Q: np.ndarray
-    constraints: ConstraintOperator
+    Q: np.ndarray  # the constraints, the same for every problem: build_constraints()
     residual_stack: np.ndarray  # rows G with Q = G^T G
 
 
@@ -280,7 +275,7 @@ def build_problem(nominal, samples):
     """
     G = build_residual_stack(forward_kinematics(nominal.sensor_arm, samples.q_a), samples.B,
                              forward_kinematics(nominal.tool_arm, samples.q_c))
-    return SDPProblem(G.T @ G, build_constraints(), G)
+    return SDPProblem(G.T @ G, G)
 
 
 @dataclass
@@ -308,8 +303,8 @@ def solve_sdp(problem):
     """
     Q = problem.Q
     if not np.isfinite(Q).all():
-        raise StructureError("objective matrix Q has a non-finite entry")
-    A = problem.constraints
+        raise CalibrationError("objective matrix Q has a non-finite entry")
+    A = build_constraints()
     b = A.rho
     G_inv = np.linalg.pinv(A.gram(), rcond=1e-12, hermitian=True)
 
@@ -486,7 +481,7 @@ def lagrangian_bound(problem, w):
     with S = Q - A*(lambda).  When S is PSD, weak duality makes b^T lambda
     a lower bound of the SDP, hence of the QCQP.
     """
-    A, G, Q = problem.constraints, problem.residual_stack, problem.Q
+    A, G, Q = build_constraints(), problem.residual_stack, problem.Q
     lam = np.linalg.lstsq(A.columns(w), G.T @ (G @ w), rcond=None)[0]
     S = Q - A.adjoint(lam)
     return float(A.rho @ lam), float(np.linalg.eigvalsh(S)[0] / np.trace(Q))
@@ -545,8 +540,10 @@ def initialize(nominal, samples):
     """Full certifiable initialization pipeline, on the nominal system's arms.
 
     Tries certified_local first; when its certificate fails, solves the
-    SDP by ADMM, extracts and certifies.  Raises ValidationError, before
-    building the problem, for under 3 samples (6 rows each for X/Y/Z's 18 unknowns).
+    SDP by ADMM, extracts and certifies, and warns once if ADMM did not
+    converge or else if eta > CERT_ETA (not certified).  Raises
+    ValidationError, before building the problem, for under 3 samples
+    (6 rows each for X/Y/Z's 18 unknowns).
     """
     if 6 * len(samples) < 18:
         raise ValidationError(f"initialization needs at least 3 samples, got {len(samples)}")
@@ -565,6 +562,9 @@ def initialize(nominal, samples):
         log.warning("SDP initialization: ADMM did not converge in %d iterations "
                     "(primal %.3e, dual %.3e, tolerance %.3e)",
                     res.iterations, res.primal_res, res.dual_res, res.tol)
+    elif eta > CERT_ETA:
+        log.warning("SDP initialization: result not certified, eta = %.3e exceeds "
+                    "the bound CERT_ETA = %.0e", eta, CERT_ETA)
     return InitResult(X, Y, Z, eta, abs_gap, p_cert, rank_ratio,
                       res.iterations, res.converged, res.primal_res, res.dual_res,
                       "admm", None)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import liegroup as lie
 from .chain import Q_MIN, DualArmSystem, Measurements, predict_B
-from .errors import InfeasibleSamplingError, ValidationError
+from .errors import CalibrationError, ValidationError
 from .kinematics import (_require_fields, default_arm, field_array, forward_kinematics,
                          model_from_dict, model_to_dict, perturb_model)
 
@@ -91,8 +91,8 @@ def sample_configurations(m, n_joints, rng, q_min=Q_MIN, d_min=D_MIN):
         q_c.append(c)
         if len(q_a) == m:
             return np.array(q_a), np.array(q_c)
-    raise InfeasibleSamplingError(f"could not draw {m} valid configurations in {1000 * m} "
-                                  f"tries (q_min={q_min}, d_min={d_min})")
+    raise CalibrationError(f"could not draw {m} valid configurations in {1000 * m} "
+                           f"tries (q_min={q_min}, d_min={d_min})")
 
 
 def draw_joint_deltas(arm, level, rng):
@@ -170,17 +170,18 @@ def default_system():
     return DualArmSystem(default_arm("sensor_arm"), default_arm("tool_arm"), X, Y, Z)
 
 
-def generate_dataset(m, kin_tag, noise_tag, seed, system=None, q_min=Q_MIN, d_min=D_MIN):
+def generate_dataset(m, kin_tag, noise_tag, seed, system=None):
     """Deterministic end-to-end dataset generation from a seed.
 
     Three draws on one generator, in this order: the ground truth (the
     nominal kinematics perturbed at the kinematic level), the valid
-    configurations, and the measurement noise at the noise level.
+    configurations (by the fixed rules chain.Q_MIN and D_MIN), and the
+    measurement noise at the noise level.
     """
     rng = np.random.default_rng(seed)
     nominal = system if system is not None else default_system()
     gt = perturb_level(nominal, level("kin", kin_tag), rng)
-    q_a, q_c = sample_configurations(m, nominal.n, rng, q_min=q_min, d_min=d_min)
+    q_a, q_c = sample_configurations(m, nominal.n, rng)
     samples = synthesize(gt, q_a, q_c, level("noise", noise_tag), rng)
     return SyntheticDataset(nominal, gt, samples, seed, kin_tag, noise_tag)
 

@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .chain import DualArmSystem, stack
-from .errors import StructureError, ValidationError
+from .errors import CalibrationError, ValidationError
 from .sdp_init import initialize
 
 log = logging.getLogger("dualcal")
@@ -33,12 +33,12 @@ def step(system, samples):
     The residual model is e(system.apply_delta(d)) ~ e + J d, so the
     increment minimizes |e + J d|^2 + DAMPING*|d|^2, i.e. it solves
     (J^T J + DAMPING I) d = -J^T e, whose matrix has every eigenvalue
-    >= DAMPING.  Returns (new_system, delta, e).  Raises StructureError
+    >= DAMPING.  Returns (new_system, delta, e).  Raises CalibrationError
     when e or J is not finite.
     """
     e, J = stack(system, samples)
     if not (np.isfinite(e).all() and np.isfinite(J).all()):
-        raise StructureError("residual or Jacobian is not finite")
+        raise CalibrationError("residual or Jacobian is not finite")
     delta = np.linalg.solve(J.T @ J + DAMPING * np.eye(J.shape[1]), -(J.T @ e))
     return system.apply_delta(delta), delta, e
 

@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from dualcal import liegroup as lie
 from dualcal.chain import (_WALK_CHUNK, DualArmSystem, Measurements, identifiability_report,
                            predict_B, residual, stack)
-from dualcal.errors import StructureError, ValidationError
+from dualcal.errors import CalibrationError, ValidationError
 from dualcal.kinematics import RobotModel, default_arm, forward_kinematics
 from dualcal.simulate import default_system, sample_configurations
 from helpers import fd_jacobian_columns, noise_free_samples, valid_config
@@ -148,8 +149,10 @@ def test_rows_bitwise_equal_single_sample_calls_across_chunks(gt_system):
 
 
 def test_stack_empty_errors(gt_system, samples):
-    with pytest.raises(StructureError):
+    with pytest.raises(CalibrationError, match=r"^need at least one sample: q_a must be "
+                       r"\(m, n\) with m >= 1$") as excinfo:
         stack(gt_system, samples[:0])
+    assert excinfo.type is CalibrationError
 
 
 def test_measurements_select_and_validate(gt_system, samples):
@@ -164,10 +167,15 @@ def test_measurements_select_and_validate(gt_system, samples):
     q_a, q_c, B = samples.q_a, samples.q_c, samples.B
     for args in ((q_a, q_c[:-1], B), (q_a, q_c, B[:-1]),  # length mismatch
                  (q_a, q_c[:, :5], B), (q_a[:, :5], q_c, B)):  # wrong joint count
-        with pytest.raises(StructureError):
+        message = "q_c {1} and B {2} do not match q_a {0}: need (m, n) and (m, 4, 4)".format(
+            *(a.shape for a in args))
+        with pytest.raises(CalibrationError, match=f"^{re.escape(message)}$") as excinfo:
             Measurements(*args)
-    with pytest.raises(StructureError):  # the system's joint count
+        assert excinfo.type is CalibrationError
+    with pytest.raises(CalibrationError,  # the system's joint count
+                       match="^joint readings do not match the system's joint count$") as excinfo:
         predict_B(gt_system, q_a[:, :5], q_c[:, :5])
+    assert excinfo.type is CalibrationError
     bad = B.copy()
     bad[[9, 4], :3, :3] *= 1.5
     with pytest.raises(ValidationError, match=r"^samples\[4\]\.B is not a valid pose$"):
@@ -192,8 +200,10 @@ def test_apply_delta_retracts_poses_and_adds_joint_twists(gt_system):
         assert new_arm.name == arm.name
         assert np.array_equal(new_arm.joint_twists, arm.joint_twists + dj.reshape(6, 6))
         assert np.array_equal(new_arm.zero_offset, arm.zero_offset)
-    with pytest.raises(StructureError):
+    message = f"^delta must have length {gt_system.dim}$"
+    with pytest.raises(CalibrationError, match=message) as excinfo:
         gt_system.apply_delta(d[:-1])
+    assert excinfo.type is CalibrationError
 
 
 def test_apply_delta_at_pi_rotation():
@@ -310,8 +320,10 @@ def test_forward_kinematics_batched_matches_rows():
     assert T.shape == (7, 4, 4)
     for i in range(len(q)):
         assert np.abs(T[i] - forward_kinematics(arm, q[i])).max() <= 1e-12
-    with pytest.raises(StructureError):
+    with pytest.raises(CalibrationError,
+                       match=r"^joint vector length \(7, 5\) does not match n=6$") as excinfo:
         forward_kinematics(arm, q[:, :5])
+    assert excinfo.type is CalibrationError
 
 
 def test_predict_and_residual_batched_match_single(gt_system, samples):

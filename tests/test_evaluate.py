@@ -9,7 +9,8 @@ from dualcal.errors import RankDeficientError
 from dualcal.evaluate import ball_consistency, evaluate_samples, min_enclosing_ball, sphere_fit
 from dualcal.kinematics import forward_kinematics
 from dualcal.liegroup import rotation_angle
-from dualcal.simulate import Level, default_system, sample_configurations, synthesize
+from dualcal.simulate import (Level, default_system, generate_dataset, sample_configurations,
+                              synthesize)
 from helpers import brute_force_meb, loop_sphere_fit, noise_free_samples
 
 
@@ -80,6 +81,24 @@ def test_evaluate_samples_on_calibrated_and_nominal_arms(setup):
     assert report2.e_rot.max() < 1e-12
     d = report.to_dict()
     assert "rot_deg" in d and "trans_mm" in d and len(d["e_rot_deg"]) == 10
+
+
+def test_evaluate_samples_matches_closed_loop_composition():
+    # noisy samples, scored with the perturbed ground truth and with the
+    # nominal system: every deviation is nonzero
+    ds = generate_dataset(25, "M", "M", seed=5)
+    s = ds.samples
+    for system in (ds.gt_system, ds.nominal_system):
+        A = forward_kinematics(system.sensor_arm, s.q_a)
+        C = forward_kinematics(system.tool_arm, s.q_c)
+        E = np.linalg.inv(A @ system.X @ s.B) @ system.Y @ C @ system.Z
+        report = evaluate_samples(system, s)
+        assert report.e_rot.min() > 1e-6 and report.e_trans.min() > 1e-7
+        assert np.abs(report.e_rot - rotation_angle(E[:, :3, :3])).max() <= 1e-12
+        assert np.abs(report.e_trans - np.linalg.norm(E[:, :3, 3], axis=-1)).max() <= 1e-12
+        # the translation is read in the measured frame, B^-1 B', not B' B^-1
+        E_other = system.Y @ C @ system.Z @ np.linalg.inv(A @ system.X @ s.B)
+        assert np.abs(report.e_trans - np.linalg.norm(E_other[:, :3, 3], axis=-1)).max() > 1e-6
 
 
 def test_sphere_fit_exact():
@@ -221,6 +240,26 @@ def test_ball_consistency_sensitive_to_miscalibration(setup):
     q_a, q_c = samples.q_a[:10], samples.q_c[:10]
     result = ball_consistency(replace(system, Y=Y_bad), clouds, q_a, q_c)
     assert result.r_meb >= 0.5e-3
+
+
+def test_ball_consistency_centers_follow_the_closed_loop_transform(setup):
+    system, samples = setup
+    rng = np.random.default_rng(13)
+    ball_center = np.array([0.02, -0.01, 0.05])
+    s = samples[:10]
+    clouds = _synthetic_clouds(system, s, ball_center, 0.0254, rng)
+    Y_bad = system.Y @ lie.exp_se3(np.array([0.004, -0.002, 0.003, 0.002, 0.001, -0.001]))
+    bad = replace(system, Y=Y_bad)
+    result = ball_consistency(bad, clouds, s.q_a, s.q_c)
+    inv = np.linalg.inv
+    A = forward_kinematics(system.sensor_arm, s.q_a)
+    C = forward_kinematics(system.tool_arm, s.q_c)
+    # each exact sphere's sensor-frame center (homogeneous), mapped by
+    # C^-1 Y^-1 A X with the wrong Y
+    sensor_centers = inv(system.X) @ inv(A) @ system.Y @ C @ np.append(ball_center, 1.0)
+    expected = (inv(C) @ inv(Y_bad) @ A @ system.X @ sensor_centers[..., None])[:, :3, 0]
+    assert np.abs(result.centers - expected).max() <= 1e-12
+    assert np.abs(result.centers - ball_center).max() > 1e-3
 
 
 def test_ball_consistency_ragged_clouds_match_per_posture_fits(setup):

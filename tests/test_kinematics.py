@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dualcal import liegroup as lie
-from dualcal.errors import StructureError, ValidationError
+from dualcal.errors import CalibrationError, ValidationError
 from dualcal.kinematics import (RobotModel, default_arm, forward_kinematics,
                                 model_from_dict, model_to_dict, perturb_model, zero_pose)
 from helpers import expm_taylor, rand_twist, valid_config
@@ -48,8 +48,10 @@ def test_fk_matches_series_oracle():
 
 def test_fk_length_mismatch():
     arm = default_arm()
-    with pytest.raises(StructureError):
+    with pytest.raises(CalibrationError,
+                       match=r"^joint vector length \(5,\) does not match n=6$") as excinfo:
         forward_kinematics(arm, np.zeros(5))
+    assert excinfo.type is CalibrationError
 
 
 def test_fk_chain_split_composition():

@@ -7,7 +7,7 @@ import pytest
 from dualcal import liegroup as lie
 from dualcal import sdp_init as sdp
 from dualcal.chain import Measurements
-from dualcal.errors import DegenerateSolutionError, StructureError
+from dualcal.errors import CalibrationError, DegenerateSolutionError
 from dualcal.evaluate import evaluate_samples
 from dualcal.simulate import default_system, generate_dataset, level, noise_twists
 from helpers import noise_free_samples, rand_pose
@@ -200,18 +200,18 @@ def test_solve_rejects_non_finite_objective(noise_free_setup):
     _, _, problem = noise_free_setup
     Q = problem.Q.copy()
     Q[5, 7] = Q[7, 5] = np.nan
-    with pytest.raises(StructureError):
-        sdp.solve_sdp(sdp.SDPProblem(Q, problem.constraints, problem.residual_stack))
+    message = "^objective matrix Q has a non-finite entry$"
+    with pytest.raises(CalibrationError, match=message) as excinfo:
+        sdp.solve_sdp(sdp.SDPProblem(Q, problem.residual_stack))
+    assert excinfo.type is CalibrationError
 
 
-def test_solve_noise_free_tight(noise_free_setup, noise_free_solution, dense_H):
-    _, _, problem = noise_free_setup
+def test_solve_noise_free_tight(noise_free_solution, constraints, dense_H):
     res = noise_free_solution
     assert res.converged
     assert res.p_sdp <= 1e-8
     # constraint feasibility of the returned matrix
-    cons = problem.constraints
-    viol = max(abs(np.sum(H * res.W) - rho) for H, rho in zip(dense_H, cons.rho))
+    viol = max(abs(np.sum(H * res.W) - rho) for H, rho in zip(dense_H, constraints.rho))
     assert viol < 1e-7
     # PSD within tolerance
     lam = np.linalg.eigvalsh(res.W)
@@ -312,6 +312,28 @@ def test_initialize_warns_when_admm_does_not_converge(noise_free_setup, caplog, 
     assert len(warnings) == 1 and "did not converge" in warnings[0].getMessage()
 
 
+def test_initialize_warns_when_admm_result_is_not_certified(caplog, monkeypatch):
+    # at m = 3 the local Gauss-Newton does not converge and ADMM converges
+    # to a candidate whose gap is far above CERT_ETA
+    ds = generate_dataset(3, "M", "M", seed=6)
+    with caplog.at_level(logging.WARNING, logger="dualcal"):
+        init = sdp.initialize(ds.nominal_system, ds.samples)
+    assert init.method == "admm" and init.converged and init.eta > sdp.CERT_ETA
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    message = warnings[0].getMessage()
+    assert "not certified" in message and f"eta = {init.eta:.3e}" in message
+    assert f"CERT_ETA = {sdp.CERT_ETA:.0e}" in message
+    # stopped at the cap, the same data warns only that ADMM did not converge
+    caplog.clear()
+    monkeypatch.setattr(sdp, "ADMM_MAX_ITERS", 25)
+    with caplog.at_level(logging.WARNING, logger="dualcal"):
+        init = sdp.initialize(ds.nominal_system, ds.samples)
+    assert not init.converged and init.eta > sdp.CERT_ETA
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1 and "did not converge" in warnings[0].getMessage()
+
+
 def test_lift_jacobian_matches_central_differences():
     rng = np.random.default_rng(11)
     h = 1e-6
@@ -337,10 +359,11 @@ def qh_problems():
     return out
 
 
-def test_certified_local_on_noise_free_and_qh_data(noise_free_setup, qh_problems):
+def test_certified_local_on_noise_free_and_qh_data(noise_free_setup, qh_problems, caplog):
     system, samples, _ = noise_free_setup
-    init = sdp.initialize(system, samples)
-    assert init.method == "certified-local"
+    with caplog.at_level(logging.WARNING, logger="dualcal"):
+        init = sdp.initialize(system, samples)
+    assert init.method == "certified-local" and not caplog.records
     assert init.eta <= sdp.CERT_ETA and init.lambda_min_rel >= -sdp.CERT_EIG_TOL
     assert init.primal_res is None and init.dual_res is None and init.rank_ratio == 0.0
     for est, true in ((init.X, system.X), (init.Y, system.Y), (init.Z, system.Z)):
@@ -354,7 +377,7 @@ def test_certified_local_falls_back_on_non_finite_stack(noise_free_setup):
     _, _, problem = noise_free_setup
     G = problem.residual_stack.copy()
     G[3, 5] = np.nan
-    assert sdp.certified_local(sdp.SDPProblem(G.T @ G, problem.constraints, G)) is None
+    assert sdp.certified_local(sdp.SDPProblem(G.T @ G, G)) is None
 
 
 def test_certified_local_matches_admm(qh_problems):

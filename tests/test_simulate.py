@@ -5,7 +5,7 @@ import pytest
 
 from dualcal import liegroup as lie
 from dualcal.chain import stack
-from dualcal.errors import InfeasibleSamplingError, ValidationError
+from dualcal.errors import CalibrationError, ValidationError
 from dualcal.simulate import (LEVEL_TAGS, MEAN_NORM_FACTOR, Level, SyntheticDataset,
                               dataset_from_dict, dataset_to_dict, default_system,
                               draw_joint_deltas, generate_dataset, level, level_targets,
@@ -54,8 +54,10 @@ def test_sample_configurations_deterministic():
 
 
 def test_sample_configurations_infeasible_rules():
-    with pytest.raises(InfeasibleSamplingError):
+    with pytest.raises(CalibrationError, match=r"^could not draw 5 valid configurations in "
+                       r"5000 tries \(q_min=3\.0, d_min=0\.3\)$") as excinfo:
         sample_configurations(5, 6, np.random.default_rng(1), q_min=3.0)
+    assert excinfo.type is CalibrationError
 
 
 @pytest.mark.parametrize("rule", ["q_min", "d_min"])

@@ -7,7 +7,7 @@ import pytest
 from dualcal import liegroup as lie
 from dualcal import solver
 from dualcal.chain import DualArmSystem, Measurements, stack
-from dualcal.errors import StructureError, ValidationError
+from dualcal.errors import CalibrationError, ValidationError
 from dualcal.kinematics import perturb_model
 from dualcal.simulate import default_system
 from dualcal.solver import calibrate, solve, step
@@ -148,8 +148,9 @@ def test_step_on_non_finite_residual_errors(setup):
     q_a = samples.q_a.copy()
     q_a[4, 2] = np.nan
     bad = Measurements(q_a, samples.q_c, samples.B)
-    with pytest.raises(StructureError, match="not finite"):
+    with pytest.raises(CalibrationError, match="^residual or Jacobian is not finite$") as excinfo:
         step(gt, bad)
+    assert excinfo.type is CalibrationError
 
 
 def test_tol_validation(setup, monkeypatch):
