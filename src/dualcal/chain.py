@@ -73,9 +73,9 @@ class Measurements:
     """The m samples, stacked: both arms' joint readings q_a and q_c (m, n)
     and the measured tool-in-sensor poses B (m, 4, 4).
 
-    Checked once, on construction: m >= 1, matching shapes and every B a
-    pose.  A slice or an index array selects samples as a new record;
-    there is no per-sample object.
+    Checked once, on construction: m >= 1, matching shapes, finite joint
+    readings and every B a pose.  A slice or an index array selects
+    samples as a new record; there is no per-sample object.
     """
 
     q_a: np.ndarray
@@ -93,6 +93,10 @@ class Measurements:
         if self.q_c.shape != (m, n) or self.B.shape != (m, 4, 4):
             raise CalibrationError(f"q_c {self.q_c.shape} and B {self.B.shape} do not match "
                                    f"q_a {(m, n)}: need (m, n) and (m, 4, 4)")
+        for name in ("q_a", "q_c"):
+            bad = np.flatnonzero(~np.isfinite(getattr(self, name)).all(axis=1))
+            if bad.size:
+                raise ValidationError(f"samples[{bad[0]}].{name} has a non-finite value")
         bad = np.flatnonzero(~lie.is_pose(self.B))
         if bad.size:
             raise ValidationError(f"samples[{bad[0]}].B is not a valid pose")
@@ -104,8 +108,9 @@ class Measurements:
         return Measurements(self.q_a[index], self.q_c[index], self.B[index])
 
 
-# Samples per chain walk: bounds the walk's (chunk, 2n+2, ...) temporaries,
-# which at a few hundred samples would outgrow the Jacobian itself.
+# Samples per chain walk: bounds the walk's temporaries, the (chunk, 2n, 6, 6)
+# differentials and (chunk, 2n, 4, 4) prefixes, which per sample outweigh the
+# sample's six Jacobian rows.
 _WALK_CHUNK = 64
 
 
@@ -115,16 +120,21 @@ def _walk(system, ends, E, D=None, rows=None):
     The chain is X^-1 exp(-xi_st_a) [sensor joint factors a^n .. a^1] Y
     [tool joint factors c^1 .. c^n] exp(xi_st_c) Z; ends holds the pose
     X^-1 exp(-xi_st_a) and exp(xi_st_c), E the (m, 2n, 4, 4) joint
-    factors in chain order.  One batched product per factor carries the
-    prefix.  Given the joint differentials D (m, 2n, 6, 6) and rows
+    factors in column order a^1..a^n, c^1..c^n, which the walk visits in
+    chain order.  One batched product per factor carries the prefix.
+    Given the joint differentials D (m, 2n, 6, 6), in E's order, and rows
     (m, 6, 12n+18), the walk writes the Jacobian into them: a block is
     the adjoint of the prefix before its factor times the factor's
-    differential: -I for X^-1 (no prefix), I for Y and Z, D for joints."""
+    differential: -I for X^-1 (no prefix), Ad(P) for Y and Z.  For a
+    joint with prefix P = (R, t) the block Ad(P) D = [[R D_top],
+    [[t^ R, R] D]] is taken blockwise, a 3x3 and a 3x6 product per joint
+    written straight into its columns: no 6x6 adjoint of a joint prefix
+    is formed."""
     head, tail = ends
     m, n = len(E), system.n
     P = head
-    prefixes = []  # before each joint factor (E's order), then before Y and Z
-    for j in range(2 * n):
+    prefixes = []  # before each joint factor, in chain order
+    for j in (*range(n - 1, -1, -1), *range(n, 2 * n)):
         if j == n:
             P_Y = P
             P = P @ system.Y
@@ -133,13 +143,16 @@ def _walk(system, ends, E, D=None, rows=None):
     P = P @ tail
     if rows is not None:
         prefixes[0] = np.broadcast_to(head, (m, 4, 4))  # one pose, shared by the samples
-        Ad = lie.adjoint(np.stack(prefixes + [P_Y, P], axis=1))
-        AdD = Ad[:, :2 * n] @ D
+        prefixes = np.stack(prefixes[n - 1::-1] + prefixes[n:], axis=1)  # column order
         blocks = rows.reshape(m, 6, 2 * n + 3, 6)  # column blocks [X, Y, Z, a^1..a^n, c^1..c^n]
         blocks[:, :, 0] = -np.eye(6)
-        blocks[:, :, 1:3] = Ad[:, 2 * n:].swapaxes(1, 2)
-        blocks[:, :, 3:3 + n] = AdD[:, n - 1::-1].swapaxes(1, 2)
-        blocks[:, :, 3 + n:] = AdD[:, n:].swapaxes(1, 2)
+        blocks[:, :, 1:3] = lie.adjoint(np.stack([P_Y, P], axis=1)).swapaxes(1, 2)
+        R, AdD = prefixes[..., :3, :3], blocks[:, :, 3:].swapaxes(1, 2)
+        np.matmul(R, D[..., :3, :], out=AdD[..., :3, :])
+        lower = np.empty(R.shape[:-1] + (6,))  # the adjoint's lower rows [t^ R, R]
+        np.matmul(lie.skew(prefixes[..., :3, 3]), R, out=lower[..., :3])
+        lower[..., 3:] = R
+        np.matmul(lower, D, out=AdD[..., 3:, :])
     return P @ system.Z
 
 
@@ -148,15 +161,15 @@ def _chain(system, q_a, q_c, jacobian):
 
     Per chunk, one exp_se3 call gives both arms' joint factors and one
     joint_jacobian call their differentials: the sensor arm's factors,
-    which enter inverted, are its twists in reverse order at -q_a (their
-    differentials then carry the sign).  The zero offsets' poses come
-    from the memo of kinematics.zero_pose."""
+    which enter inverted, are its twists at -q_a (their differentials
+    then carry the sign).  The zero offsets' poses come from the memo of
+    kinematics.zero_pose."""
     q_a, q_c = np.asarray(q_a, dtype=float), np.asarray(q_c, dtype=float)
     if q_a.ndim != 2 or q_a.shape[1] != system.n or q_c.shape != q_a.shape:
         raise CalibrationError("joint readings do not match the system's joint count")
     arm_a, arm_c = system.sensor_arm, system.tool_arm
-    twists = np.concatenate([arm_a.joint_twists[::-1], arm_c.joint_twists])
-    q = np.concatenate([-q_a[:, ::-1], q_c], axis=1)
+    twists = np.concatenate([arm_a.joint_twists, arm_c.joint_twists])
+    q = np.concatenate([-q_a, q_c], axis=1)
     ends = lie.pose_inv(system.X) @ zero_pose(-arm_a.zero_offset), zero_pose(arm_c.zero_offset)
     m = len(q)
     B = np.empty((m, 4, 4))

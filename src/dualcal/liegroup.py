@@ -16,8 +16,10 @@ differential ``joint_jacobian(xi, q)`` = q J(q xi), which maps additive
 twist increments to the left-trivialized derivative,
 d exp(q xi^) exp(-q xi^) = (q J(q xi) dxi)^.  Each forms the powers of
 hat(xi) or ad(xi) once per twist and takes the joint values, which
-broadcast against the twists' batch, only through scalar coefficients;
-q defaults to 1, so ``joint_jacobian(xi)`` is the left Jacobian J(xi).
+broadcast against the twists' batch, only through scalar coefficients:
+exp_se3 sums the powers elementwise, joint_jacobian multiplies each
+element's row of coefficients into its twist's table of powers.  q
+defaults to 1, so ``joint_jacobian(xi)`` is the left Jacobian J(xi).
 """
 
 import numpy as np
@@ -240,15 +242,25 @@ def joint_jacobian(xi, q=1.0):
     Closed form q (I + c2 q O + c3 q^2 O^2 + c4 q^3 O^3 + c5 q^4 O^4)
     with O = ad(xi) and trigonometric coefficients at theta = |q| |w|;
     equal to the series q sum_k (q O)^k/(k+1)!.  Taylor fallback below
-    JACOBIAN_SMALL_ANGLE.  At q = 0 it is exactly 0: a joint at zero
-    contributes nothing.
+    JACOBIAN_SMALL_ANGLE.  Evaluated as one product of each element's
+    coefficient row [q, c2 q^2, c3 q^3, c4 q^4, c5 q^5] with its twist's
+    power table [I, O, O^2, O^3, O^4], flattened to (5, 36): the product
+    runs over the power axis of each element, never over samples, so each
+    element's result does not depend on the rest of the batch.  At q = 0
+    it is exactly 0: a joint at zero contributes nothing.
     """
     xi, q = np.asarray(xi, dtype=float), np.asarray(q, dtype=float)
     c2, c3, c4, c5 = _jacobian_coeffs(np.abs(q) * _norm(xi[..., :3]))
-    q2 = q * q
-    k1, k2, k3 = q[..., None, None], (c2 * q)[..., None, None], (c3 * q2)[..., None, None]
-    k4, k5 = (c4 * q2 * q)[..., None, None], (c5 * q2 * q2)[..., None, None]
     O = ad(xi)
-    O2 = O @ O
-    return k1 * (_I6 + k2 * O + k3 * O2 + k4 * (O2 @ O) + k5 * (O2 @ O2))
+    powers = np.empty(xi.shape[:-1] + (5, 6, 6))  # [I, O, O^2, O^3, O^4] per twist
+    powers[..., 0, :, :] = _I6
+    powers[..., 1, :, :] = O
+    O2 = np.matmul(O, O, out=powers[..., 2, :, :])
+    np.matmul(O2, O, out=powers[..., 3, :, :])
+    np.matmul(O2, O2, out=powers[..., 4, :, :])
+    q2 = q * q
+    k = np.empty(np.shape(c2) + (1, 5))  # [q, c2 q^2, .., c5 q^5], in theta's shape
+    k[..., 0, 0], k[..., 0, 1], k[..., 0, 2] = q, c2 * q2, c3 * q2 * q
+    k[..., 0, 3], k[..., 0, 4] = c4 * q2 * q2, c5 * q2 * q2 * q
+    return (k @ powers.reshape(powers.shape[:-3] + (5, 36))).reshape(k.shape[:-2] + (6, 6))
 

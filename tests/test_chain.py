@@ -23,6 +23,15 @@ def samples(gt_system):
     return noise_free_samples(gt_system, np.random.default_rng(0), 12)
 
 
+@pytest.fixture(scope="module")
+def facing():
+    # facing arms: Y rotates pi about the vertical, where log_se3 refuses
+    system = default_system()
+    Y = np.diag([-1.0, -1.0, 1.0, 1.0])
+    Y[:3, 3] = [1.2, 0.0, 0.0]
+    return DualArmSystem(system.sensor_arm, system.tool_arm, system.X, Y, system.Z)
+
+
 def test_predict_trivial_identity():
     n = 3
     arm = RobotModel("zero", np.zeros((n, 6)), np.zeros(6))
@@ -116,6 +125,37 @@ def test_jacobian_structural_decomposition_n1():
     assert np.abs(J[:, 12:18] - lie.adjoint(A_inv @ Y @ C)).max() < 1e-13
 
 
+def test_joint_blocks_are_prefix_adjoint_times_differential_across_chunks(facing):
+    # facing arms, more samples than two walk chunks and one joint at zero:
+    # every joint block is Ad(prefix) qJ(q xi), the prefix composed here
+    # factor by factor from exp_se3
+    rng = np.random.default_rng(15)
+    m, n = 2 * _WALK_CHUNK + 3, facing.n
+    q_a = rng.uniform(-np.pi, np.pi, (m, n))
+    q_c = rng.uniform(-np.pi, np.pi, (m, n))
+    zero = _WALK_CHUNK + 1  # its tool joint c^3 sits at zero
+    q_c[zero, 2] = 0.0
+    _, J = stack(facing, Measurements(q_a, q_c, predict_B(facing, q_a, q_c)))
+    xi_a, xi_c = facing.sensor_arm.joint_twists, facing.tool_arm.joint_twists
+    for i in range(m):
+        rows = J[6 * i:6 * i + 6]
+        blocks = []  # (column, prefix, differential) in chain order
+        P = lie.pose_inv(facing.X) @ lie.exp_se3(-facing.sensor_arm.zero_offset)
+        for k in range(n - 1, -1, -1):
+            blocks.append((18 + 6 * k, P, lie.joint_jacobian(xi_a[k], -q_a[i, k])))
+            P = P @ lie.exp_se3(xi_a[k], -q_a[i, k])
+        P = P @ facing.Y
+        for k in range(n):
+            blocks.append((18 + 6 * (n + k), P, lie.joint_jacobian(xi_c[k], q_c[i, k])))
+            P = P @ lie.exp_se3(xi_c[k], q_c[i, k])
+        for col, prefix, diff in blocks:
+            expect = lie.adjoint(prefix) @ diff
+            err = np.abs(rows[:, col:col + 6] - expect).max()
+            assert err <= 1e-13 * max(1.0, np.abs(expect).max()), (i, col, err)
+    col = 18 + 6 * (n + 2)
+    assert not J[6 * zero:6 * zero + 6, col:col + 6].any()
+
+
 def test_stack_identical_samples_identical_rows(gt_system, samples):
     pair = samples[[0, 0]]
     e, J = stack(gt_system, pair)
@@ -182,6 +222,16 @@ def test_measurements_select_and_validate(gt_system, samples):
         Measurements(q_a, q_c, bad)
 
 
+def test_measurements_reject_non_finite_joint_readings(samples):
+    for name in ("q_a", "q_c"):
+        for value in (np.nan, np.inf, -np.inf):
+            fields = {"q_a": samples.q_a.copy(), "q_c": samples.q_c.copy(), "B": samples.B}
+            fields[name][[9, 4], 2] = value
+            with pytest.raises(ValidationError,
+                               match=rf"^samples\[4\]\.{name} has a non-finite value$"):
+                Measurements(**fields)
+
+
 def test_state_dimensions(gt_system):
     assert gt_system.n == 6
     assert gt_system.dim == 12 * 6 + 18
@@ -206,13 +256,8 @@ def test_apply_delta_retracts_poses_and_adds_joint_twists(gt_system):
     assert excinfo.type is CalibrationError
 
 
-def test_apply_delta_at_pi_rotation():
-    # facing arms: Y rotates pi about the vertical, where log_se3 refuses;
+def test_apply_delta_at_pi_rotation(facing):
     # neither the increment nor the chain walk takes a logarithm of Y
-    system = default_system()
-    Y = np.diag([-1.0, -1.0, 1.0, 1.0])
-    Y[:3, 3] = [1.2, 0.0, 0.0]
-    facing = DualArmSystem(system.sensor_arm, system.tool_arm, system.X, Y, system.Z)
     rng = np.random.default_rng(13)
     test_samples = noise_free_samples(facing, rng, 2)
     moved = facing.apply_delta(rng.normal(0, 0.01, facing.dim))

@@ -146,7 +146,7 @@ def test_final_residual_never_worse(setup):
 def test_step_on_non_finite_residual_errors(setup):
     gt, samples = setup
     q_a = samples.q_a.copy()
-    q_a[4, 2] = np.nan
+    q_a[4, 2] = 1e200  # finite, but its joint coefficients overflow to NaN
     bad = Measurements(q_a, samples.q_c, samples.B)
     with pytest.raises(CalibrationError, match="^residual or Jacobian is not finite$") as excinfo:
         step(gt, bad)
