@@ -8,6 +8,7 @@ Everything is JSON in, JSON out (schemas in docs/formats.md); poses are
 """
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -157,6 +158,9 @@ def cmd_ball_eval(args):
     return 0
 
 
+# built once per process, at the first main() call rather than at import;
+# each call still parses into a fresh Namespace
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(prog="dualcal",
                                 description="Dual-arm coordinate/kinematic calibration toolkit")
@@ -170,13 +174,11 @@ def build_parser():
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--blind", action="store_true", help="omit the ground-truth system")
     g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_generate)
 
     i = sub.add_parser("init", help="certifiable coordinate initialization "
                                     "(certified local solve, ADMM SDP as fallback)")
     i.add_argument("--data", required=True)
     i.add_argument("--out", required=True)
-    i.set_defaults(func=cmd_init)
 
     c = sub.add_parser("calibrate", help="unified coordinate+kinematic calibration")
     c.add_argument("--data", required=True)
@@ -184,7 +186,6 @@ def build_parser():
     c.add_argument("--out", required=True)
     c.add_argument("--tol", type=float, default=1e-3,
                    help="stop when |increment|_inf falls below this")
-    c.set_defaults(func=cmd_calibrate)
 
     e = sub.add_parser("evaluate", help="closed-loop deviation report")
     e.add_argument("--data", required=True)
@@ -193,13 +194,11 @@ def build_parser():
                    help="score X, Y, Z alone, with the dataset's nominal arms")
     e.add_argument("--out", required=True)
     e.add_argument("--csv", help="also write summary quantiles as CSV")
-    e.set_defaults(func=cmd_evaluate)
 
     d = sub.add_parser("identifiability", help="rank/excitation diagnostics")
     d.add_argument("--data", required=True)
     d.add_argument("--calib", help="evaluate at a calibrated state (default: nominal)")
     d.add_argument("--out", required=True)
-    d.set_defaults(func=cmd_identifiability)
 
     b = sub.add_parser("ball-eval", help="cooperative-measuring r_MEB score")
     b.add_argument("--clouds", required=True, help="per-posture point clouds JSON")
@@ -207,16 +206,16 @@ def build_parser():
     b.add_argument("--nominal-kinematics", action="store_true")
     b.add_argument("--data", help="dataset JSON for nominal arms (with --nominal-kinematics)")
     b.add_argument("--out", required=True)
-    b.set_defaults(func=cmd_ball_eval)
     return p
 
 
 def main(argv=None):
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at each call, not bound into the cached parser, so that a
+        # cmd_* replaced after the first call (wrapped, patched) is what runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except np.linalg.LinAlgError as exc:  # a ValueError, but a numerical failure
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

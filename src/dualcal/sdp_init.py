@@ -68,6 +68,17 @@ def _kron(A, B):
     return K.reshape(K.shape[:-4] + (K.shape[-4] * K.shape[-3], K.shape[-2] * K.shape[-1]))
 
 
+def _write_kron_eye(O, col, x, n):
+    """Write x^T kron I_n, x (..., k), into the columns col .. col+k*n-1 of
+    the (..., n, DIM) matrices O, which are zero there: entry
+    (i, col + n*j + i) becomes x_j, one strided write per j."""
+    flat = O.reshape(O.shape[:-2] + (-1,))  # a view: O is contiguous
+    stride = O.shape[-1] + 1
+    for j in range(x.shape[-1]):
+        start = col + n * j
+        flat[..., start:start + stride * (n - 1) + 1:stride] = x[..., j, None]
+
+
 def lift(X, Y, Z):
     """Lift a coordinate triple to the homogeneous 133-vector."""
     Rx, tx = X[:3, :3], X[:3, 3]
@@ -84,7 +95,7 @@ def omega_f(A, B, C):
     Ra, Rb, Rc = A[..., :3, :3], B[..., :3, :3], C[..., :3, :3]
     O = np.zeros(Ra.shape[:-2] + (9, DIM))
     O[..., RX0:RX0 + 9] = _kron(np.swapaxes(Rb, -1, -2), Ra)
-    O[..., K0:K0 + 81] = -_kron(_vec(Rc)[..., None, :], np.eye(9))
+    _write_kron_eye(O, K0, -_vec(Rc), 9)
     return O
 
 
@@ -96,10 +107,10 @@ def omega_g(A, B, C):
     Rc, tc = C[..., :3, :3], C[..., :3, 3]
     O = np.zeros(Ra.shape[:-2] + (3, DIM))
     O[..., RX0:RX0 + 9] = _kron(tb[..., None, :], Ra)
-    O[..., RY0:RY0 + 9] = -_kron(tc[..., None, :], np.eye(3))
+    _write_kron_eye(O, RY0, -tc, 3)
     O[..., TX0:TX0 + 3] = Ra
     O[..., TY0:TY0 + 3] = -np.eye(3)
-    O[..., V0:V0 + 27] = -_kron(_vec(Rc)[..., None, :], np.eye(3))
+    _write_kron_eye(O, V0, -_vec(Rc), 3)
     O[..., HOM] = ta
     return O
 
@@ -419,14 +430,26 @@ def certify(problem, w_star, bound):
     return float(eta), float(abs_gap), float(p_cert)
 
 
-def linear_lift(Q):
+def linear_lift(Q, m):
     """Minimiser of w^T Q w with w[HOM] = 1, ignoring the quadratic
-    constraints, projected to (X, Y, Z).
+    constraints, projected to (X, Y, Z); Q is built from m samples.
 
-    Solves the normal equations Q[:HOM, :HOM] v = -Q[:HOM, HOM] by
-    least squares: the min-norm solution when Q is rank-deficient.
+    Solves the normal equations Q[:HOM, :HOM] v = -Q[:HOM, HOM].  The 42
+    unknowns Ry, tx, ty and vec(tz^T kron Ry) enter only the 3 translation
+    rows of each sample, so the block has rank min(HOM, 12m, 90 + 3m)
+    on generic data: full from m = 14 on, where it is solved by LU.
+    Below that, or if LU finds it singular, least squares gives the
+    min-norm solution.
     """
-    v = np.linalg.lstsq(Q[:HOM, :HOM], -Q[:HOM, HOM], rcond=None)[0]
+    A, b = Q[:HOM, :HOM], -Q[:HOM, HOM]
+    v = None
+    if min(12 * m, 90 + 3 * m) >= HOM:
+        try:
+            v = np.linalg.solve(A, b)
+        except np.linalg.LinAlgError:
+            pass
+    if v is None:
+        v = np.linalg.lstsq(A, b, rcond=None)[0]
     return project_lift(np.append(v, 1.0))
 
 
@@ -521,7 +544,7 @@ def certified_local(problem):
     if not np.isfinite(Q).all():
         return fail("the objective matrix Q has a non-finite entry")
     try:
-        X, Y, Z = linear_lift(Q)
+        X, Y, Z = linear_lift(Q, len(problem.residual_stack) // 12)
     except DegenerateSolutionError as exc:
         return fail(exc)
     X, Y, Z, iterations, converged = local_solve(Q, X, Y, Z)

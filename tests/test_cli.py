@@ -10,7 +10,7 @@ import pytest
 
 from dualcal import liegroup as lie
 from dualcal.chain import identifiability_report
-from dualcal.cli import _write_json, main
+from dualcal.cli import _write_json, build_parser, main
 from dualcal.kinematics import forward_kinematics
 from dualcal.simulate import (dataset_to_dict, default_system, generate_dataset, load_dataset,
                               system_to_dict)
@@ -301,6 +301,32 @@ def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         run("generate", "--frobnicate", "1")
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_leaves_no_flag_behind(workdir, calib_file, tmp_path):
+    # a flag given to one call must not reach the next call of the same command
+    reports = [tmp_path / "coordinate.json", tmp_path / "joint.json"]
+    common = ("evaluate", "--data", str(workdir / "data.json"), "--calib", str(calib_file))
+    assert run(*common, "--nominal-kinematics", "--out", str(reports[0])) == 0
+    assert run(*common, "--out", str(reports[1])) == 0
+    modes = [json.loads(r.read_text())["mode"] for r in reports]
+    assert modes == ["coordinate_only", "joint"]
+
+
+def test_reused_parser_runs_a_valid_command_after_a_rejected_one(workdir, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("identifiability", "--data", str(workdir / "data.json"),
+            "--out", str(tmp_path / "ident.json"), "--frobnicate")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --frobnicate" in capsys.readouterr().err
+    out = tmp_path / "data.json"
+    assert run("generate", "--samples", "20", "--kin-level", "M",
+               "--noise-level", "none", "--seed", "42", "--out", str(out)) == 0
+    assert out.read_bytes() == (workdir / "data.json").read_bytes()
 
 
 @pytest.mark.parametrize("flag, value", [("--damping", "1e-3"), ("--max-iters", "1")])

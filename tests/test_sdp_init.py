@@ -86,6 +86,22 @@ def test_omega_f_block_structure():
     assert np.all(Of[:, 99:] == 0)
 
 
+def test_omega_g_block_structure():
+    rng = np.random.default_rng(2)
+    A, B, C = rand_pose(rng), rand_pose(rng), rand_pose(rng)
+    Ra, ta, tb = A[:3, :3], A[:3, 3], B[:3, 3]
+    Rc, tc = C[:3, :3], C[:3, 3]
+    Og = sdp.omega_g(A, B, C)
+    assert np.array_equal(Og[:, 0:9], np.kron(tb.reshape(1, 3), Ra))
+    assert np.array_equal(Og[:, 9:18], -np.kron(tc.reshape(1, 3), np.eye(3)))
+    assert np.all(Og[:, 18:99] == 0)
+    assert np.array_equal(Og[:, 99:102], Ra)
+    assert np.array_equal(Og[:, 102:105], -np.eye(3))
+    vecRc = Rc.reshape(-1, order="F")
+    assert np.array_equal(Og[:, 105:132], -np.kron(vecRc.reshape(1, 9), np.eye(3)))
+    assert np.array_equal(Og[:, 132], ta)
+
+
 def test_objective_matches_direct_evaluation():
     rng = np.random.default_rng(2)
     triples = [(rand_pose(rng), rand_pose(rng), rand_pose(rng)) for _ in range(7)]
@@ -432,7 +448,7 @@ def test_certified_init_beats_linear_lift_on_held_out_data():
         train, held_out = ds.samples[:20], ds.samples[20:]
         init = sdp.initialize(nominal, train)
         assert init.method == "certified-local"
-        linear = sdp.linear_lift(sdp.build_problem(nominal, train).Q)
+        linear = sdp.linear_lift(sdp.build_problem(nominal, train).Q, len(train))
         scores = [evaluate_samples(replace(nominal, X=X, Y=Y, Z=Z), held_out)
                   for X, Y, Z in (linear, (init.X, init.Y, init.Z))]
         rot.append([r.e_rot.mean() for r in scores])
@@ -444,13 +460,55 @@ def test_certified_init_beats_linear_lift_on_held_out_data():
     assert rot[:, 1].mean() <= rot[:, 0].mean()
 
 
-def test_linear_lift_of_Q_matches_least_squares_on_the_stack():
-    ds = generate_dataset(80, "M", "M", seed=11)
+def stack_lift(m, seed):
+    """Q's problem, and the projected least-squares lift on the residual stack."""
+    ds = generate_dataset(m, "M", "M", seed=seed)
     problem = sdp.build_problem(ds.nominal_system, ds.samples)
     G = problem.residual_stack
     v = np.linalg.lstsq(G[:, :sdp.HOM], -G[:, sdp.HOM], rcond=None)[0]
-    for est, ref in zip(sdp.linear_lift(problem.Q), sdp.project_lift(np.append(v, 1.0))):
-        assert np.abs(est - ref).max() < 1e-12
+    return problem, v, sdp.project_lift(np.append(v, 1.0))
+
+
+def test_linear_lift_of_Q_matches_least_squares_on_the_stack():
+    problem, _, ref = stack_lift(80, 11)
+    for est, r in zip(sdp.linear_lift(problem.Q, 80), ref):
+        assert np.abs(est - r).max() < 1e-12
+
+
+@pytest.mark.parametrize("m", [14, 80])
+def test_linear_lift_solves_by_lu_from_m14(m):
+    ds = generate_dataset(m, "M", "M", seed=11)
+    Q = sdp.build_problem(ds.nominal_system, ds.samples).Q
+    v = np.linalg.solve(Q[:sdp.HOM, :sdp.HOM], -Q[:sdp.HOM, sdp.HOM])
+    for est, ref in zip(sdp.linear_lift(Q, m), sdp.project_lift(np.append(v, 1.0))):
+        assert np.array_equal(est, ref)
+
+
+def test_linear_lift_at_m14_matches_the_stack_to_the_blocks_conditioning():
+    # from m = 14 on the block Q[:HOM, :HOM] has full rank and LU solves it.
+    # At m = 14 the 42 translation rows fit exactly the 42 unknowns only they
+    # touch, so the stack's fit is exact with Rx = K = 0: the lift leaves X's
+    # and Z's rotations to round-off.  Y and the translations it determines,
+    # to the forward error cond(block) * eps |v| of any solve on Q = G^T G.
+    problem, v, (Xr, Yr, Zr) = stack_lift(14, 11)
+    G, Q = problem.residual_stack, problem.Q
+    assert np.abs(G[:, :sdp.HOM] @ v + G[:, sdp.HOM]).max() < 1e-12
+    assert np.abs(v[sdp.RX0:sdp.RX0 + 9]).max() < 1e-12
+    X, Y, Z = sdp.linear_lift(Q, 14)
+    tol = np.linalg.cond(Q[:sdp.HOM, :sdp.HOM]) * np.finfo(float).eps * np.linalg.norm(v)
+    assert np.abs(Y - Yr).max() < tol
+    for est, ref in ((X, Xr), (Z, Zr)):
+        assert np.abs(est[:3, 3] - ref[:3, 3]).max() < tol
+
+
+def test_linear_lift_below_m14_is_the_min_norm_least_squares():
+    # on seed 12 at m = 13 the singular block passes np.linalg.cholesky (with
+    # OpenBLAS at one thread), so a factorization's success cannot be the rule
+    ds = generate_dataset(13, "M", "M", seed=12)
+    Q = sdp.build_problem(ds.nominal_system, ds.samples).Q
+    v = np.linalg.lstsq(Q[:sdp.HOM, :sdp.HOM], -Q[:sdp.HOM, sdp.HOM], rcond=None)[0]
+    for est, ref in zip(sdp.linear_lift(Q, 13), sdp.project_lift(np.append(v, 1.0))):
+        assert np.array_equal(est, ref)
 
 
 @pytest.mark.parametrize("m, certified", [(15, 16), (18, 20)])
