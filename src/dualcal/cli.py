@@ -141,10 +141,13 @@ def _load_postures(path, n):
 
 
 def cmd_ball_eval(args):
+    if args.nominal_kinematics and not args.data:
+        raise ValidationError("--nominal-kinematics needs --data for the nominal arms")
+    if args.data and not args.nominal_kinematics:
+        raise ValidationError("--data is read only with --nominal-kinematics, "
+                              "for the nominal arms")
     calib = _load_calib_system(args.calib)
     if args.nominal_kinematics:
-        if not args.data:
-            raise ValidationError("--nominal-kinematics needs --data for the nominal arms")
         nominal = load_dataset(args.data).nominal_system
         calib = replace(calib, sensor_arm=nominal.sensor_arm, tool_arm=nominal.tool_arm)
     q_a, q_c, clouds = _load_postures(args.clouds, calib.n)

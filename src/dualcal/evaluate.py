@@ -5,7 +5,6 @@ converts to degrees/millimeters only at the serialization boundary.
 """
 
 import logging
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,7 +127,18 @@ def sphere_fit(points):
     return c.reshape(batch + (3,)), r.reshape(batch), rms.reshape(batch)
 
 
-# --- exact minimum enclosing ball (move-to-front) ----------------------------
+# --- exact minimum enclosing ball (pivoting move-to-front) -------------------
+#
+# Gaertner, "Fast and robust smallest enclosing balls" (ESA 1999): the ball
+# of a short front list grows by one farthest outside point at a time, and
+# each growth is a move-to-front scan of that list only.  Most points are
+# touched only by one vectorized distance pass per pivot.
+
+def _outside(dist, r):
+    """Whether distances from a ball's center lie outside its radius r
+    beyond round-off (1e-12 relative, 1e-14 m absolute)."""
+    return dist > r * (1.0 + 1e-12) + 1e-14
+
 
 def _ball_of(boundary):
     """Smallest ball with all boundary points on its surface (<= 4)."""
@@ -148,15 +158,15 @@ def _ball_of(boundary):
 def _mtf_ball(P, order, end, boundary):
     """Smallest ball of P[order[:end]] with the boundary points on its surface.
 
-    Gaertner's move-to-front scan ("Fast and robust smallest enclosing
-    balls", ESA 1999): a point outside the ball joins the boundary for a
-    rescan of the points before it, then moves to the front of ``order``
-    (reordered in place).  Recursion deepens only with the boundary (<= 4).
+    Gaertner's move-to-front scan: a point outside the ball joins the
+    boundary for a rescan of the points before it, then moves to the front
+    of ``order`` (reordered in place).  Recursion deepens only with the
+    boundary (<= 4).  min_enclosing_ball calls it on its short front list.
     """
     c, r = _ball_of(boundary)
     i = 0
     while len(boundary) < 4 and i < end:
-        outside = np.linalg.norm(P[order[i:end]] - c, axis=1) > r * (1.0 + 1e-12) + 1e-14
+        outside = _outside(np.linalg.norm(P[order[i:end]] - c, axis=1), r)
         if not outside.any():
             break
         j = i + int(np.argmax(outside))
@@ -170,15 +180,29 @@ def _mtf_ball(P, order, end, boundary):
 def min_enclosing_ball(points):
     """Exact minimum enclosing ball of 3D points.
 
-    Move-to-front scan over a fixed shuffle of the points; at most 4
-    support points determine the ball.  Returns (center, radius).
+    Gaertner's pivoting: the ball is always the smallest one of the first
+    t points of ``order``.  The point farthest from its center among the
+    rest, if outside, lies on the surface of the next ball (Welzl's
+    lemma), which _mtf_ball computes from those t points alone; the pivot
+    then moves to the front and t grows by one.  It stops once no point
+    is outside, so the ball of a subset holds every point and is the
+    ball of all.  Returns (center, radius).
     """
     P = np.asarray(points, dtype=float).reshape(-1, 3)
-    if len(P) == 0:
+    n = len(P)
+    if n == 0:
         raise ValueError("need at least one point")
-    order = list(range(len(P)))
-    random.Random(20260810).shuffle(order)
-    c, r = _mtf_ball(P, np.array(order), len(P), [])
+    order = np.arange(n)
+    c, r = _ball_of([])
+    t = 0
+    while t < n:
+        dist = np.linalg.norm(P[order[t:]] - c, axis=1)
+        j = t + int(np.argmax(dist))
+        if not _outside(dist[j - t], r):
+            break
+        c, r = _mtf_ball(P, order, t, [P[order[j]]])
+        order[:j + 1] = np.roll(order[:j + 1], 1)
+        t += 1
     return c, max(r, 0.0)
 
 

@@ -1,11 +1,15 @@
 """Shared oracles for the test suite.
 
-Everything here but `level_deviation` is deliberately independent of
-the package's own code paths: truncated-series exponentials, plain
-Gaussian elimination, and brute-force geometry give reference values the
-library must reproduce.  `level_deviation` measures a kinematic level
-through the public simulation API.
+Everything here but `level_deviation` and `full_scan_meb` is
+deliberately independent of the package's own code paths:
+truncated-series exponentials, plain Gaussian elimination, and
+brute-force geometry give reference values the library must reproduce.
+`level_deviation` measures a kinematic level through the public
+simulation API, and `full_scan_meb` runs the package's move-to-front
+scan over every point, which `min_enclosing_ball`'s pivoting must match.
 """
+
+import random
 
 import numpy as np
 
@@ -153,3 +157,16 @@ def brute_force_meb(points):
                 if best is None or r < best[1]:
                     best = (c, r)
     return best
+
+
+def full_scan_meb(points):
+    """Minimum enclosing ball by a move-to-front scan over all points in a
+    fixed shuffle, every outside point rescanning the points before it:
+    the reference for min_enclosing_ball's pivoting on the same scan."""
+    from dualcal.evaluate import _mtf_ball
+
+    P = np.asarray(points, dtype=float).reshape(-1, 3)
+    order = list(range(len(P)))
+    random.Random(20260810).shuffle(order)
+    c, r = _mtf_ball(P, np.array(order), len(P), [])
+    return c, max(r, 0.0)

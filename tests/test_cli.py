@@ -247,6 +247,15 @@ def test_ball_eval_nominal_kinematics_needs_data(postures, calib_file, tmp_path,
     assert not (tmp_path / "ball.json").exists()
 
 
+def test_ball_eval_data_needs_nominal_kinematics(workdir, postures, calib_file, tmp_path,
+                                                 capsys):
+    assert run_ball_eval(postures, calib_file, tmp_path, "--data",
+                         str(workdir / "data.json")) == 2
+    err = capsys.readouterr().err
+    assert "--data" in err and "--nominal-kinematics" in err
+    assert not (tmp_path / "ball.json").exists()
+
+
 def test_ball_eval_ragged_clouds(postures, calib_file, tmp_path):
     ragged = copy.deepcopy(postures)
     ragged[2]["points"] = ragged[2]["points"][:50]

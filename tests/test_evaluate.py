@@ -6,12 +6,13 @@ import pytest
 from dualcal import liegroup as lie
 from dualcal.chain import Measurements
 from dualcal.errors import RankDeficientError
-from dualcal.evaluate import ball_consistency, evaluate_samples, min_enclosing_ball, sphere_fit
+from dualcal.evaluate import (_outside, ball_consistency, evaluate_samples, min_enclosing_ball,
+                              sphere_fit)
 from dualcal.kinematics import forward_kinematics
 from dualcal.liegroup import rotation_angle
 from dualcal.simulate import (Level, default_system, generate_dataset, sample_configurations,
                               synthesize)
-from helpers import brute_force_meb, loop_sphere_fit, noise_free_samples
+from helpers import brute_force_meb, full_scan_meb, loop_sphere_fit, noise_free_samples
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +193,7 @@ def test_meb_matches_brute_force():
 
 
 def test_meb_large_point_set():
-    # deeper than the interpreter's recursion limit for a recursive Welzl
+    # 5000 points, of which the move-to-front scans see only the pivots
     pts = np.random.default_rng(0).normal(size=(5000, 3))
     c, r = min_enclosing_ball(pts)
     d = np.linalg.norm(pts - c, axis=1)
@@ -201,6 +202,37 @@ def test_meb_large_point_set():
     assert len(support) >= 2
     pairwise = np.linalg.norm(support[:, None] - support[None], axis=-1)
     assert r >= 0.5 * pairwise.max()
+
+
+def _meb_set(kind, rng):
+    if kind == "fitted-centers":  # one noisy 64-point cloud per posture, one ball
+        dirs = rng.normal(size=(200, 64, 3))
+        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+        noise = rng.normal(0.0, 5e-5, (200, 64, 3))
+        return sphere_fit(np.array([0.02, -0.01, 0.05]) + 0.0254 * dirs + noise)[0]
+    if kind == "gaussian":
+        return rng.normal(size=(200, 3))
+    if kind == "cospherical":  # every point on the surface of one sphere
+        dirs = rng.normal(size=(300, 3))
+        return rng.normal(size=3) + 0.7 * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    if kind == "repeated":  # 3 points, 50 copies each
+        return rng.permutation(np.repeat(rng.normal(size=(3, 3)), 50, axis=0))
+    if kind == "collinear":
+        return rng.normal(size=(100, 1)) * rng.normal(size=3) + rng.normal(size=3)
+    assert kind == "coplanar"
+    return rng.normal(size=(100, 2)) @ rng.normal(size=(2, 3)) + rng.normal(size=3)
+
+
+@pytest.mark.parametrize("kind", ["fitted-centers", "gaussian", "cospherical", "repeated",
+                                  "collinear", "coplanar"])
+def test_meb_matches_full_scan(kind):
+    rng = np.random.default_rng(21)
+    for _ in range(3 if kind == "gaussian" else 1):
+        pts = _meb_set(kind, rng)
+        c, r = min_enclosing_ball(pts)
+        _, r_ref = full_scan_meb(pts)
+        assert abs(r - r_ref) <= 1e-12 * r_ref
+        assert not _outside(np.linalg.norm(pts - c, axis=1), r).any()
 
 
 def _synthetic_clouds(system, samples, ball_center_E2, radius, rng):
