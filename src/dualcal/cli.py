@@ -22,7 +22,7 @@ from .errors import CalibrationError, RankDeficientError, ValidationError
 from .evaluate import ball_consistency, evaluate_samples
 from .kinematics import _require_fields, field_array
 from .sdp_init import initialize
-from .simulate import (_load_json, _sample_field, dataset_to_dict, default_system,
+from .simulate import (_list_field, _load_json, _sample_field, dataset_to_dict, default_system,
                        generate_dataset, load_dataset, system_from_dict, system_to_dict)
 from .solver import calibrate
 
@@ -46,6 +46,10 @@ def _write_json(obj, path):
 
 
 def cmd_generate(args):
+    if args.samples < 1:
+        raise ValidationError(f"--samples must be >= 1, got {args.samples}")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be a nonnegative integer, got {args.seed}")
     system = system_from_dict(_load_json(args.system, "system")) if args.system else default_system()
     ds = generate_dataset(args.samples, args.kin_level, args.noise_level, args.seed,
                           system=system)
@@ -123,11 +127,7 @@ def cmd_identifiability(args):
 def _load_postures(path, n):
     """Joint readings q_a, q_c (m, n) and the list of (N_i, 3) clouds of a
     clouds file; the parsed JSON is freed on return, before the fit."""
-    d = _load_json(path, "clouds")
-    _require_fields(d, ("postures",), "clouds file")
-    postures = d["postures"]
-    if not postures:
-        raise ValidationError("clouds field 'postures' is empty")
+    postures = _list_field(_load_json(path, "clouds"), "postures", "clouds file")
     q_a = _sample_field(postures, "q_a", (n,), f"the sensor arm has {n} joints", "postures")
     q_c = _sample_field(postures, "q_c", (n,), f"the tool arm has {n} joints", "postures")
     clouds = []

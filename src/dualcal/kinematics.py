@@ -124,14 +124,19 @@ def model_from_dict(d, what="robot model"):
                                   "a twist has 6 values"))
 
 
+@lru_cache(maxsize=1)
+def _ur5_like():
+    return model_from_dict(json.loads(
+        resources.files("dualcal.assets").joinpath("ur5_like.json").read_text()))
+
+
 def default_arm(name="ur5_like"):
-    """Bundled 6-DoF arm with UR5-like geometry.
+    """Bundled 6-DoF arm with UR5-like geometry, as a fresh model.
 
     These are toolkit defaults built from the public UR5 dimensions (the
     zero-offset frame is our own choice, aligned with the base); they are
-    stand-ins for simulation, not manufacturer data.
+    stand-ins for simulation, not manufacturer data.  The asset is read
+    and parsed once per process.
     """
-    text = resources.files("dualcal.assets").joinpath("ur5_like.json").read_text()
-    model = model_from_dict(json.loads(text))
-    model.name = name
-    return model
+    arm = _ur5_like()
+    return RobotModel(name, arm.joint_twists.copy(), arm.zero_offset.copy())

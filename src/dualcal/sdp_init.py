@@ -72,7 +72,7 @@ def _write_kron_eye(O, col, x, n):
     """Write x^T kron I_n, x (..., k), into the columns col .. col+k*n-1 of
     the (..., n, DIM) matrices O, which are zero there: entry
     (i, col + n*j + i) becomes x_j, one strided write per j."""
-    flat = O.reshape(O.shape[:-2] + (-1,))  # a view: O is contiguous
+    flat = O.reshape(O.shape[:-2] + (-1,))  # a view: each matrix of O is contiguous
     stride = O.shape[-1] + 1
     for j in range(x.shape[-1]):
         start = col + n * j
@@ -89,23 +89,25 @@ def lift(X, Y, Z):
     return np.concatenate([_vec(Rx), _vec(Ry), _vec(K), tx, ty, _vec(V), [1.0]])
 
 
-def omega_f(A, B, C):
+def omega_f(A, B, C, out=None):
     """9x133 matrix with omega_f @ lift = vec(Ra Rx Rb) - vec(Ry Rc Rz);
-    (..., 4, 4) poses give one matrix per pose triple."""
+    (..., 4, 4) poses give one matrix per pose triple, written into `out`
+    (zero, with contiguous matrices) when given."""
     Ra, Rb, Rc = A[..., :3, :3], B[..., :3, :3], C[..., :3, :3]
-    O = np.zeros(Ra.shape[:-2] + (9, DIM))
+    O = np.zeros(Ra.shape[:-2] + (9, DIM)) if out is None else out
     O[..., RX0:RX0 + 9] = _kron(np.swapaxes(Rb, -1, -2), Ra)
     _write_kron_eye(O, K0, -_vec(Rc), 9)
     return O
 
 
-def omega_g(A, B, C):
+def omega_g(A, B, C, out=None):
     """3x133 matrix with omega_g @ lift = translation part of the chain gap;
-    (..., 4, 4) poses give one matrix per pose triple."""
+    (..., 4, 4) poses give one matrix per pose triple, written into `out`
+    (zero, with contiguous matrices) when given."""
     Ra, ta = A[..., :3, :3], A[..., :3, 3]
     tb = B[..., :3, 3]
     Rc, tc = C[..., :3, :3], C[..., :3, 3]
-    O = np.zeros(Ra.shape[:-2] + (3, DIM))
+    O = np.zeros(Ra.shape[:-2] + (3, DIM)) if out is None else out
     O[..., RX0:RX0 + 9] = _kron(tb[..., None, :], Ra)
     _write_kron_eye(O, RY0, -tc, 3)
     O[..., TX0:TX0 + 3] = Ra
@@ -121,9 +123,12 @@ def build_residual_stack(A, B, C):
 
     The stack G satisfies |G w|^2 = sum_i (|f_i|^2 + |g_i|^2); it
     evaluates the objective as a sum of squares, free of the cancellation
-    that the assembled Q suffers near zero cost.
+    that the assembled Q suffers near zero cost.  Both blocks are written
+    into one zeroed (m, 12, 133) array.
     """
-    O = np.concatenate([omega_f(A, B, C), omega_g(A, B, C)], axis=-2)
+    O = np.zeros(A.shape[:-2] + (12, DIM))
+    omega_f(A, B, C, O[..., :9, :])
+    omega_g(A, B, C, O[..., 9:, :])
     return O.reshape(-1, DIM)
 
 

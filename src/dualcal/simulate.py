@@ -59,6 +59,36 @@ def level_targets(kind, tag):
     return d["target_rot_deg"], d["target_trans_mm"]
 
 
+def _spaced(x, y, d_min):
+    """Whether candidates x and y (..., 2, n) differ by at least d_min in
+    joint-space infinity-norm on both arms."""
+    return (np.abs(x - y).max(axis=-1) >= d_min).all(axis=-1)
+
+
+def _spaced_runs(cand, last, d_min, need):
+    """Indices of the first (at most `need`) candidates of cand (k, 2, n)
+    that the spacing rule accepts in order, after the accepted `last`
+    (None before the first acceptance).
+
+    The rule compares each candidate with the last accepted one, so a run
+    of accepted candidates is one vectorized pass over consecutive pairs;
+    a failed pair ends the run, and the next run starts by comparing the
+    candidate after the failure with the run's last member.
+    """
+    bad = np.flatnonzero(~_spaced(cand[1:], cand[:-1], d_min))  # cand[j + 1] too close to cand[j]
+    runs, i, total = [], 0, 0
+    while i < len(cand) and total < need:
+        if last is not None and not _spaced(cand[i], last, d_min):
+            i += 1
+            continue
+        b = np.searchsorted(bad, i)
+        end = min(bad[b] + 1 if b < len(bad) else len(cand), i + need - total)
+        runs.append(np.arange(i, end))
+        total += end - i
+        last, i = cand[end - 1], end + 1
+    return np.concatenate(runs) if runs else np.zeros(0, dtype=int)
+
+
 def sample_configurations(m, n_joints, rng, q_min=Q_MIN, d_min=D_MIN):
     """Joint readings q_a, q_c (m, n_joints) of m valid configurations, by
     rejection sampling.
@@ -69,6 +99,14 @@ def sample_configurations(m, n_joints, rng, q_min=Q_MIN, d_min=D_MIN):
     infinity-norm on each arm.  Draws lie in [-pi, pi), so a q_min of pi
     or more, or a d_min of 2 pi or more for m >= 2, is refused before
     drawing.  Gives up after 1000 m candidates.
+
+    Candidates are drawn in blocks, one (k, 2, n_joints) uniform draw
+    each, and judged a block at a time.  An array draw takes its values in
+    order from the same stream as one-at-a-time draws, so the result is
+    that of drawing a then c per candidate until m are accepted, and the
+    generator is left where those draws leave it: the last block is drawn
+    again from its saved state, up to the candidate that completed the
+    set.
     """
     if m < 1:
         raise ValidationError("m must be >= 1")
@@ -79,18 +117,26 @@ def sample_configurations(m, n_joints, rng, q_min=Q_MIN, d_min=D_MIN):
         if value >= bound:
             raise ValidationError(f"{name} must be less than {text}, since joint draws lie "
                                   f"in [-pi, pi), got {value}")
-    q_a, q_c = [], []
-    for _ in range(1000 * m):
-        a = rng.uniform(-np.pi, np.pi, n_joints)
-        c = rng.uniform(-np.pi, np.pi, n_joints)
-        if np.abs(a).min() < q_min or np.abs(c).min() < q_min:
-            continue
-        if q_a and (np.abs(a - q_a[-1]).max() < d_min or np.abs(c - q_c[-1]).max() < d_min):
-            continue
-        q_a.append(a)
-        q_c.append(c)
-        if len(q_a) == m:
-            return np.array(q_a), np.array(q_c)
+    budget, got, parts, k = 1000 * m, 0, [], 0
+    while budget:
+        # about twice the candidates still needed (the default rules accept
+        # about one in 1.8), doubling while the rules reject more, at most
+        # 4096 per block
+        k = min(budget, 4096, max(2 * k, 2 * (m - got) + 32))
+        state = rng.bit_generator.state
+        block = rng.uniform(-np.pi, np.pi, (k, 2, n_joints))
+        budget -= k
+        valid = np.flatnonzero((np.abs(block) >= q_min).all(axis=(1, 2)))
+        take = valid[_spaced_runs(block[valid], parts[-1][-1] if parts else None, d_min, m - got)]
+        if len(take):
+            parts.append(block[take])
+            got += len(take)
+        if got == m:
+            if take[-1] + 1 < k:  # leave the stream just after the completing candidate
+                rng.bit_generator.state = state
+                rng.uniform(-np.pi, np.pi, (take[-1] + 1, 2, n_joints))
+            q = np.concatenate(parts)
+            return q[:, 0], q[:, 1]
     raise CalibrationError(f"could not draw {m} valid configurations in {1000 * m} "
                            f"tries (q_min={q_min}, d_min={d_min})")
 
@@ -106,18 +152,23 @@ def draw_joint_deltas(arm, level, rng):
     base origin and overshoot the published translation deviations at
     every level.  An independent isotropic Gaussian translation part is
     added on top.
+
+    One normal draw over the (n, 6) columns whose sigma is positive takes
+    the stream of per-joint draws, rotation then translation, as
+    noise_twists does.
     """
-    deltas = np.zeros((arm.n, 6))
-    for k in range(arm.n):
-        w = arm.joint_twists[k][:3]
-        rho = arm.joint_twists[k][3:]
-        dw = rng.normal(0.0, level.rot_sigma, 3) if level.rot_sigma > 0 else np.zeros(3)
-        p = np.cross(w, rho) / max(w @ w, 1e-12)
-        deltas[k, :3] = dw
-        deltas[k, 3:] = np.cross(p, dw)
-        if level.trans_sigma > 0:
-            deltas[k, 3:] += rng.normal(0.0, level.trans_sigma, 3)
-    return deltas
+    sigma = np.repeat([level.rot_sigma, level.trans_sigma], 3)
+    drawn = sigma > 0
+    d = np.zeros((arm.n, 6))
+    d[:, drawn] = rng.normal(0.0, sigma[drawn], (arm.n, int(drawn.sum())))
+    w, rho = np.ascontiguousarray(arm.joint_twists[:, :3]), arm.joint_twists[:, 3:]
+    ww = (w[:, None, :] @ w[:, :, None])[:, 0, 0]  # each w @ w, through the same dot kernel
+    p = np.cross(w, rho) / np.maximum(ww, 1e-12)[:, None]
+    t = np.cross(p, d[:, :3])
+    if level.trans_sigma > 0:  # not otherwise: adding zeros would turn a -0.0 into 0.0
+        t += d[:, 3:]
+    d[:, 3:] = t
+    return d
 
 
 def pose_deviation(arm_nom, arm_gt, q):
@@ -176,7 +227,9 @@ def generate_dataset(m, kin_tag, noise_tag, seed, system=None):
     Three draws on one generator, in this order: the ground truth (the
     nominal kinematics perturbed at the kinematic level), the valid
     configurations (by the fixed rules chain.Q_MIN and D_MIN), and the
-    measurement noise at the noise level.
+    measurement noise at the noise level.  Each is taken in blocks, on the
+    same stream as one-at-a-time draws (per joint, per candidate, per
+    sample), so a seed gives, byte for byte, the dataset of those draws.
     """
     rng = np.random.default_rng(seed)
     nominal = system if system is not None else default_system()
@@ -219,11 +272,21 @@ def dataset_to_dict(ds, blind=False):
     }
 
 
+def _list_field(d, key, what):
+    """The non-empty list d[key] of the JSON object d, else a
+    ValidationError naming the field."""
+    _require_fields(d, (key,), what)
+    raw = d[key]
+    if not isinstance(raw, list):
+        raise ValidationError(f"{key} is not a list")
+    if not raw:
+        raise ValidationError(f"{what} field '{key}' is empty")
+    return raw
+
+
 def _sample_field(raw, key, shape, expected, prefix="samples"):
     """Field `key` of every entry of the list `prefix`, stacked; a failure
     names the first bad entry."""
-    if not isinstance(raw, list):
-        raise ValidationError(f"{prefix} is not a list")
     try:
         return field_array([s[key] for s in raw], f"{prefix}[:].{key}", (len(raw),) + shape,
                            expected)
@@ -236,15 +299,14 @@ def _sample_field(raw, key, shape, expected, prefix="samples"):
 
 
 def dataset_from_dict(d):
-    _require_fields(d, ("nominal_system", "samples"), "dataset")
-    if not d["samples"]:
-        raise ValidationError("dataset field 'samples' is empty")
+    _require_fields(d, ("nominal_system",), "dataset")
+    raw = _list_field(d, "samples", "dataset")
     nominal = system_from_dict(d["nominal_system"], "nominal_system")
     na, nc = nominal.sensor_arm.n, nominal.tool_arm.n
     samples = Measurements(
-        _sample_field(d["samples"], "q_a", (na,), f"the sensor arm has {na} joints"),
-        _sample_field(d["samples"], "q_c", (nc,), f"the tool arm has {nc} joints"),
-        _sample_field(d["samples"], "B", (4, 4), "a pose is 4x4 row-major"))
+        _sample_field(raw, "q_a", (na,), f"the sensor arm has {na} joints"),
+        _sample_field(raw, "q_c", (nc,), f"the tool arm has {nc} joints"),
+        _sample_field(raw, "B", (4, 4), "a pose is 4x4 row-major"))
     gt = system_from_dict(d["gt_system"], "gt_system") if d.get("gt_system") else None
     return SyntheticDataset(nominal, gt, samples, d.get("seed"), d.get("kin_level"),
                             d.get("noise_level"))

@@ -2,11 +2,12 @@
 
 Everything here but `level_deviation` and `full_scan_meb` is
 deliberately independent of the package's own code paths:
-truncated-series exponentials, plain Gaussian elimination, and
-brute-force geometry give reference values the library must reproduce.
-`level_deviation` measures a kinematic level through the public
-simulation API, and `full_scan_meb` runs the package's move-to-front
-scan over every point, which `min_enclosing_ball`'s pivoting must match.
+truncated-series exponentials, plain Gaussian elimination, brute-force
+geometry, and one-at-a-time random draws give reference values the
+library must reproduce.  `level_deviation` measures a kinematic level
+through the public simulation API, and `full_scan_meb` runs the
+package's move-to-front scan over every point, which
+`min_enclosing_ball`'s pivoting must match.
 """
 
 import random
@@ -14,8 +15,8 @@ import random
 import numpy as np
 
 from dualcal import liegroup as lie
-from dualcal.chain import Measurements, predict_B
-from dualcal.simulate import perturb_level, pose_deviation, sample_configurations
+from dualcal.chain import Q_MIN, Measurements, predict_B
+from dualcal.simulate import D_MIN, perturb_level, pose_deviation, sample_configurations
 
 
 def expm_taylor(M, terms=30):
@@ -78,6 +79,42 @@ def valid_config(rng, n, q_min=0.15):
         q = rng.uniform(-np.pi, np.pi, n)
         if np.abs(q).min() >= q_min:
             return q
+
+
+def loop_sample_configurations(m, n_joints, rng, q_min=Q_MIN, d_min=D_MIN):
+    """sample_configurations one candidate at a time: draw a, then c, and
+    accept the pair if every |q| >= q_min and both arms lie at least d_min
+    (infinity-norm) from the last accepted pair.  None after 1000 m tries."""
+    q_a, q_c = [], []
+    for _ in range(1000 * m):
+        a = rng.uniform(-np.pi, np.pi, n_joints)
+        c = rng.uniform(-np.pi, np.pi, n_joints)
+        if np.abs(a).min() < q_min or np.abs(c).min() < q_min:
+            continue
+        if q_a and (np.abs(a - q_a[-1]).max() < d_min or np.abs(c - q_c[-1]).max() < d_min):
+            continue
+        q_a.append(a)
+        q_c.append(c)
+        if len(q_a) == m:
+            return np.array(q_a), np.array(q_c)
+    return None
+
+
+def loop_joint_deltas(arm, level, rng):
+    """draw_joint_deltas one joint at a time: 3 rotation then 3 translation
+    draws per joint (each only at a positive sigma), the translation
+    anchored at the joint axis' point p = (w x rho) / |w|^2."""
+    deltas = np.zeros((arm.n, 6))
+    for k in range(arm.n):
+        w = arm.joint_twists[k][:3]
+        rho = arm.joint_twists[k][3:]
+        dw = rng.normal(0.0, level.rot_sigma, 3) if level.rot_sigma > 0 else np.zeros(3)
+        p = np.cross(w, rho) / max(w @ w, 1e-12)
+        deltas[k, :3] = dw
+        deltas[k, 3:] = np.cross(p, dw)
+        if level.trans_sigma > 0:
+            deltas[k, 3:] += rng.normal(0.0, level.trans_sigma, 3)
+    return deltas
 
 
 def level_deviation(system, level, rng, configs):

@@ -407,14 +407,27 @@ def tool_arm_ragged_twists(record):
     record["tool_arm"]["joint_twists"][2].pop()
 
 
+# falsy values that are not lists: each must be reported as not a list, not as empty
+FALSY_NON_LISTS = {"0": 0, "dict": {}, "str": "", "false": False, "null": None}
+
+
 @pytest.mark.parametrize("target, edit, message", [
     ("data", lambda d: d.update(samples=5), "error: samples is not a list"),
     ("clouds", lambda d: d.update(postures=5), "error: postures is not a list"),
+    *(("data", lambda d, v=v: d.update(samples=v), "error: samples is not a list")
+      for v in FALSY_NON_LISTS.values()),
+    *(("clouds", lambda d, v=v: d.update(postures=v), "error: postures is not a list")
+      for v in FALSY_NON_LISTS.values()),
+    ("data", lambda d: d.update(samples=[]), "error: dataset field 'samples' is empty"),
+    ("clouds", lambda d: d.update(postures=[]), "error: clouds file field 'postures' is empty"),
     ("system", lambda d: d.update(sensor_arm=5), "error: sensor_arm is not a JSON object"),
     ("system", tool_arm_ragged_twists, "error: tool_arm.joint_twists is not an array of numbers"),
     ("system", lambda d: d["sensor_arm"].update(n="6"),
      "error: sensor_arm.n is not a positive integer: '6'"),
-], ids=["samples-int", "postures-int", "sensor_arm-int", "ragged-twists", "n-string"])
+], ids=["samples-int", "postures-int", *(f"samples-{k}" for k in FALSY_NON_LISTS),
+        *(f"postures-{k}" for k in FALSY_NON_LISTS), "samples-empty", "postures-empty",
+        "sensor_arm-int", "ragged-twists",
+        "n-string"])
 def test_wrong_json_type_exits_2_naming_field(workdir, postures, calib_file, tmp_path, capsys,
                                               target, edit, message):
     record = {"data": json.loads((workdir / "data.json").read_text()),
@@ -438,7 +451,10 @@ def test_wrong_json_type_exits_2_naming_field(workdir, postures, calib_file, tmp
      "tol must be positive, got 0.0"),
     (("generate", "--samples", "5", "--seed", "1", "--kin-level", "X"),
      "unknown kinematic level 'X'"),
-], ids=["tol-nan", "tol-zero", "unknown-kin-level"])
+    (("generate", "--samples", "0", "--seed", "1"), "--samples must be >= 1, got 0"),
+    (("generate", "--samples", "5", "--seed", "-1"),
+     "--seed must be a nonnegative integer, got -1"),
+], ids=["tol-nan", "tol-zero", "unknown-kin-level", "samples-zero", "seed-negative"])
 def test_bad_flag_value_exits_2_naming_it(workdir, init_file, tmp_path, capsys, argv, message):
     files = {"data": workdir / "data.json", "init": init_file}
     out = tmp_path / "out.json"

@@ -131,3 +131,13 @@ def test_default_arm_shape():
     assert arm.joint_twists.shape == (6, 6)
     # all-revolute: unit rotation axes
     assert np.allclose(np.linalg.norm(arm.joint_twists[:, :3], axis=1), 1.0)
+
+
+def test_default_arm_is_a_fresh_model_per_call():
+    # the asset is parsed once per process; a caller's edits stay its own
+    arm = default_arm("left")
+    arm.joint_twists[0, 0] = 9.0
+    arm.zero_offset[:] = 9.0
+    again = default_arm()
+    assert (arm.name, again.name) == ("left", "ur5_like")
+    assert again.joint_twists[0, 0] == 0.0 and not (again.zero_offset == 9.0).any()

@@ -102,6 +102,16 @@ def test_omega_g_block_structure():
     assert np.array_equal(Og[:, 132], ta)
 
 
+def test_residual_stack_interleaves_omega_blocks_bitwise():
+    # each triple's 9 rotation rows, then its 3 translation rows, written in
+    # place into the stack: the same bytes as stacking the blocks
+    rng = np.random.default_rng(4)
+    A, B, C = (np.array([rand_pose(rng) for _ in range(5)]) for _ in range(3))
+    G = sdp.build_residual_stack(A, B, C)
+    blocks = np.concatenate([sdp.omega_f(A, B, C), sdp.omega_g(A, B, C)], axis=-2)
+    assert G.tobytes() == blocks.reshape(-1, sdp.DIM).tobytes()
+
+
 def test_objective_matches_direct_evaluation():
     rng = np.random.default_rng(2)
     triples = [(rand_pose(rng), rand_pose(rng), rand_pose(rng)) for _ in range(7)]

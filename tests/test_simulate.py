@@ -6,12 +6,13 @@ import pytest
 from dualcal import liegroup as lie
 from dualcal.chain import stack
 from dualcal.errors import CalibrationError, ValidationError
+from dualcal.kinematics import RobotModel
 from dualcal.simulate import (LEVEL_TAGS, MEAN_NORM_FACTOR, Level, SyntheticDataset,
                               dataset_from_dict, dataset_to_dict, default_system,
                               draw_joint_deltas, generate_dataset, level, level_targets,
                               load_dataset, noise_twists, perturb_level, sample_configurations,
                               synthesize)
-from helpers import level_deviation
+from helpers import level_deviation, loop_joint_deltas, loop_sample_configurations
 
 
 def test_levels_available():
@@ -51,6 +52,57 @@ def test_sample_configurations_deterministic():
     b = sample_configurations(80, 6, np.random.default_rng(42))
     for q, q2 in zip(a, b):
         assert np.array_equal(q, q2)
+
+
+# (q_min, d_min): the defaults, a q_min that rejects most candidates, and two
+# spacings that reject often, so that runs of accepted candidates stay short
+SAMPLING_RULES = [(0.15, 0.3), (1.0, 0.3), (0.15, 3.0), (0.5, 4.5), (0.0, 0.0)]
+
+
+@pytest.mark.parametrize("q_min, d_min", SAMPLING_RULES)
+@pytest.mark.parametrize("m", [1, 2, 5, 40, 300])
+def test_sample_configurations_match_one_at_a_time_draws(m, q_min, d_min):
+    # the block draws give, bitwise, the configurations of drawing a then c
+    # per candidate, and leave the generator where those draws do
+    for seed in range(8):
+        batched, single = np.random.default_rng(seed), np.random.default_rng(seed)
+        q_a, q_c = sample_configurations(m, 6, batched, q_min, d_min)
+        ref_a, ref_c = loop_sample_configurations(m, 6, single, q_min, d_min)
+        assert q_a.tobytes() == ref_a.tobytes() and q_c.tobytes() == ref_c.tobytes()
+        assert batched.bit_generator.state == single.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_infeasible_sampling_draws_the_whole_budget(seed):
+    batched, single = np.random.default_rng(seed), np.random.default_rng(seed)
+    with pytest.raises(CalibrationError, match=r"^could not draw 3 valid configurations in "
+                       r"3000 tries \(q_min=3\.1, d_min=0\.3\)$"):
+        sample_configurations(3, 6, batched, q_min=3.1)
+    assert loop_sample_configurations(3, 6, single, q_min=3.1) is None
+    assert batched.bit_generator.state == single.bit_generator.state
+
+
+def tilted_arm():
+    """Seven joints whose unit axes and moments are not axis-aligned, so
+    that w @ w and the cross products round."""
+    rng = np.random.default_rng(31)
+    w = rng.normal(size=(7, 3))
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    return RobotModel("tilted", np.hstack([w, rng.normal(0.0, 0.5, (7, 3))]), np.zeros(6))
+
+
+@pytest.mark.parametrize("lvl", [*(level("kin", tag) for tag in LEVEL_TAGS), level("kin", "none"),
+                                 Level("rot-only", 0.01, 0.0), Level("trans-only", 0.0, 0.002)],
+                         ids=lambda lvl: lvl.tag)
+def test_draw_joint_deltas_match_per_joint_draws(lvl):
+    system = default_system()
+    for arm in (system.sensor_arm, system.tool_arm, tilted_arm()):
+        for seed in range(8):
+            batched, single = np.random.default_rng(seed), np.random.default_rng(seed)
+            # bytes, so that a -0.0 where the per-joint draws give 0.0 shows
+            assert (draw_joint_deltas(arm, lvl, batched).tobytes()
+                    == loop_joint_deltas(arm, lvl, single).tobytes())
+            assert batched.bit_generator.state == single.bit_generator.state
 
 
 def test_sample_configurations_infeasible_rules():
