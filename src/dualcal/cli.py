@@ -65,6 +65,8 @@ def cmd_init(args):
 
 
 def cmd_calibrate(args):
+    if not 0 < args.tol < np.inf:
+        raise ValidationError(f"--tol must be finite and positive, got {args.tol}")
     ds = load_dataset(args.data)
     coords = init_record = None
     if args.init:
@@ -216,6 +218,10 @@ def main(argv=None):
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("out", "csv"):  # fail before the computation, not after it
+            path = getattr(args, flag, None)
+            if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+                raise ValidationError(f"--{flag} {path}: its directory does not exist")
         # looked up at each call, not bound into the cached parser, so that a
         # cmd_* replaced after the first call (wrapped, patched) is what runs
         return globals()["cmd_" + args.command.replace("-", "_")](args)

@@ -10,12 +10,10 @@ class RankDeficientError(CalibrationError):
     """The sphere fit's points do not determine a sphere: fewer than four,
     or all in one plane."""
 
-    def __init__(self, rank, needed, index=None):
+    def __init__(self, rank, index):
         self.rank = rank
-        self.needed = needed
-        self.index = index  # which cloud of a batch, when the fit was batched
-        where = "" if index is None else f" at index {index}"
-        super().__init__(f"system is rank deficient{where}: numeric rank {rank} < {needed}")
+        self.index = index  # which cloud of the batch
+        super().__init__(f"system is rank deficient at index {index}: numeric rank {rank} < 4")
 
 
 class DegenerateSolutionError(CalibrationError):

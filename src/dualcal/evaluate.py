@@ -92,13 +92,13 @@ def sphere_fit(points):
     """
     P = np.asarray(points, dtype=float)
     if P.ndim < 2 or P.shape[-1] != 3 or P.shape[-2] < 4:
-        raise RankDeficientError(0, 4, index=0)
+        raise RankDeficientError(0, 0)
     batch, n = P.shape[:-2], P.shape[-2]
     P = P.reshape(-1, n, 3)
     rank = _design_rank(P)
     if (rank < 4).any():
         k = int(np.argmax(rank < 4))
-        raise RankDeficientError(int(rank[k]), 4, index=k)
+        raise RankDeficientError(int(rank[k]), k)
     c, r = _algebraic_seed(P)
     # J^T J = [[sum u u^T, sum u], [sum u^T, N]] of the rows [-u^T, -1],
     # u the unit vectors from the center
@@ -127,12 +127,12 @@ def sphere_fit(points):
     return c.reshape(batch + (3,)), r.reshape(batch), rms.reshape(batch)
 
 
-# --- exact minimum enclosing ball (pivoting move-to-front) -------------------
+# --- exact minimum enclosing ball (pivoting) --------------------------------
 #
-# Gaertner, "Fast and robust smallest enclosing balls" (ESA 1999): the ball
-# of a short front list grows by one farthest outside point at a time, and
-# each growth is a move-to-front scan of that list only.  Most points are
-# touched only by one vectorized distance pass per pivot.
+# Gaertner, "Fast and robust smallest enclosing balls" (ESA 1999): at every
+# level of Welzl's recursion the ball grows by one farthest outside point at
+# a time, so most points are touched only by one vectorized distance pass
+# per pivot.
 
 def _outside(dist, r):
     """Whether distances from a ball's center lie outside its radius r
@@ -155,54 +155,41 @@ def _ball_of(boundary):
     return a + d, float(np.linalg.norm(d))
 
 
-def _mtf_ball(P, order, end, boundary):
-    """Smallest ball of P[order[:end]] with the boundary points on its surface.
+def _pivot_ball(P, domain, boundary):
+    """Smallest ball of the points P[domain] with the boundary points on
+    its surface.
 
-    Gaertner's move-to-front scan: a point outside the ball joins the
-    boundary for a rescan of the points before it, then moves to the front
-    of ``order`` (reordered in place).  Recursion deepens only with the
-    boundary (<= 4).  min_enclosing_ball calls it on its short front list.
+    The ball is always the one of a support list drawn from the domain.
+    The domain point farthest from its center, if outside, lies on the
+    surface of the ball of the list plus that point (Welzl's lemma): the
+    recursion on the list with the point on the boundary.  The point then
+    joins the list, at most once, which bounds the loop.  Once no point
+    is outside, the ball of the list holds the whole domain and is its
+    ball.  Recursion deepens only with the boundary (<= 4 points).
     """
     c, r = _ball_of(boundary)
-    i = 0
-    while len(boundary) < 4 and i < end:
-        outside = _outside(np.linalg.norm(P[order[i:end]] - c, axis=1), r)
-        if not outside.any():
+    if len(boundary) == 4:
+        return c, r
+    Q = P[domain]
+    support = []
+    while len(support) < len(domain):
+        dist = np.linalg.norm(Q - c, axis=1)
+        dist[support] = -np.inf
+        j = int(np.argmax(dist))
+        if not _outside(dist[j], r):
             break
-        j = i + int(np.argmax(outside))
-        p = order[j]
-        c, r = _mtf_ball(P, order, j, boundary + [P[p]])
-        order[:j + 1] = np.roll(order[:j + 1], 1)
-        i = j + 1
+        c, r = _pivot_ball(P, domain[support], boundary + [Q[j]])
+        support.append(j)
     return c, r
 
 
 def min_enclosing_ball(points):
-    """Exact minimum enclosing ball of 3D points.
-
-    Gaertner's pivoting: the ball is always the smallest one of the first
-    t points of ``order``.  The point farthest from its center among the
-    rest, if outside, lies on the surface of the next ball (Welzl's
-    lemma), which _mtf_ball computes from those t points alone; the pivot
-    then moves to the front and t grows by one.  It stops once no point
-    is outside, so the ball of a subset holds every point and is the
-    ball of all.  Returns (center, radius).
-    """
+    """Exact minimum enclosing ball of 3D points, by _pivot_ball over all
+    of them with an empty boundary.  Returns (center, radius)."""
     P = np.asarray(points, dtype=float).reshape(-1, 3)
-    n = len(P)
-    if n == 0:
+    if len(P) == 0:
         raise ValueError("need at least one point")
-    order = np.arange(n)
-    c, r = _ball_of([])
-    t = 0
-    while t < n:
-        dist = np.linalg.norm(P[order[t:]] - c, axis=1)
-        j = t + int(np.argmax(dist))
-        if not _outside(dist[j - t], r):
-            break
-        c, r = _mtf_ball(P, order, t, [P[order[j]]])
-        order[:j + 1] = np.roll(order[:j + 1], 1)
-        t += 1
+    c, r = _pivot_ball(P, np.arange(len(P)), [])
     return c, max(r, 0.0)
 
 
@@ -252,6 +239,6 @@ def ball_consistency(system, point_clouds, q_a, q_c):
             degenerate.append((int(idx[exc.index]), exc.rank))
     if degenerate:
         i, rank = min(degenerate)
-        raise RankDeficientError(rank, 4, index=i)
+        raise RankDeficientError(rank, i)
     meb_c, r_meb = min_enclosing_ball(centers)
     return BallConsistency(centers, radii, rmss, meb_c, float(r_meb))

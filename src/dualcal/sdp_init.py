@@ -246,7 +246,14 @@ def _scalar_multiple_of_identity(b, entry):
 
 
 @functools.cache
-def _constraints():
+def build_constraints():
+    """All 160 quadratic equality constraints on the lifted vector, as a
+    read-only ConstraintOperator built at the first call of the process.
+
+    In build order: Rx orthonormality 6 and handedness 3, the same for Ry
+    (6, 3), K column orthogonality 45, K Kronecker-block structure 72,
+    V block structure 24, homogenization 1.
+    """
     b = _Triplets()
     _orthonormality(b, _rx)
     _handedness(b, _rx)
@@ -262,18 +269,6 @@ def _constraints():
     b.add(HOM, HOM, 1.0)
     b.done(1.0)
     return ConstraintOperator(b.rows, b.flat, b.vals, b.rho)
-
-
-# a plain function around the cached build, so that perfbench's tracer times it
-def build_constraints():
-    """All 160 quadratic equality constraints on the lifted vector, as a
-    read-only ConstraintOperator built at the first call of the process.
-
-    In build order: Rx orthonormality 6 and handedness 3, the same for Ry
-    (6, 3), K column orthogonality 45, K Kronecker-block structure 72,
-    V block structure 24, homogenization 1.
-    """
-    return _constraints()
 
 
 @dataclass
@@ -374,23 +369,21 @@ def project_lift(w):
     """Nearest coordinate triple to a lifted vector: (X, Y, Z).
 
     w is scaled to w[HOM] = 1; Rx and Ry are projected onto SO(3), and
-    Rz and tz are read off the Kronecker blocks through the projected Ry.
+    Rz and tz are read off the Kronecker blocks through the projected Ry:
+    block (p, q) of K = Rz^T kron Ry is Rz(q, p) Ry and block j of
+    V = tz^T kron Ry is tz_j Ry, so each entry is tr(Ry^T block) / 3.
     """
     if w[HOM] <= 1e-9 * np.linalg.norm(w):
         raise DegenerateSolutionError("homogeneous entry of the lifted vector is ~0")
     w = w / w[HOM]
     Rx = project_rotation(w[RX0:RX0 + 9].reshape((3, 3), order="F"))
     Ry = project_rotation(w[RY0:RY0 + 9].reshape((3, 3), order="F"))
-    K = w[K0:K0 + 81].reshape((9, 9), order="F")
-    RzT = np.empty((3, 3))
-    for p in range(3):
-        for q in range(3):
-            RzT[p, q] = np.trace(Ry.T @ K[3 * p:3 * p + 3, 3 * q:3 * q + 3]) / 3.0
-    Rz = project_rotation(RzT.T)
+    K = w[K0:K0 + 81].reshape((3, 3, 3, 3), order="F").transpose(1, 3, 0, 2)  # blocks [p, q]
+    Rz = project_rotation(np.trace(Ry.T @ K, axis1=-2, axis2=-1).T / 3.0)
     tx = w[TX0:TX0 + 3].copy()
     ty = w[TY0:TY0 + 3].copy()
-    Vty = w[V0:V0 + 27].reshape((3, 9), order="F")
-    tz = np.array([np.trace(Ry.T @ Vty[:, 3 * j:3 * j + 3]) / 3.0 for j in range(3)])
+    V = w[V0:V0 + 27].reshape((3, 3, 3), order="F").transpose(2, 0, 1)  # blocks [j]
+    tz = np.trace(Ry.T @ V, axis1=-2, axis2=-1) / 3.0
     return lie.make_pose(Rx, tx), lie.make_pose(Ry, ty), lie.make_pose(Rz, tz)
 
 

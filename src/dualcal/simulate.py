@@ -215,9 +215,9 @@ def default_system():
     Two UR5-like arms with bases 1.2 m apart and rotated 2.3 rad about
     the vertical, plus small flange-to-sensor and flange-to-tool offsets.
     """
-    X = lie.exp_se3(np.array([0.10, -0.05, 0.15, 0.05, -0.03, 0.08]))
-    Y = lie.exp_se3(np.array([0.05, 0.08, 2.30, 1.15, -0.35, 0.10]))
-    Z = lie.exp_se3(np.array([-0.10, 0.20, 0.30, 0.02, 0.04, -0.06]))
+    X, Y, Z = lie.exp_se3(np.array([[0.10, -0.05, 0.15, 0.05, -0.03, 0.08],
+                                    [0.05, 0.08, 2.30, 1.15, -0.35, 0.10],
+                                    [-0.10, 0.20, 0.30, 0.02, 0.04, -0.06]]))
     return DualArmSystem(default_arm("sensor_arm"), default_arm("tool_arm"), X, Y, Z)
 
 

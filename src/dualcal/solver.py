@@ -49,10 +49,10 @@ def solve(initial, samples, tol=1e-3):
     The trace records |e| and |delta|_inf per iteration;
     monotone decrease of |e| is not guaranteed (fixed damping, no line
     search) but holds on well-initialized problems.  Raises ValueError
-    unless tol > 0.
+    unless tol is finite and positive.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < np.inf:  # an infinite tol would pass the first step
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     system = initial
     trace = SolveTrace()
     for _ in range(MAX_ITERS):
@@ -79,10 +79,11 @@ def calibrate(nominal, samples, coords=None, tol=1e-3):
     coords=(X, Y, Z) replaces that estimate, and init is then None.
     Returns (init, final_system, trace).  Raises ValidationError when the
     samples give fewer residual rows (6 each) than parameters (12n+18),
-    and ValueError unless tol > 0, both before the initialization runs.
+    and ValueError unless tol is finite and positive, both before the
+    initialization runs.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < np.inf:  # an infinite tol would pass the first step
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if 6 * len(samples) < nominal.dim:
         raise ValidationError(f"calibration needs at least {nominal.dim // 6} samples "
                               f"for {nominal.n} joints per arm, got {len(samples)}")

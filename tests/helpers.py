@@ -1,13 +1,11 @@
 """Shared oracles for the test suite.
 
-Everything here but `level_deviation` and `full_scan_meb` is
-deliberately independent of the package's own code paths:
-truncated-series exponentials, plain Gaussian elimination, brute-force
-geometry, and one-at-a-time random draws give reference values the
+Everything here but `level_deviation` is deliberately independent of
+the package's own code paths: truncated-series exponentials, plain
+Gaussian elimination, brute-force geometry, a move-to-front scan over
+every point, and one-at-a-time random draws give reference values the
 library must reproduce.  `level_deviation` measures a kinematic level
-through the public simulation API, and `full_scan_meb` runs the
-package's move-to-front scan over every point, which
-`min_enclosing_ball`'s pivoting must match.
+through the public simulation API.
 """
 
 import random
@@ -178,16 +176,27 @@ def loop_sphere_fit(points, iters=20):
     return c, r, np.sqrt(np.mean(res * res))
 
 
+def ball_through(boundary):
+    """Smallest ball with all of <= 4 boundary points on its surface: the
+    least-norm center offset d in their affine span, from
+    (p - a) . d = |p - a|^2 / 2 for every point p.  No points give radius -1."""
+    if not boundary:
+        return np.zeros(3), -1.0
+    a = np.asarray(boundary[0], dtype=float)
+    A = np.asarray(boundary[1:], dtype=float).reshape(-1, 3) - a
+    d = np.linalg.lstsq(A, 0.5 * (A * A).sum(axis=1), rcond=None)[0]
+    return a + d, float(np.linalg.norm(d))
+
+
 def brute_force_meb(points):
     """Minimum enclosing ball by enumerating all support subsets <= 4."""
     from itertools import combinations
-    from dualcal.evaluate import _ball_of
 
     P = [np.asarray(p, dtype=float) for p in points]
     best = None
     for k in range(1, 5):
         for subset in combinations(P, k):
-            c, r = _ball_of(list(subset))
+            c, r = ball_through(list(subset))
             if r < 0:
                 continue
             if all(np.linalg.norm(p - c) <= r * (1 + 1e-12) + 1e-14 for p in P):
@@ -197,13 +206,24 @@ def brute_force_meb(points):
 
 
 def full_scan_meb(points):
-    """Minimum enclosing ball by a move-to-front scan over all points in a
-    fixed shuffle, every outside point rescanning the points before it:
-    the reference for min_enclosing_ball's pivoting on the same scan."""
-    from dualcal.evaluate import _mtf_ball
-
+    """Minimum enclosing ball by Welzl's move-to-front scan over all points
+    in a fixed shuffle: a point outside the ball of the points before it
+    joins the boundary for a rescan of those points, then moves to the
+    front.  The reference for min_enclosing_ball's pivoting."""
     P = np.asarray(points, dtype=float).reshape(-1, 3)
     order = list(range(len(P)))
     random.Random(20260810).shuffle(order)
-    c, r = _mtf_ball(P, np.array(order), len(P), [])
+
+    def scan(end, boundary):
+        c, r = ball_through(boundary)
+        if len(boundary) == 4:
+            return c, r
+        for i in range(end):
+            p = P[order[i]]
+            if np.linalg.norm(p - c) > r * (1.0 + 1e-12) + 1e-14:
+                c, r = scan(i, boundary + [p])
+                order.insert(0, order.pop(i))
+        return c, r
+
+    c, r = scan(len(P), [])
     return c, max(r, 0.0)

@@ -446,21 +446,55 @@ def test_wrong_json_type_exits_2_naming_field(workdir, postures, calib_file, tmp
 
 @pytest.mark.parametrize("argv, message", [
     (("calibrate", "--data", "{data}", "--init", "{init}", "--tol", "nan"),
-     "tol must be positive, got nan"),
+     "--tol must be finite and positive, got nan"),
     (("calibrate", "--data", "{data}", "--init", "{init}", "--tol", "0"),
-     "tol must be positive, got 0.0"),
+     "--tol must be finite and positive, got 0.0"),
+    (("calibrate", "--data", "{data}", "--init", "{init}", "--tol", "inf"),
+     "--tol must be finite and positive, got inf"),
     (("generate", "--samples", "5", "--seed", "1", "--kin-level", "X"),
      "unknown kinematic level 'X'"),
     (("generate", "--samples", "0", "--seed", "1"), "--samples must be >= 1, got 0"),
     (("generate", "--samples", "5", "--seed", "-1"),
      "--seed must be a nonnegative integer, got -1"),
-], ids=["tol-nan", "tol-zero", "unknown-kin-level", "samples-zero", "seed-negative"])
-def test_bad_flag_value_exits_2_naming_it(workdir, init_file, tmp_path, capsys, argv, message):
+], ids=["tol-nan", "tol-zero", "tol-inf", "unknown-kin-level", "samples-zero", "seed-negative"])
+def test_bad_flag_value_exits_2_naming_it(workdir, init_file, tmp_path, capsys, monkeypatch,
+                                          argv, message):
+    def no_load(*args):
+        raise AssertionError("the data was loaded although a flag is invalid")
+    monkeypatch.setattr("dualcal.cli.load_dataset", no_load)
     files = {"data": workdir / "data.json", "init": init_file}
     out = tmp_path / "out.json"
     assert run(*(a.format(**files) for a in argv), "--out", str(out)) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("generate", "--samples", "5", "--seed", "1", "--out", "{missing}"), "out"),
+    (("init", "--data", "{data}", "--out", "{missing}"), "out"),
+    (("calibrate", "--data", "{data}", "--init", "{init}", "--out", "{missing}"), "out"),
+    (("evaluate", "--data", "{data}", "--calib", "{calib}", "--out", "{missing}"), "out"),
+    (("evaluate", "--data", "{data}", "--calib", "{calib}", "--out", "{report}",
+      "--csv", "{missing}"), "csv"),
+    (("identifiability", "--data", "{data}", "--out", "{missing}"), "out"),
+    (("ball-eval", "--clouds", "{clouds}", "--calib", "{calib}", "--out", "{missing}"), "out"),
+], ids=["generate", "init", "calibrate", "evaluate", "evaluate-csv", "identifiability",
+        "ball-eval"])
+def test_output_in_missing_directory_exits_2_before_running(workdir, init_file, calib_file,
+                                                           postures, tmp_path, capsys,
+                                                           monkeypatch, argv, flag):
+    clouds = workdir / "clouds.json"
+    clouds.write_text(json.dumps({"postures": postures}))
+    missing = tmp_path / "missing" / "out.json"
+
+    def not_run(args):
+        raise AssertionError("the command ran although its output cannot be written")
+    monkeypatch.setattr("dualcal.cli.cmd_" + argv[0].replace("-", "_"), not_run)
+    files = {"data": workdir / "data.json", "init": init_file, "calib": calib_file,
+             "clouds": clouds, "report": tmp_path / "report.json", "missing": missing}
+    assert run(*(a.format(**files) for a in argv)) == 2
+    assert f"error: --{flag} {missing}: its directory does not exist" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_pose_in_calib_exits_2_naming_field(workdir, calib_file, tmp_path, capsys):

@@ -204,19 +204,39 @@ def test_meb_large_point_set():
     assert r >= 0.5 * pairwise.max()
 
 
+def _fitted_centers(rng):
+    """One noisy 64-point cloud per posture, one ball: 200 fitted centers."""
+    dirs = rng.normal(size=(200, 64, 3))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    noise = rng.normal(0.0, 5e-5, (200, 64, 3))
+    return sphere_fit(np.array([0.02, -0.01, 0.05]) + 0.0254 * dirs + noise)[0]
+
+
 def _meb_set(kind, rng):
-    if kind == "fitted-centers":  # one noisy 64-point cloud per posture, one ball
-        dirs = rng.normal(size=(200, 64, 3))
-        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-        noise = rng.normal(0.0, 5e-5, (200, 64, 3))
-        return sphere_fit(np.array([0.02, -0.01, 0.05]) + 0.0254 * dirs + noise)[0]
+    if kind == "fitted-centers":
+        return _fitted_centers(rng)
+    if kind == "fitted-centers-reversed":
+        return _fitted_centers(rng)[::-1]
+    if kind == "fitted-centers-shuffled":
+        return rng.permutation(_fitted_centers(rng))
     if kind == "gaussian":
         return rng.normal(size=(200, 3))
+    if kind == "gaussian-2000":
+        return rng.normal(size=(2000, 3))
     if kind == "cospherical":  # every point on the surface of one sphere
         dirs = rng.normal(size=(300, 3))
         return rng.normal(size=3) + 0.7 * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    if kind == "tetrahedron":  # 4 cospherical points hold the center, 100 lie inside
+        tet = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3.0)
+        tet = tet + rng.normal(0.0, 0.05, (4, 3))
+        tet /= np.linalg.norm(tet, axis=1, keepdims=True)
+        inner = rng.normal(size=(100, 3))
+        inner *= rng.uniform(0.0, 0.9, (100, 1)) / np.linalg.norm(inner, axis=1, keepdims=True)
+        return rng.permutation(np.vstack([tet, inner]))
     if kind == "repeated":  # 3 points, 50 copies each
         return rng.permutation(np.repeat(rng.normal(size=(3, 3)), 50, axis=0))
+    if kind == "two-repeated":  # 2 points, 100 copies each
+        return rng.permutation(np.repeat(rng.normal(size=(2, 3)), 100, axis=0))
     if kind == "collinear":
         return rng.normal(size=(100, 1)) * rng.normal(size=3) + rng.normal(size=3)
     assert kind == "coplanar"
@@ -224,15 +244,26 @@ def _meb_set(kind, rng):
 
 
 @pytest.mark.parametrize("kind", ["fitted-centers", "gaussian", "cospherical", "repeated",
-                                  "collinear", "coplanar"])
+                                  "collinear", "coplanar", "gaussian-2000",
+                                  "fitted-centers-reversed", "fitted-centers-shuffled",
+                                  "tetrahedron", "two-repeated"])
 def test_meb_matches_full_scan(kind):
     rng = np.random.default_rng(21)
+    # the fitted centers' ball, in any order, is the scan's to the last bits
+    rel = 1e-15 if kind.startswith("fitted-centers") else 1e-12
     for _ in range(3 if kind == "gaussian" else 1):
         pts = _meb_set(kind, rng)
         c, r = min_enclosing_ball(pts)
         _, r_ref = full_scan_meb(pts)
-        assert abs(r - r_ref) <= 1e-12 * r_ref
-        assert not _outside(np.linalg.norm(pts - c, axis=1), r).any()
+        assert abs(r - r_ref) <= rel * r_ref
+        dist = np.linalg.norm(pts - c, axis=1)
+        assert not _outside(dist, r).any()
+    if kind == "tetrahedron":  # the four cospherical points, and only they, support it
+        assert abs(r - 1.0) <= 1e-12
+        assert np.sort(np.abs(dist - r) <= 1e-12)[-5:].tolist() == [False] + [True] * 4
+    if kind == "two-repeated":  # the ball on the two points' diameter
+        p, q = np.unique(pts, axis=0)
+        assert abs(2.0 * r - np.linalg.norm(p - q)) <= 1e-12 * r
 
 
 def _synthetic_clouds(system, samples, ball_center_E2, radius, rng):

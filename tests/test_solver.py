@@ -143,6 +143,7 @@ def test_final_residual_never_worse(setup):
         assert np.linalg.norm(e1) <= np.linalg.norm(e0)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
 def test_step_on_non_finite_residual_errors(setup):
     gt, samples = setup
     q_a = samples.q_a.copy()
@@ -159,10 +160,10 @@ def test_tol_validation(setup, monkeypatch):
     def no_sdp(*args, **kwargs):
         raise AssertionError("the initialization ran although tol is invalid")
     monkeypatch.setattr("dualcal.solver.initialize", no_sdp)
-    for tol in (0.0, -1e-3, float("nan")):
-        with pytest.raises(ValueError, match="tol must be positive"):
+    for tol in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"^tol must be finite and positive, got {tol}$"):
             solve(gt, samples, tol)
-        with pytest.raises(ValueError, match="tol must be positive"):
+        with pytest.raises(ValueError, match=f"^tol must be finite and positive, got {tol}$"):
             calibrate(gt, samples, tol=tol)
 
 
