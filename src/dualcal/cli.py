@@ -220,6 +220,8 @@ def main(argv=None):
     try:
         for flag in ("out", "csv"):  # fail before the computation, not after it
             path = getattr(args, flag, None)
+            if path and os.path.isdir(path):
+                raise ValidationError(f"--{flag} {path}: is a directory")
             if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
                 raise ValidationError(f"--{flag} {path}: its directory does not exist")
         # looked up at each call, not bound into the cached parser, so that a

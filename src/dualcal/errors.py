@@ -1,5 +1,5 @@
 """Exception types.  A failure is a plain CalibrationError (CLI exit 3)
-unless a caller catches it apart: the three subclasses below."""
+unless a caller catches it apart: the two subclasses below."""
 
 
 class CalibrationError(Exception):
@@ -14,10 +14,6 @@ class RankDeficientError(CalibrationError):
         self.rank = rank
         self.index = index  # which cloud of the batch
         super().__init__(f"system is rank deficient at index {index}: numeric rank {rank} < 4")
-
-
-class DegenerateSolutionError(CalibrationError):
-    """SDP solution has no usable dominant eigenpair."""
 
 
 class ValidationError(CalibrationError):

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import liegroup as lie
-from .errors import CalibrationError, DegenerateSolutionError, ValidationError
+from .errors import CalibrationError, ValidationError
 from .kinematics import forward_kinematics
 from .numerics import project_rotation
 
@@ -36,8 +36,12 @@ log = logging.getLogger("dualcal")
 
 DIM = 133
 
-# index layout of the lifted vector
+# index layout of the lifted vector; _RX[r, c] indexes Rx(r, c), likewise Ry, K, V
 RX0, RY0, K0, TX0, TY0, V0, HOM = 0, 9, 18, 99, 102, 105, 132
+_RX = RX0 + np.arange(9).reshape(3, 3, order="F")
+_RY = RY0 + np.arange(9).reshape(3, 3, order="F")
+_KK = K0 + np.arange(81).reshape(9, 9, order="F")
+_VV = V0 + np.arange(27).reshape(3, 9, order="F")
 
 # certified-local path: Gauss-Newton iteration cap and step tolerance, and
 # acceptance of its certificate, lambda_min(S) >= -CERT_EIG_TOL * tr(Q)
@@ -89,46 +93,29 @@ def lift(X, Y, Z):
     return np.concatenate([_vec(Rx), _vec(Ry), _vec(K), tx, ty, _vec(V), [1.0]])
 
 
-def omega_f(A, B, C, out=None):
-    """9x133 matrix with omega_f @ lift = vec(Ra Rx Rb) - vec(Ry Rc Rz);
-    (..., 4, 4) poses give one matrix per pose triple, written into `out`
-    (zero, with contiguous matrices) when given."""
-    Ra, Rb, Rc = A[..., :3, :3], B[..., :3, :3], C[..., :3, :3]
-    O = np.zeros(Ra.shape[:-2] + (9, DIM)) if out is None else out
-    O[..., RX0:RX0 + 9] = _kron(np.swapaxes(Rb, -1, -2), Ra)
-    _write_kron_eye(O, K0, -_vec(Rc), 9)
-    return O
-
-
-def omega_g(A, B, C, out=None):
-    """3x133 matrix with omega_g @ lift = translation part of the chain gap;
-    (..., 4, 4) poses give one matrix per pose triple, written into `out`
-    (zero, with contiguous matrices) when given."""
-    Ra, ta = A[..., :3, :3], A[..., :3, 3]
-    tb = B[..., :3, 3]
-    Rc, tc = C[..., :3, :3], C[..., :3, 3]
-    O = np.zeros(Ra.shape[:-2] + (3, DIM)) if out is None else out
-    O[..., RX0:RX0 + 9] = _kron(tb[..., None, :], Ra)
-    _write_kron_eye(O, RY0, -tc, 3)
-    O[..., TX0:TX0 + 3] = Ra
-    O[..., TY0:TY0 + 3] = -np.eye(3)
-    _write_kron_eye(O, V0, -_vec(Rc), 3)
-    O[..., HOM] = ta
-    return O
-
-
 def build_residual_stack(A, B, C):
-    """Rows [omega_f; omega_g] of every pose triple of the (m, 4, 4) stacks
-    A, B, C, stacked (12m x 133).
+    """Residual rows of the pose triples of the (m, 4, 4) stacks A, B, C
+    (12m x 133): times the lift, rows 12i .. 12i+8 (omega_f) give
+    vec(Ra Rx Rb) - vec(Ry Rc Rz) of triple i and rows 12i+9 .. 12i+11
+    (omega_g) its translation gap, written into one zeroed (m, 12, 133).
 
     The stack G satisfies |G w|^2 = sum_i (|f_i|^2 + |g_i|^2); it
     evaluates the objective as a sum of squares, free of the cancellation
-    that the assembled Q suffers near zero cost.  Both blocks are written
-    into one zeroed (m, 12, 133) array.
+    that the assembled Q suffers near zero cost.
     """
-    O = np.zeros(A.shape[:-2] + (12, DIM))
-    omega_f(A, B, C, O[..., :9, :])
-    omega_g(A, B, C, O[..., 9:, :])
+    Ra, ta = A[..., :3, :3], A[..., :3, 3]
+    Rb, tb = B[..., :3, :3], B[..., :3, 3]
+    Rc, tc = C[..., :3, :3], C[..., :3, 3]
+    O = np.zeros(Ra.shape[:-2] + (12, DIM))
+    F, T = O[..., :9, :], O[..., 9:, :]
+    F[..., RX0:RX0 + 9] = _kron(np.swapaxes(Rb, -1, -2), Ra)
+    _write_kron_eye(F, K0, -_vec(Rc), 9)
+    T[..., RX0:RX0 + 9] = _kron(tb[..., None, :], Ra)
+    _write_kron_eye(T, RY0, -tc, 3)
+    T[..., TX0:TX0 + 3] = Ra
+    T[..., TY0:TY0 + 3] = -np.eye(3)
+    _write_kron_eye(T, V0, -_vec(Rc), 3)
+    T[..., HOM] = ta
     return O.reshape(-1, DIM)
 
 
@@ -176,23 +163,6 @@ class ConstraintOperator:
         return M @ M.T
 
 
-
-def _rx(r, c):
-    return RX0 + 3 * c + r
-
-
-def _ry(r, c):
-    return RY0 + 3 * c + r
-
-
-def _kk(r, c):
-    return K0 + 9 * c + r
-
-
-def _vv(r, c):
-    return V0 + 3 * c + r
-
-
 class _Triplets:
     """Collects the constraints one at a time as (row j, flat index,
     value) triplets of the symmetric H_j, with their rho_j."""
@@ -210,11 +180,12 @@ class _Triplets:
         self.rho.append(float(rho))
 
 
-def _orthonormality(b, idx, n=3):
+def _orthonormality(b, idx):
+    n = idx.shape[1]
     for l in range(n):
         for k in range(l, n):
-            for r in range(n):
-                b.add(idx(r, l), idx(r, k), 1.0)
+            for i, j in zip(idx[:, l], idx[:, k]):
+                b.add(i, j, 1.0)
             b.done(1.0 if l == k else 0.0)
 
 
@@ -223,25 +194,25 @@ def _handedness(b, idx):
     # term is paired with the homogeneous entry.
     for a in range(3):
         a1, a2 = (a + 1) % 3, (a + 2) % 3
-        b.add(idx(a1, 0), idx(a2, 1), 1.0)
-        b.add(idx(a2, 0), idx(a1, 1), -1.0)
-        b.add(idx(a, 2), HOM, -1.0)
+        b.add(idx[a1, 0], idx[a2, 1], 1.0)
+        b.add(idx[a2, 0], idx[a1, 1], -1.0)
+        b.add(idx[a, 2], HOM, -1.0)
         b.done(0.0)
 
 
-def _scalar_multiple_of_identity(b, entry):
-    """Constraints forcing M_ab = sum_r Ry(r,a)*entry(r,b) to c*I."""
+def _scalar_multiple_of_identity(b, block):
+    """Constraints forcing Ry^T E to c*I, E the 3x3 block indexed by `block`."""
     for a in range(3):
         for bcol in range(3):
             if a == bcol:
                 continue
             for r in range(3):
-                b.add(_ry(r, a), entry(r, bcol), 1.0)
+                b.add(_RY[r, a], block[r, bcol], 1.0)
             b.done(0.0)
     for a in (0, 1):
         for r in range(3):
-            b.add(_ry(r, a), entry(r, a), 1.0)
-            b.add(_ry(r, a + 1), entry(r, a + 1), -1.0)
+            b.add(_RY[r, a], block[r, a], 1.0)
+            b.add(_RY[r, a + 1], block[r, a + 1], -1.0)
         b.done(0.0)
 
 
@@ -255,17 +226,16 @@ def build_constraints():
     V block structure 24, homogenization 1.
     """
     b = _Triplets()
-    _orthonormality(b, _rx)
-    _handedness(b, _rx)
-    _orthonormality(b, _ry)
-    _handedness(b, _ry)
-    _orthonormality(b, _kk, 9)
+    _orthonormality(b, _RX)
+    _handedness(b, _RX)
+    _orthonormality(b, _RY)
+    _handedness(b, _RY)
+    _orthonormality(b, _KK)
     for p in range(3):
         for q in range(3):
-            _scalar_multiple_of_identity(
-                b, lambda r, bcol, p=p, q=q: _kk(3 * p + r, 3 * q + bcol))
+            _scalar_multiple_of_identity(b, _KK[3 * p:3 * p + 3, 3 * q:3 * q + 3])
     for j in range(3):
-        _scalar_multiple_of_identity(b, lambda r, bcol, j=j: _vv(r, 3 * j + bcol))
+        _scalar_multiple_of_identity(b, _VV[:, 3 * j:3 * j + 3])
     b.add(HOM, HOM, 1.0)
     b.done(1.0)
     return ConstraintOperator(b.rows, b.flat, b.vals, b.rho)
@@ -374,15 +344,15 @@ def project_lift(w):
     V = tz^T kron Ry is tz_j Ry, so each entry is tr(Ry^T block) / 3.
     """
     if w[HOM] <= 1e-9 * np.linalg.norm(w):
-        raise DegenerateSolutionError("homogeneous entry of the lifted vector is ~0")
+        raise CalibrationError("homogeneous entry of the lifted vector is ~0")
     w = w / w[HOM]
-    Rx = project_rotation(w[RX0:RX0 + 9].reshape((3, 3), order="F"))
-    Ry = project_rotation(w[RY0:RY0 + 9].reshape((3, 3), order="F"))
-    K = w[K0:K0 + 81].reshape((3, 3, 3, 3), order="F").transpose(1, 3, 0, 2)  # blocks [p, q]
+    Rx = project_rotation(w[_RX])
+    Ry = project_rotation(w[_RY])
+    K = w[_KK].reshape(3, 3, 3, 3).transpose(0, 2, 1, 3)  # blocks [p, q]
     Rz = project_rotation(np.trace(Ry.T @ K, axis1=-2, axis2=-1).T / 3.0)
     tx = w[TX0:TX0 + 3].copy()
     ty = w[TY0:TY0 + 3].copy()
-    V = w[V0:V0 + 27].reshape((3, 3, 3), order="F").transpose(2, 0, 1)  # blocks [j]
+    V = w[_VV].reshape(3, 3, 3).transpose(1, 0, 2)  # blocks [j]
     tz = np.trace(Ry.T @ V, axis1=-2, axis2=-1) / 3.0
     return lie.make_pose(Rx, tx), lie.make_pose(Ry, ty), lie.make_pose(Rz, tz)
 
@@ -397,7 +367,7 @@ def extract(W):
     lam, V = np.linalg.eigh(W)
     lam, V = lam[::-1], V[:, ::-1]  # descending
     if lam[0] <= 0.0:
-        raise DegenerateSolutionError("dominant eigenvalue of W is not positive")
+        raise CalibrationError("dominant eigenvalue of W is not positive")
     w = np.sqrt(lam[0]) * V[:, 0]
     if w[HOM] < 0.0:
         w = -w
@@ -543,7 +513,7 @@ def certified_local(problem):
         return fail("the objective matrix Q has a non-finite entry")
     try:
         X, Y, Z = linear_lift(Q, len(problem.residual_stack) // 12)
-    except DegenerateSolutionError as exc:
+    except CalibrationError as exc:
         return fail(exc)
     X, Y, Z, iterations, converged = local_solve(Q, X, Y, Z)
     if not converged:

@@ -3,9 +3,10 @@
 Everything here but `level_deviation` is deliberately independent of
 the package's own code paths: truncated-series exponentials, plain
 Gaussian elimination, brute-force geometry, a move-to-front scan over
-every point, and one-at-a-time random draws give reference values the
-library must reproduce.  `level_deviation` measures a kinematic level
-through the public simulation API.
+every point, one-at-a-time random draws and the lifted constraints as
+matrix identities give reference values the library must reproduce.
+`level_deviation` measures a kinematic level through the public
+simulation API.
 """
 
 import random
@@ -227,3 +228,48 @@ def full_scan_meb(points):
 
     c, r = scan(len(P), [])
     return c, max(r, 0.0)
+
+
+def lifted_constraints(w):
+    """The 160 quadratic constraints of the initialization's lift, as
+    matrix identities evaluated at lifted vectors w (..., 133), in the
+    order that sdp_init.build_constraints builds them.
+
+    w stacks vec(Rx), vec(Ry), vec(K) (9 x 9), tx, ty, vec(V) (3 x 9) and
+    the homogeneous entry h, column-stacked.  The quadratics are the
+    entries l <= k of Rx^T Rx, then r1 x r2 - r3 h (the columns of Rx);
+    the same for Ry; the entries l <= k of K^T K; for every 3x3 block E
+    of K (row-major over the blocks) and then of V, the off-diagonal
+    entries of Ry^T E followed by its diagonal differences (0,0)-(1,1) and
+    (1,1)-(2,2); and h^2.
+    """
+    w = np.asarray(w, dtype=float)
+
+    def mat(start, rows, cols):
+        M = w[..., start:start + rows * cols].reshape(w.shape[:-1] + (cols, rows))
+        return np.swapaxes(M, -1, -2)
+
+    Rx, Ry, K, V, h = mat(0, 3, 3), mat(9, 3, 3), mat(18, 9, 9), mat(105, 3, 9), w[..., 132]
+
+    def orthonormality(R):
+        P = np.swapaxes(R, -1, -2) @ R
+        n = R.shape[-1]
+        return [P[..., l, k] for l in range(n) for k in range(l, n)]
+
+    def handedness(R):
+        d = np.cross(R[..., :, 0], R[..., :, 1]) - R[..., :, 2] * h[..., None]
+        return [d[..., a] for a in range(3)]
+
+    def scalar_identity(E):
+        P = np.swapaxes(Ry, -1, -2) @ E
+        off = [P[..., a, b] for a in range(3) for b in range(3) if a != b]
+        return off + [P[..., 0, 0] - P[..., 1, 1], P[..., 1, 1] - P[..., 2, 2]]
+
+    quad = orthonormality(Rx) + handedness(Rx) + orthonormality(Ry) + handedness(Ry)
+    quad += orthonormality(K)
+    for p in range(3):
+        for q in range(3):
+            quad += scalar_identity(K[..., 3 * p:3 * p + 3, 3 * q:3 * q + 3])
+    for j in range(3):
+        quad += scalar_identity(V[..., :, 3 * j:3 * j + 3])
+    return np.stack(quad + [h * h], axis=-1)

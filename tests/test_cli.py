@@ -478,8 +478,10 @@ def test_bad_flag_value_exits_2_naming_it(workdir, init_file, tmp_path, capsys, 
       "--csv", "{missing}"), "csv"),
     (("identifiability", "--data", "{data}", "--out", "{missing}"), "out"),
     (("ball-eval", "--clouds", "{clouds}", "--calib", "{calib}", "--out", "{missing}"), "out"),
+    # an existing directory is no output file either
+    (("calibrate", "--data", "{data}", "--out", "{dir}"), "out"),
 ], ids=["generate", "init", "calibrate", "evaluate", "evaluate-csv", "identifiability",
-        "ball-eval"])
+        "ball-eval", "calibrate-out-is-dir"])
 def test_output_in_missing_directory_exits_2_before_running(workdir, init_file, calib_file,
                                                            postures, tmp_path, capsys,
                                                            monkeypatch, argv, flag):
@@ -491,9 +493,12 @@ def test_output_in_missing_directory_exits_2_before_running(workdir, init_file, 
         raise AssertionError("the command ran although its output cannot be written")
     monkeypatch.setattr("dualcal.cli.cmd_" + argv[0].replace("-", "_"), not_run)
     files = {"data": workdir / "data.json", "init": init_file, "calib": calib_file,
-             "clouds": clouds, "report": tmp_path / "report.json", "missing": missing}
+             "clouds": clouds, "report": tmp_path / "report.json", "missing": missing,
+             "dir": tmp_path}
     assert run(*(a.format(**files) for a in argv)) == 2
-    assert f"error: --{flag} {missing}: its directory does not exist" in capsys.readouterr().err
+    message = (f"{tmp_path}: is a directory" if "{dir}" in argv
+               else f"{missing}: its directory does not exist")
+    assert f"error: --{flag} {message}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -7,10 +7,10 @@ import pytest
 from dualcal import liegroup as lie
 from dualcal import sdp_init as sdp
 from dualcal.chain import Measurements
-from dualcal.errors import CalibrationError, DegenerateSolutionError
+from dualcal.errors import CalibrationError
 from dualcal.evaluate import evaluate_samples
 from dualcal.simulate import default_system, generate_dataset, level, noise_twists
-from helpers import noise_free_samples, rand_pose
+from helpers import lifted_constraints, noise_free_samples, rand_pose
 
 
 def direct_objective(X, Y, Z, triples):
@@ -67,18 +67,21 @@ def test_omega_blocks_reproduce_residuals():
              - Y[:3, :3] @ C[:3, :3] @ Z[:3, :3]).reshape(-1, order="F")
         g = (A[:3, :3] @ X[:3, :3] @ B[:3, 3] + A[:3, :3] @ X[:3, 3] + A[:3, 3]
              - Y[:3, :3] @ C[:3, :3] @ Z[:3, 3] - Y[:3, :3] @ C[:3, 3] - Y[:3, 3])
-        assert np.abs(sdp.omega_f(A, B, C) @ w - f).max() < 1e-10
-        assert np.abs(sdp.omega_g(A, B, C) @ w - g).max() < 1e-10
+        G = sdp.build_residual_stack(A, B, C)
+        assert np.abs(G[:9] @ w - f).max() < 1e-10
+        assert np.abs(G[9:] @ w - g).max() < 1e-10
 
 
 def test_omega_f_block_structure():
     rng = np.random.default_rng(1)
     A, B, C = (np.array([rand_pose(rng) for _ in range(3)]) for _ in range(3))
-    # a batch of triples gives, bitwise, the matrices of the triples one by one
-    for omega in (sdp.omega_f, sdp.omega_g):
-        assert np.array_equal(omega(A, B, C), [omega(*t) for t in zip(A, B, C)])
+    # a batch of triples gives, bitwise, the rows of the triples one by one
+    G = sdp.build_residual_stack(A, B, C).reshape(3, 12, sdp.DIM)
+    single = [sdp.build_residual_stack(*t) for t in zip(A, B, C)]
+    for rows in (slice(None, 9), slice(9, None)):
+        assert np.array_equal(G[:, rows], [S[rows] for S in single])
     A, B, C = A[0], B[0], C[0]
-    Of = sdp.omega_f(A, B, C)
+    Of = sdp.build_residual_stack(A, B, C)[:9]
     assert np.array_equal(Of[:, 0:9], np.kron(B[:3, :3].T, A[:3, :3]))
     assert np.all(Of[:, 9:18] == 0)
     vecRc = C[:3, :3].reshape(-1, order="F")
@@ -91,7 +94,7 @@ def test_omega_g_block_structure():
     A, B, C = rand_pose(rng), rand_pose(rng), rand_pose(rng)
     Ra, ta, tb = A[:3, :3], A[:3, 3], B[:3, 3]
     Rc, tc = C[:3, :3], C[:3, 3]
-    Og = sdp.omega_g(A, B, C)
+    Og = sdp.build_residual_stack(A, B, C)[9:]
     assert np.array_equal(Og[:, 0:9], np.kron(tb.reshape(1, 3), Ra))
     assert np.array_equal(Og[:, 9:18], -np.kron(tc.reshape(1, 3), np.eye(3)))
     assert np.all(Og[:, 18:99] == 0)
@@ -103,13 +106,14 @@ def test_omega_g_block_structure():
 
 
 def test_residual_stack_interleaves_omega_blocks_bitwise():
-    # each triple's 9 rotation rows, then its 3 translation rows, written in
-    # place into the stack: the same bytes as stacking the blocks
+    # rows 12i .. 12i+11 of a batched stack, triple i's 9 rotation rows and
+    # then its 3 translation rows, are the bytes of triple i's own stack
     rng = np.random.default_rng(4)
     A, B, C = (np.array([rand_pose(rng) for _ in range(5)]) for _ in range(3))
     G = sdp.build_residual_stack(A, B, C)
-    blocks = np.concatenate([sdp.omega_f(A, B, C), sdp.omega_g(A, B, C)], axis=-2)
-    assert G.tobytes() == blocks.reshape(-1, sdp.DIM).tobytes()
+    for i in range(5):
+        single = sdp.build_residual_stack(A[i], B[i], C[i])
+        assert G[12 * i:12 * i + 12].tobytes() == single.tobytes()
 
 
 def test_objective_matches_direct_evaluation():
@@ -158,6 +162,18 @@ def test_constraint_counts_and_families(constraints, dense_H):
     for name, rows in FAMILIES.items():
         touched = set(np.nonzero(np.abs(dense_H[rows]).sum(axis=(0, 1)))[0])
         assert touched == FAMILY_ENTRIES[name], name
+
+
+def test_constraints_match_matrix_identity_oracle(constraints, dense_H):
+    # H_j by exact polarization of the oracle's quadratics over the unit
+    # vectors: q(e_a + e_b) - q(e_a) - q(e_b) = 2 H_ab, in small integers
+    E = np.eye(sdp.DIM)
+    q1 = lifted_constraints(E)
+    q2 = lifted_constraints(E[:, None, :] + E[None, :, :])
+    H = np.moveaxis((q2 - q1[:, None, :] - q1[None, :, :]) / 2.0, -1, 0)
+    assert np.array_equal(H, dense_H)
+    identity = sdp.lift(np.eye(4), np.eye(4), np.eye(4))
+    assert np.array_equal(lifted_constraints(identity), constraints.rho)
 
 
 def test_constraints_read_only_and_built_once(constraints):
@@ -281,7 +297,7 @@ def test_extract_sign_fix():
 
 
 def test_extract_degenerate_errors():
-    with pytest.raises(DegenerateSolutionError):
+    with pytest.raises(CalibrationError, match="dominant eigenvalue"):
         sdp.extract(np.zeros((133, 133)))
 
 
