@@ -233,7 +233,7 @@ def identifiability_report(system, samples):
     fewer rows than parameters the rank is at most the row count and the
     condition number is infinite.
     """
-    _, J = stack(system, samples)
+    J = _chain(system, samples.q_a, samples.q_c, jacobian=True)[1]
     sv = np.linalg.svd(J, compute_uv=False)
     rank = int(np.sum(sv > sv[0] * RANK_REL_THRESHOLD))
     needed = J.shape[1]

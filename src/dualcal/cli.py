@@ -22,8 +22,9 @@ from .errors import CalibrationError, RankDeficientError, ValidationError
 from .evaluate import ball_consistency, evaluate_samples
 from .kinematics import _require_fields, field_array
 from .sdp_init import initialize
-from .simulate import (_list_field, _load_json, _sample_field, dataset_to_dict, default_system,
-                       generate_dataset, load_dataset, system_from_dict, system_to_dict)
+from .simulate import (_gc_paused, _list_field, _load_json, _sample_field, dataset_to_dict,
+                       default_system, generate_dataset, load_dataset, system_from_dict,
+                       system_to_dict)
 from .solver import calibrate
 
 log = logging.getLogger("dualcal")
@@ -126,10 +127,10 @@ def cmd_identifiability(args):
     return 0
 
 
-def _load_postures(path, n):
+def _postures_from_dict(d, n):
     """Joint readings q_a, q_c (m, n) and the list of (N_i, 3) clouds of a
-    clouds file; the parsed JSON is freed on return, before the fit."""
-    postures = _list_field(_load_json(path, "clouds"), "postures", "clouds file")
+    parsed clouds file."""
+    postures = _list_field(d, "postures", "clouds file")
     q_a = _sample_field(postures, "q_a", (n,), f"the sensor arm has {n} joints", "postures")
     q_c = _sample_field(postures, "q_c", (n,), f"the tool arm has {n} joints", "postures")
     clouds = []
@@ -140,6 +141,14 @@ def _load_postures(path, n):
                                   (len(points) if isinstance(points, list) else -1, 3),
                                   "a cloud is a list of [x, y, z] points"))
     return q_a, q_c, clouds
+
+
+def _load_postures(path, n):
+    """The readings and clouds of a clouds file, parsed and converted with
+    the cyclic collector paused; the parsed JSON is freed before it
+    resumes, and before the fit."""
+    with _gc_paused():
+        return _postures_from_dict(_load_json(path, "clouds"), n)
 
 
 def cmd_ball_eval(args):

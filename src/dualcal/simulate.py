@@ -8,7 +8,9 @@ were calibrated by a Monte-Carlo tuning run (see demos/retune_levels.py)
 and are frozen in assets/levels.json.
 """
 
+import gc
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -141,6 +143,13 @@ def sample_configurations(m, n_joints, rng, q_min=Q_MIN, d_min=D_MIN):
                            f"tries (q_min={q_min}, d_min={d_min})")
 
 
+def _cross(a, b):
+    """Row-wise cross products of (k, 3) arrays: np.cross's products and
+    differences, in its order, so the same bits, without its axis
+    handling, which costs several times the arithmetic on a few rows."""
+    return a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]
+
+
 def draw_joint_deltas(arm, level, rng):
     """Per-joint twist increments reproducing the published deviations.
 
@@ -163,8 +172,8 @@ def draw_joint_deltas(arm, level, rng):
     d[:, drawn] = rng.normal(0.0, sigma[drawn], (arm.n, int(drawn.sum())))
     w, rho = np.ascontiguousarray(arm.joint_twists[:, :3]), arm.joint_twists[:, 3:]
     ww = (w[:, None, :] @ w[:, :, None])[:, 0, 0]  # each w @ w, through the same dot kernel
-    p = np.cross(w, rho) / np.maximum(ww, 1e-12)[:, None]
-    t = np.cross(p, d[:, :3])
+    p = _cross(w, rho) / np.maximum(ww, 1e-12)[:, None]
+    t = _cross(p, d[:, :3])
     if level.trans_sigma > 0:  # not otherwise: adding zeros would turn a -0.0 into 0.0
         t += d[:, 3:]
     d[:, 3:] = t
@@ -326,5 +335,26 @@ def _load_json(path, what):
     return d
 
 
+@contextmanager
+def _gc_paused():
+    """The cyclic garbage collector off for the block, then as it was.
+
+    A parsed JSON tree holds no reference cycles, so the collections its
+    thousands of lists and dicts trigger find nothing; reference counting
+    frees it.  The tree must be freed inside the block: a live tree left
+    at its end is scanned by the first collection after it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_dataset(path):
-    return dataset_from_dict(_load_json(path, "dataset"))
+    """The dataset of a JSON file (schema in docs/formats.md).  The file is
+    parsed and converted with the cyclic collector paused, and the parsed
+    tree is freed before it resumes."""
+    with _gc_paused():
+        return dataset_from_dict(_load_json(path, "dataset"))

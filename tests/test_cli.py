@@ -1,16 +1,18 @@
 import copy
+import gc
 import json
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dualcal import liegroup as lie
 from dualcal.chain import identifiability_report
-from dualcal.cli import _write_json, build_parser, main
+from dualcal.cli import _load_postures, _write_json, build_parser, main
 from dualcal.kinematics import forward_kinematics
 from dualcal.simulate import (dataset_to_dict, default_system, generate_dataset, load_dataset,
                               system_to_dict)
@@ -300,7 +302,7 @@ def test_dataset_without_synthetic_metadata(workdir, tmp_path):
         assert run("evaluate", "--data", str(data), "--calib", calib, "--out", report) == 0
         assert run("identifiability", "--data", str(data), "--calib", calib,
                    "--out", ident) == 0
-        return [open(path, "rb").read() for path in (init, calib, report, ident)]
+        return [Path(path).read_bytes() for path in (init, calib, report, ident)]
 
     assert outputs(measured, "measured") == outputs(workdir / "data.json", "synthetic")
     assert load_dataset(measured).seed is None
@@ -532,9 +534,9 @@ def test_calib_with_wrong_joint_count(workdir, calib_file, tmp_path, capsys, com
 
 
 def test_linalg_failure_exits_3(workdir, tmp_path, capsys, monkeypatch):
-    def fail(*args):
+    def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
-    monkeypatch.setattr("dualcal.chain.stack", fail)
+    monkeypatch.setattr(np.linalg, "svd", fail)  # the report's SVD of J
     assert run("identifiability", "--data", str(workdir / "data.json"),
                "--out", str(tmp_path / "ident.json")) == 3
     assert "numerical failure: SVD did not converge" in capsys.readouterr().err
@@ -626,3 +628,60 @@ def test_facing_arms_pipeline(tmp_path):
     assert run("identifiability", "--data", files["data"], "--calib", files["calib"],
                "--out", files["ident"]) == 0
     assert json.loads((tmp_path / "ident.json").read_text())["rank"] == 12 * 6 + 6
+
+
+@pytest.fixture
+def gc_state():
+    """The cyclic collector's state before the test, restored after it."""
+    enabled = gc.isenabled()
+    yield enabled
+    (gc.enable if enabled else gc.disable)()
+
+
+# the two loaders of large files: load_dataset (--data) and the clouds file
+# (--clouds); a malformed file fails in the parse or in the conversion
+@pytest.mark.parametrize("start", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("content, code", [
+    (None, 0), (b"{", 2), (b'{"samples": [], "postures": 5}', 2),
+], ids=["valid", "bad-json", "bad-field"])
+@pytest.mark.parametrize("command", ["init", "ball-eval"])
+def test_loaders_leave_the_collector_as_they_found_it(workdir, postures, calib_file, tmp_path,
+                                                      gc_state, start, content, code, command):
+    if content is None:
+        path = workdir / "data.json"
+        if command == "ball-eval":
+            path = tmp_path / "clouds.json"
+            path.write_text(json.dumps({"postures": postures}))
+    else:
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+    flag = {"init": ("--data",), "ball-eval": ("--calib", str(calib_file), "--clouds")}[command]
+    (gc.enable if start else gc.disable)()
+    assert run(command, *flag, str(path), "--out", str(tmp_path / "out.json")) == code
+    assert gc.isenabled() is start
+
+
+def test_loaders_run_no_collection(tmp_path, gc_state):
+    # parsing makes thousands of lists and dicts, which would trigger
+    # collections of the young generations if the collector ran
+    data, clouds = tmp_path / "data.json", tmp_path / "clouds.json"
+    data.write_text(json.dumps(dataset_to_dict(generate_dataset(400, "M", "M", seed=3))))
+    rng = np.random.default_rng(0)
+    clouds.write_text(json.dumps({"postures": [
+        {"q_a": q_a.tolist(), "q_c": q_c.tolist(), "points": rng.normal(size=(64, 3)).tolist()}
+        for q_a, q_c in rng.uniform(-np.pi, np.pi, (200, 2, 6))]}))
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        load_dataset(data)
+        _load_postures(clouds, 6)
+    finally:
+        gc.callbacks.remove(count)
+    assert collections == []

@@ -7,7 +7,7 @@ from dualcal import liegroup as lie
 from dualcal.chain import stack
 from dualcal.errors import CalibrationError, ValidationError
 from dualcal.kinematics import RobotModel
-from dualcal.simulate import (LEVEL_TAGS, MEAN_NORM_FACTOR, Level, SyntheticDataset,
+from dualcal.simulate import (LEVEL_TAGS, MEAN_NORM_FACTOR, Level, SyntheticDataset, _cross,
                               dataset_from_dict, dataset_to_dict, default_system,
                               draw_joint_deltas, generate_dataset, level, level_targets,
                               load_dataset, noise_twists, perturb_level, sample_configurations,
@@ -103,6 +103,17 @@ def test_draw_joint_deltas_match_per_joint_draws(lvl):
             assert (draw_joint_deltas(arm, lvl, batched).tobytes()
                     == loop_joint_deltas(arm, lvl, single).tobytes())
             assert batched.bit_generator.state == single.bit_generator.state
+
+
+def test_cross_matches_numpy_bitwise():
+    # rows over sixteen decades, with signed zeros among the components, so
+    # that a different rounding or a lost -0.0 shows in the bytes
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(2, 2000, 3)) * 10.0 ** rng.integers(-8, 8, (2, 2000, 1))
+    a[rng.random(a.shape) < 0.1] = 0.0
+    b[rng.random(b.shape) < 0.1] = -0.0
+    assert _cross(a, b).tobytes() == np.cross(a, b).tobytes()
+    assert _cross(b, a).tobytes() == np.cross(b, a).tobytes()
 
 
 def test_sample_configurations_infeasible_rules():
