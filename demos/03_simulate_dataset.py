@@ -11,8 +11,8 @@ import json
 import numpy as np
 
 from dualcal.chain import stack
-from dualcal.simulate import (dataset_to_dict, generate_dataset, pose_deviation,
-                              sample_configurations)
+from dualcal.cli import dataset_to_dict
+from dualcal.simulate import generate_dataset, pose_deviation, sample_configurations
 
 ds = generate_dataset(m=40, kin_tag="M", noise_tag="M", seed=42)
 print(f"generated {len(ds.samples)} samples, kin level {ds.kin_level}, "

@@ -10,7 +10,7 @@ from .chain import DualArmSystem, Measurements, identifiability_report
 from .evaluate import ball_consistency, evaluate_samples
 from .kinematics import RobotModel
 from .sdp_init import initialize
-from .simulate import generate_dataset, load_dataset
+from .simulate import generate_dataset
 from .solver import calibrate
 
 __version__ = "0.1.0"

@@ -1,14 +1,23 @@
 """Command-line pipelines: generate / init / calibrate / evaluate /
 identifiability / ball-eval.
 
-Everything is JSON in, JSON out (schemas in docs/formats.md); poses are
-4x4 row-major with translations in meters.  Exit codes: 0 success,
-2 validation problem, 3 numerical failure.  Set DUALCAL_LOG=info or
-=debug for progress output.
+Everything is JSON in, JSON out, and this module is the file format's one
+implementation: every reader, validator, converter and writer of the
+schemas in docs/formats.md lives here.  Poses are 4x4 row-major with
+translations in meters.  Exit codes: 0 success, 2 validation problem,
+3 numerical failure.  Set DUALCAL_LOG=info or =debug for progress output.
+
+Each command runs with the cyclic garbage collector paused, and main
+restores its previous state afterwards.  The commands make no reference
+cycles (gc.collect() after each finds nothing to free), so reference
+counting frees all they allocate, while the thousands of lists and dicts
+of a JSON tree, parsed or built for writing, would trigger collections
+that find nothing.
 """
 
 import argparse
 import functools
+import gc
 import json
 import logging
 import os
@@ -17,25 +26,177 @@ from dataclasses import replace
 
 import numpy as np
 
-from .chain import identifiability_report, residual
+from .chain import DualArmSystem, Measurements, identifiability_report, residual
 from .errors import CalibrationError, RankDeficientError, ValidationError
 from .evaluate import ball_consistency, evaluate_samples
-from .kinematics import _require_fields, field_array
+from .kinematics import RobotModel
 from .sdp_init import initialize
-from .simulate import (_gc_paused, _list_field, _load_json, _sample_field, dataset_to_dict,
-                       default_system, generate_dataset, load_dataset, system_from_dict,
-                       system_to_dict)
+from .simulate import SyntheticDataset, default_system, generate_dataset
 from .solver import calibrate
 
 log = logging.getLogger("dualcal")
 
 
 def _setup_logging():
+    """The stderr handler once per process; the level of DUALCAL_LOG at every call."""
     level = os.environ.get("DUALCAL_LOG", "warning").lower()
     levels = {"debug": logging.DEBUG, "info": logging.INFO,
               "warning": logging.WARNING, "quiet": logging.ERROR}
-    logging.basicConfig(format="%(levelname)s %(message)s",
-                        level=levels.get(level, logging.WARNING))
+    logging.basicConfig(format="%(levelname)s %(message)s")
+    log.setLevel(levels.get(level, logging.WARNING))
+
+
+# --- JSON schema -----------------------------------------------------------
+
+def _require_fields(d, keys, what):
+    """Raise a ValidationError naming `what` unless d is a JSON object holding every key."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{what} is not a JSON object")
+    for key in keys:
+        if key not in d:
+            raise ValidationError(f"{what} is missing field '{key}'")
+
+
+def _field_array(obj, name, shape, expected):
+    """obj as a finite float array of `shape`, else a ValidationError naming it."""
+    try:
+        v = np.array(obj, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} is not an array of numbers") from None
+    if v.shape != shape:
+        raise ValidationError(f"{name} has {v.size} values, {expected}")
+    if not np.isfinite(v).all():
+        raise ValidationError(f"{name} has a non-finite value")
+    return v
+
+
+def _model_to_dict(model):
+    return {
+        "name": model.name,
+        "n": model.n,
+        "joint_twists": model.joint_twists.tolist(),
+        "zero_offset": model.zero_offset.tolist(),
+    }
+
+
+def _model_from_dict(d, what="robot model"):
+    _require_fields(d, ("name", "n", "joint_twists", "zero_offset"), what)
+    n = d["n"]
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"{what}.n is not a positive integer: {n!r}")
+    return RobotModel(d["name"],
+                      _field_array(d["joint_twists"], f"{what}.joint_twists", (n, 6),
+                                   f"n={n} joint twists of 6 values"),
+                      _field_array(d["zero_offset"], f"{what}.zero_offset", (6,),
+                                   "a twist has 6 values"))
+
+
+def _system_to_dict(system):
+    return {
+        "sensor_arm": _model_to_dict(system.sensor_arm),
+        "tool_arm": _model_to_dict(system.tool_arm),
+        "X": system.X.tolist(),
+        "Y": system.Y.tolist(),
+        "Z": system.Z.tolist(),
+    }
+
+
+def _system_from_dict(d, what="system"):
+    _require_fields(d, ("sensor_arm", "tool_arm", "X", "Y", "Z"), what)
+    return DualArmSystem(_model_from_dict(d["sensor_arm"], "sensor_arm"),
+                         _model_from_dict(d["tool_arm"], "tool_arm"),
+                         *(_field_array(d[k], k, (4, 4), "a pose is 4x4 row-major")
+                           for k in "XYZ"))
+
+
+def dataset_to_dict(ds, blind=False):
+    """The JSON object of a dataset (schema in docs/formats.md); `blind`
+    omits the ground truth."""
+    s = ds.samples
+    return {
+        "nominal_system": _system_to_dict(ds.nominal_system),
+        "gt_system": None if (blind or ds.gt_system is None) else _system_to_dict(ds.gt_system),
+        "samples": [{"q_a": q_a, "q_c": q_c, "B": B}
+                    for q_a, q_c, B in zip(s.q_a.tolist(), s.q_c.tolist(), s.B.tolist())],
+        "seed": ds.seed,
+        "kin_level": ds.kin_level,
+        "noise_level": ds.noise_level,
+    }
+
+
+def _list_field(d, key, what):
+    """The non-empty list d[key] of the JSON object d, else a
+    ValidationError naming the field."""
+    _require_fields(d, (key,), what)
+    raw = d[key]
+    if not isinstance(raw, list):
+        raise ValidationError(f"{key} is not a list")
+    if not raw:
+        raise ValidationError(f"{what} field '{key}' is empty")
+    return raw
+
+
+def _sample_field(raw, key, shape, expected, prefix="samples"):
+    """Field `key` of every entry of the list `prefix`, stacked; a failure
+    names the first bad entry."""
+    try:
+        return _field_array([s[key] for s in raw], f"{prefix}[:].{key}", (len(raw),) + shape,
+                            expected)
+    except (KeyError, TypeError, ValidationError):
+        for i, s in enumerate(raw):
+            if not isinstance(s, dict) or key not in s:
+                raise ValidationError(f"{prefix}[{i}] is missing field '{key}'") from None
+            _field_array(s[key], f"{prefix}[{i}].{key}", shape, expected)
+        raise
+
+
+def _dataset_from_dict(d):
+    _require_fields(d, ("nominal_system",), "dataset")
+    raw = _list_field(d, "samples", "dataset")
+    nominal = _system_from_dict(d["nominal_system"], "nominal_system")
+    na, nc = nominal.sensor_arm.n, nominal.tool_arm.n
+    samples = Measurements(
+        _sample_field(raw, "q_a", (na,), f"the sensor arm has {na} joints"),
+        _sample_field(raw, "q_c", (nc,), f"the tool arm has {nc} joints"),
+        _sample_field(raw, "B", (4, 4), "a pose is 4x4 row-major"))
+    gt = _system_from_dict(d["gt_system"], "gt_system") if d.get("gt_system") else None
+    return SyntheticDataset(nominal, gt, samples, d.get("seed"), d.get("kin_level"),
+                            d.get("noise_level"))
+
+
+def _load_json(path, what):
+    """The JSON object in a file, else a ValidationError naming the file."""
+    try:
+        with open(path) as f:
+            d = json.load(f)
+    except FileNotFoundError:
+        raise ValidationError(f"{what} file not found: {path}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from None
+    if not isinstance(d, dict):
+        raise ValidationError(f"{what} file {path} is not a JSON object")
+    return d
+
+
+def load_dataset(path):
+    """The dataset of a JSON file (schema in docs/formats.md)."""
+    return _dataset_from_dict(_load_json(path, "dataset"))
+
+
+def _load_postures(path, n):
+    """Joint readings q_a, q_c (m, n) and the list of (N_i, 3) clouds of a
+    clouds file."""
+    postures = _list_field(_load_json(path, "clouds"), "postures", "clouds file")
+    q_a = _sample_field(postures, "q_a", (n,), f"the sensor arm has {n} joints", "postures")
+    q_c = _sample_field(postures, "q_c", (n,), f"the tool arm has {n} joints", "postures")
+    clouds = []
+    for i, p in enumerate(postures):
+        _require_fields(p, ("points",), f"postures[{i}]")
+        points = p["points"]
+        clouds.append(_field_array(points, f"postures[{i}].points",
+                                   (len(points) if isinstance(points, list) else -1, 3),
+                                   "a cloud is a list of [x, y, z] points"))
+    return q_a, q_c, clouds
 
 
 def _write_json(obj, path):
@@ -46,12 +207,15 @@ def _write_json(obj, path):
     log.info("wrote %s", path)
 
 
+# --- commands --------------------------------------------------------------
+
 def cmd_generate(args):
     if args.samples < 1:
         raise ValidationError(f"--samples must be >= 1, got {args.samples}")
     if args.seed < 0:
         raise ValidationError(f"--seed must be a nonnegative integer, got {args.seed}")
-    system = system_from_dict(_load_json(args.system, "system")) if args.system else default_system()
+    system = (_system_from_dict(_load_json(args.system, "system")) if args.system
+              else default_system())
     ds = generate_dataset(args.samples, args.kin_level, args.noise_level, args.seed,
                           system=system)
     _write_json(dataset_to_dict(ds, blind=args.blind), args.out)
@@ -73,12 +237,12 @@ def cmd_calibrate(args):
     if args.init:
         init_record = _load_json(args.init, "init")
         _require_fields(init_record, "XYZ", "init")
-        coords = [field_array(init_record[k], k, (4, 4), "a pose is 4x4 row-major")
+        coords = [_field_array(init_record[k], k, (4, 4), "a pose is 4x4 row-major")
                   for k in "XYZ"]
     init, final, trace = calibrate(ds.nominal_system, ds.samples, coords, args.tol)
     if init is not None:
         init_record = init.to_dict()
-    out = system_to_dict(final)
+    out = _system_to_dict(final)
     out["trace"] = trace.to_dict()
     out["final_residual_norm"] = float(np.linalg.norm(residual(final, ds.samples)))
     out["init"] = init_record
@@ -91,7 +255,7 @@ def cmd_calibrate(args):
 
 def _load_calib_system(path, ds=None):
     """The calibration file's system; given a dataset, with its joint count."""
-    calib = system_from_dict(_load_json(path, "calibration"))
+    calib = _system_from_dict(_load_json(path, "calibration"))
     if ds is not None and calib.n != ds.nominal_system.n:
         raise ValidationError(f"the calibration's arms have {calib.n} joints, "
                               f"the dataset's have {ds.nominal_system.n}")
@@ -125,30 +289,6 @@ def cmd_identifiability(args):
     report = identifiability_report(source, ds.samples)
     _write_json(report.to_dict(), args.out)
     return 0
-
-
-def _postures_from_dict(d, n):
-    """Joint readings q_a, q_c (m, n) and the list of (N_i, 3) clouds of a
-    parsed clouds file."""
-    postures = _list_field(d, "postures", "clouds file")
-    q_a = _sample_field(postures, "q_a", (n,), f"the sensor arm has {n} joints", "postures")
-    q_c = _sample_field(postures, "q_c", (n,), f"the tool arm has {n} joints", "postures")
-    clouds = []
-    for i, p in enumerate(postures):
-        _require_fields(p, ("points",), f"postures[{i}]")
-        points = p["points"]
-        clouds.append(field_array(points, f"postures[{i}].points",
-                                  (len(points) if isinstance(points, list) else -1, 3),
-                                  "a cloud is a list of [x, y, z] points"))
-    return q_a, q_c, clouds
-
-
-def _load_postures(path, n):
-    """The readings and clouds of a clouds file, parsed and converted with
-    the cyclic collector paused; the parsed JSON is freed before it
-    resumes, and before the fit."""
-    with _gc_paused():
-        return _postures_from_dict(_load_json(path, "clouds"), n)
 
 
 def cmd_ball_eval(args):
@@ -226,6 +366,8 @@ def build_parser():
 def main(argv=None):
     _setup_logging()
     args = build_parser().parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()  # the commands make no reference cycles: see the module docstring
     try:
         for flag in ("out", "csv"):  # fail before the computation, not after it
             path = getattr(args, flag, None)
@@ -245,6 +387,9 @@ def main(argv=None):
     except CalibrationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

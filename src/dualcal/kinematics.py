@@ -81,53 +81,10 @@ def perturb_model(model, deltas):
     return RobotModel(model.name, new_twists, model.zero_offset.copy())
 
 
-def model_to_dict(model):
-    return {
-        "name": model.name,
-        "n": model.n,
-        "joint_twists": model.joint_twists.tolist(),
-        "zero_offset": model.zero_offset.tolist(),
-    }
-
-
-def _require_fields(d, keys, what):
-    """Raise a ValidationError naming `what` unless d is a JSON object holding every key."""
-    if not isinstance(d, dict):
-        raise ValidationError(f"{what} is not a JSON object")
-    for key in keys:
-        if key not in d:
-            raise ValidationError(f"{what} is missing field '{key}'")
-
-
-def field_array(obj, name, shape, expected):
-    """obj as a finite float array of `shape`, else a ValidationError naming it."""
-    try:
-        v = np.array(obj, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} is not an array of numbers") from None
-    if v.shape != shape:
-        raise ValidationError(f"{name} has {v.size} values, {expected}")
-    if not np.isfinite(v).all():
-        raise ValidationError(f"{name} has a non-finite value")
-    return v
-
-
-def model_from_dict(d, what="robot model"):
-    _require_fields(d, ("name", "n", "joint_twists", "zero_offset"), what)
-    n = d["n"]
-    if type(n) is not int or n < 1:
-        raise ValidationError(f"{what}.n is not a positive integer: {n!r}")
-    return RobotModel(d["name"],
-                      field_array(d["joint_twists"], f"{what}.joint_twists", (n, 6),
-                                  f"n={n} joint twists of 6 values"),
-                      field_array(d["zero_offset"], f"{what}.zero_offset", (6,),
-                                  "a twist has 6 values"))
-
-
 @lru_cache(maxsize=1)
 def _ur5_like():
-    return model_from_dict(json.loads(
-        resources.files("dualcal.assets").joinpath("ur5_like.json").read_text()))
+    d = json.loads(resources.files("dualcal.assets").joinpath("ur5_like.json").read_text())
+    return RobotModel(d["name"], d["joint_twists"], d["zero_offset"])
 
 
 def default_arm(name="ur5_like"):

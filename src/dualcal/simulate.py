@@ -8,9 +8,7 @@ were calibrated by a Monte-Carlo tuning run (see demos/retune_levels.py)
 and are frozen in assets/levels.json.
 """
 
-import gc
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -19,8 +17,7 @@ import numpy as np
 from . import liegroup as lie
 from .chain import Q_MIN, DualArmSystem, Measurements, predict_B
 from .errors import CalibrationError, ValidationError
-from .kinematics import (_require_fields, default_arm, field_array, forward_kinematics,
-                         model_from_dict, model_to_dict, perturb_model)
+from .kinematics import default_arm, forward_kinematics, perturb_model
 
 LEVEL_TAGS = ("L", "ML", "M", "MH", "H", "QH")
 
@@ -246,115 +243,3 @@ def generate_dataset(m, kin_tag, noise_tag, seed, system=None):
     q_a, q_c = sample_configurations(m, nominal.n, rng)
     samples = synthesize(gt, q_a, q_c, level("noise", noise_tag), rng)
     return SyntheticDataset(nominal, gt, samples, seed, kin_tag, noise_tag)
-
-
-# --- JSON schema -----------------------------------------------------------
-
-def system_to_dict(system):
-    return {
-        "sensor_arm": model_to_dict(system.sensor_arm),
-        "tool_arm": model_to_dict(system.tool_arm),
-        "X": system.X.tolist(),
-        "Y": system.Y.tolist(),
-        "Z": system.Z.tolist(),
-    }
-
-
-def system_from_dict(d, what="system"):
-    _require_fields(d, ("sensor_arm", "tool_arm", "X", "Y", "Z"), what)
-    return DualArmSystem(model_from_dict(d["sensor_arm"], "sensor_arm"),
-                         model_from_dict(d["tool_arm"], "tool_arm"),
-                         *(field_array(d[k], k, (4, 4), "a pose is 4x4 row-major")
-                           for k in "XYZ"))
-
-
-def dataset_to_dict(ds, blind=False):
-    s = ds.samples
-    return {
-        "nominal_system": system_to_dict(ds.nominal_system),
-        "gt_system": None if (blind or ds.gt_system is None) else system_to_dict(ds.gt_system),
-        "samples": [{"q_a": q_a, "q_c": q_c, "B": B}
-                    for q_a, q_c, B in zip(s.q_a.tolist(), s.q_c.tolist(), s.B.tolist())],
-        "seed": ds.seed,
-        "kin_level": ds.kin_level,
-        "noise_level": ds.noise_level,
-    }
-
-
-def _list_field(d, key, what):
-    """The non-empty list d[key] of the JSON object d, else a
-    ValidationError naming the field."""
-    _require_fields(d, (key,), what)
-    raw = d[key]
-    if not isinstance(raw, list):
-        raise ValidationError(f"{key} is not a list")
-    if not raw:
-        raise ValidationError(f"{what} field '{key}' is empty")
-    return raw
-
-
-def _sample_field(raw, key, shape, expected, prefix="samples"):
-    """Field `key` of every entry of the list `prefix`, stacked; a failure
-    names the first bad entry."""
-    try:
-        return field_array([s[key] for s in raw], f"{prefix}[:].{key}", (len(raw),) + shape,
-                           expected)
-    except (KeyError, TypeError, ValidationError):
-        for i, s in enumerate(raw):
-            if not isinstance(s, dict) or key not in s:
-                raise ValidationError(f"{prefix}[{i}] is missing field '{key}'") from None
-            field_array(s[key], f"{prefix}[{i}].{key}", shape, expected)
-        raise
-
-
-def dataset_from_dict(d):
-    _require_fields(d, ("nominal_system",), "dataset")
-    raw = _list_field(d, "samples", "dataset")
-    nominal = system_from_dict(d["nominal_system"], "nominal_system")
-    na, nc = nominal.sensor_arm.n, nominal.tool_arm.n
-    samples = Measurements(
-        _sample_field(raw, "q_a", (na,), f"the sensor arm has {na} joints"),
-        _sample_field(raw, "q_c", (nc,), f"the tool arm has {nc} joints"),
-        _sample_field(raw, "B", (4, 4), "a pose is 4x4 row-major"))
-    gt = system_from_dict(d["gt_system"], "gt_system") if d.get("gt_system") else None
-    return SyntheticDataset(nominal, gt, samples, d.get("seed"), d.get("kin_level"),
-                            d.get("noise_level"))
-
-
-def _load_json(path, what):
-    """The JSON object in a file, else a ValidationError naming the file."""
-    try:
-        with open(path) as f:
-            d = json.load(f)
-    except FileNotFoundError:
-        raise ValidationError(f"{what} file not found: {path}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from None
-    if not isinstance(d, dict):
-        raise ValidationError(f"{what} file {path} is not a JSON object")
-    return d
-
-
-@contextmanager
-def _gc_paused():
-    """The cyclic garbage collector off for the block, then as it was.
-
-    A parsed JSON tree holds no reference cycles, so the collections its
-    thousands of lists and dicts trigger find nothing; reference counting
-    frees it.  The tree must be freed inside the block: a live tree left
-    at its end is scanned by the first collection after it."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def load_dataset(path):
-    """The dataset of a JSON file (schema in docs/formats.md).  The file is
-    parsed and converted with the cyclic collector paused, and the parsed
-    tree is freed before it resumes."""
-    with _gc_paused():
-        return dataset_from_dict(_load_json(path, "dataset"))

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from dualcal import liegroup as lie
+from dualcal import sdp_init
 from dualcal.chain import identifiability_report
-from dualcal.cli import _load_postures, _write_json, build_parser, main
+from dualcal.cli import (_system_to_dict as system_to_dict, _write_json, build_parser,
+                         dataset_to_dict, load_dataset, main)
+from dualcal.errors import CalibrationError
 from dualcal.kinematics import forward_kinematics
-from dualcal.simulate import (dataset_to_dict, default_system, generate_dataset, load_dataset,
-                              system_to_dict)
+from dualcal.simulate import default_system, generate_dataset
 
 
 def run(*argv):
@@ -374,6 +376,20 @@ def test_init_warns_on_uncertified_result_and_exits_0(tmp_path):
                            "exceeds the bound CERT_ETA = 1e-06\n")
 
 
+def test_log_level_follows_the_environment_at_every_call(tmp_path):
+    # logging.basicConfig configures a process only once, at the first call
+    script = ("import os, sys\n"
+              "from dualcal.cli import main\n"
+              "for i, level in enumerate(sys.argv[1:]):\n"
+              "    os.environ['DUALCAL_LOG'] = level\n"
+              "    main(['generate', '--samples', '3', '--seed', '1', '--out', f'{i}.json'])\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", script, "warning", "info", "quiet", "info"],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0
+    assert proc.stderr == "INFO wrote 1.json\nINFO wrote 3.json\n"
+
+
 # one command per input file a command reads: --data, --calib and --clouds
 BAD_FILE_ARGV = pytest.mark.parametrize("argv", [
     ("calibrate", "--data", "{bad}"),
@@ -638,50 +654,87 @@ def gc_state():
     (gc.enable if enabled else gc.disable)()
 
 
-# the two loaders of large files: load_dataset (--data) and the clouds file
-# (--clouds); a malformed file fails in the parse or in the conversion
+# main pauses the collector around each command; the commands that read a
+# file, valid or malformed in the parse or in a field, and one whose
+# computation fails, leave it as they found it
+FAILING_STEP = {"generate": "generate_dataset", "init": "initialize",
+                "ball-eval": "ball_consistency"}
+
+
 @pytest.mark.parametrize("start", [True, False], ids=["gc-on", "gc-off"])
 @pytest.mark.parametrize("content, code", [
-    (None, 0), (b"{", 2), (b'{"samples": [], "postures": 5}', 2),
-], ids=["valid", "bad-json", "bad-field"])
-@pytest.mark.parametrize("command", ["init", "ball-eval"])
+    (None, 0), (b"{", 2), (b'{"samples": [], "postures": 5}', 2), (None, 3),
+], ids=["valid", "bad-json", "bad-field", "numerical-failure"])
+@pytest.mark.parametrize("command", ["generate", "init", "ball-eval"])
 def test_loaders_leave_the_collector_as_they_found_it(workdir, postures, calib_file, tmp_path,
-                                                      gc_state, start, content, code, command):
-    if content is None:
-        path = workdir / "data.json"
-        if command == "ball-eval":
-            path = tmp_path / "clouds.json"
-            path.write_text(json.dumps({"postures": postures}))
-    else:
+                                                      monkeypatch, gc_state, start, content, code,
+                                                      command):
+    path = workdir / "data.json"
+    if content is not None:
         path = tmp_path / "bad.json"
         path.write_bytes(content)
-    flag = {"init": ("--data",), "ball-eval": ("--calib", str(calib_file), "--clouds")}[command]
+    elif command != "init":
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"generate": system_to_dict(default_system()),
+                                    "ball-eval": {"postures": postures}}[command]))
+    if code == 3:
+        def fail(*args, **kwargs):
+            raise CalibrationError("stub failure")
+        monkeypatch.setattr(f"dualcal.cli.{FAILING_STEP[command]}", fail)
+    flag = {"generate": ("--samples", "5", "--seed", "1", "--system"), "init": ("--data",),
+            "ball-eval": ("--calib", str(calib_file), "--clouds")}[command]
     (gc.enable if start else gc.disable)()
     assert run(command, *flag, str(path), "--out", str(tmp_path / "out.json")) == code
     assert gc.isenabled() is start
 
 
-def test_loaders_run_no_collection(tmp_path, gc_state):
-    # parsing makes thousands of lists and dicts, which would trigger
-    # collections of the young generations if the collector ran
-    data, clouds = tmp_path / "data.json", tmp_path / "clouds.json"
-    data.write_text(json.dumps(dataset_to_dict(generate_dataset(400, "M", "M", seed=3))))
+def test_commands_run_no_collection(tmp_path, gc_state, monkeypatch):
+    # every command runs with the collector paused, which is safe only if
+    # it makes no reference cycles: gc.collect() afterwards finds nothing
+    monkeypatch.setattr(sdp_init, "ADMM_MAX_ITERS", 50)
+    f = {name: str(tmp_path / f"{name}.json") for name in (
+        "data", "small", "init", "admm", "calib", "calib_run", "clouds", "bad", "out")}
     rng = np.random.default_rng(0)
-    clouds.write_text(json.dumps({"postures": [
+    Path(f["clouds"]).write_text(json.dumps({"postures": [
         {"q_a": q_a.tolist(), "q_c": q_c.tolist(), "points": rng.normal(size=(64, 3)).tolist()}
         for q_a, q_c in rng.uniform(-np.pi, np.pi, (200, 2, 6))]}))
-    collections = []
+    Path(f["bad"]).write_text("{")
+    commands = [
+        (("generate", "--samples", "400", "--kin-level", "M", "--seed", "3", "--out", f["data"]), 0),
+        (("generate", "--samples", "15", "--kin-level", "QH", "--seed", "0", "--out", f["small"]),
+         0),
+        (("init", "--data", f["data"], "--out", f["init"]), 0),
+        (("init", "--data", f["small"], "--out", f["admm"]), 0),
+        (("calibrate", "--data", f["data"], "--init", f["init"], "--out", f["calib"]), 0),
+        (("calibrate", "--data", f["data"], "--out", f["calib_run"]), 0),
+        (("evaluate", "--data", f["data"], "--calib", f["calib"], "--out", f["out"]), 0),
+        (("identifiability", "--data", f["data"], "--calib", f["calib"], "--out", f["out"]), 0),
+        (("ball-eval", "--clouds", f["clouds"], "--calib", f["calib"], "--out", f["out"]), 0),
+        (("init", "--data", f["bad"], "--out", f["out"]), 2),
+        (("identifiability", "--data", f["data"], "--out", f["out"]), 3),
+    ]
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
 
     def count(phase, info):
         if phase == "start":
             collections.append(info["generation"])
 
+    found = {}
     gc.enable()
-    gc.collect()
-    gc.callbacks.append(count)
-    try:
-        load_dataset(data)
-        _load_postures(clouds, 6)
-    finally:
-        gc.callbacks.remove(count)
-    assert collections == []
+    for i, (argv, code) in enumerate(commands):
+        gc.collect()
+        collections = []
+        gc.callbacks.append(count)
+        try:
+            with monkeypatch.context() as m:
+                if code == 3:
+                    m.setattr(np.linalg, "svd", fail)  # the report's SVD of J
+                assert run(*argv) == code, argv
+        finally:
+            gc.callbacks.remove(count)
+        found[f"{i} {argv[0]}"] = (collections, gc.collect())
+    assert all(v == ([], 0) for v in found.values()), found
+    assert [json.loads(Path(f[k]).read_text())["method"] for k in ("init", "admm")] == [
+        "certified-local", "admm"]

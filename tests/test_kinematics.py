@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from dualcal import liegroup as lie
+from dualcal.cli import _model_from_dict as model_from_dict, _model_to_dict as model_to_dict
 from dualcal.errors import CalibrationError, ValidationError
-from dualcal.kinematics import (RobotModel, default_arm, forward_kinematics,
-                                model_from_dict, model_to_dict, perturb_model, zero_pose)
+from dualcal.kinematics import RobotModel, default_arm, forward_kinematics, perturb_model, zero_pose
 from helpers import expm_taylor, rand_twist, valid_config
 
 

@@ -5,12 +5,12 @@ import pytest
 
 from dualcal import liegroup as lie
 from dualcal.chain import stack
+from dualcal.cli import _dataset_from_dict as dataset_from_dict, dataset_to_dict, load_dataset
 from dualcal.errors import CalibrationError, ValidationError
 from dualcal.kinematics import RobotModel
 from dualcal.simulate import (LEVEL_TAGS, MEAN_NORM_FACTOR, Level, SyntheticDataset, _cross,
-                              dataset_from_dict, dataset_to_dict, default_system,
-                              draw_joint_deltas, generate_dataset, level, level_targets,
-                              load_dataset, noise_twists, perturb_level, sample_configurations,
+                              default_system, draw_joint_deltas, generate_dataset, level,
+                              level_targets, noise_twists, perturb_level, sample_configurations,
                               synthesize)
 from helpers import level_deviation, loop_joint_deltas, loop_sample_configurations
 
