@@ -8,7 +8,7 @@ left-trivialized residual; columns follow the layout
 [X, Y, Z, xi_a^1..n, xi_c^1..n].
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,9 +215,6 @@ class IdentifiabilityReport:
     threshold: float
     excitation_violations: list
     well_posed: bool
-
-    def to_dict(self):
-        return {**asdict(self), "singular_values": self.singular_values.tolist()}
 
 
 def identifiability_report(system, samples):

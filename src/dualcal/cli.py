@@ -22,7 +22,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -60,9 +60,12 @@ def _require_fields(d, keys, what):
 def _field_array(obj, name, shape, expected):
     """obj as a finite float array of `shape`, else a ValidationError naming it."""
     try:
-        v = np.array(obj, dtype=float)
+        v = np.array(obj)  # dtype inferred, not forced: a string such as "0.5" is not parsed
     except (TypeError, ValueError):
         raise ValidationError(f"{name} is not an array of numbers") from None
+    if v.dtype.kind not in "iuf":
+        raise ValidationError(f"{name} is not an array of numbers")
+    v = v.astype(float, copy=False)
     if v.shape != shape:
         raise ValidationError(f"{name} has {v.size} values, {expected}")
     if not np.isfinite(v).all():
@@ -81,6 +84,8 @@ def _model_to_dict(model):
 
 def _model_from_dict(d, what="robot model"):
     _require_fields(d, ("name", "n", "joint_twists", "zero_offset"), what)
+    if not isinstance(d["name"], str):
+        raise ValidationError(f"{what}.name is not a string")
     n = d["n"]
     if type(n) is not int or n < 1:
         raise ValidationError(f"{what}.n is not a positive integer: {n!r}")
@@ -199,6 +204,19 @@ def _load_postures(path, n):
     return q_a, q_c, clouds
 
 
+def _record(obj):
+    """A dataclass record as a JSON object: its fields in order, arrays as lists."""
+    return {f.name: v.tolist() if isinstance(v := getattr(obj, f.name), np.ndarray) else v
+            for f in fields(obj)}
+
+
+def _stats(x):
+    """Summary quantiles of the values x, as the report's and the CSV's columns."""
+    q1, med, q3 = np.percentile(x, [25, 50, 75])
+    return {"mean": float(x.mean()), "std": float(x.std()), "median": float(med),
+            "q1": float(q1), "q3": float(q3), "max": float(x.max())}
+
+
 def _write_json(obj, path):
     # json.dumps encodes in one C call; json.dump streams through the
     # pure-Python encoder, for the same bytes
@@ -225,7 +243,7 @@ def cmd_generate(args):
 def cmd_init(args):
     ds = load_dataset(args.data)
     init = initialize(ds.nominal_system, ds.samples)
-    _write_json(init.to_dict(), args.out)
+    _write_json(_record(init), args.out)
     return 0
 
 
@@ -241,9 +259,9 @@ def cmd_calibrate(args):
                   for k in "XYZ"]
     init, final, trace = calibrate(ds.nominal_system, ds.samples, coords, args.tol)
     if init is not None:
-        init_record = init.to_dict()
+        init_record = _record(init)
     out = _system_to_dict(final)
-    out["trace"] = trace.to_dict()
+    out["trace"] = _record(trace)
     out["final_residual_norm"] = float(np.linalg.norm(residual(final, ds.samples)))
     out["init"] = init_record
     out["eta"] = init_record.get("eta")
@@ -270,15 +288,16 @@ def cmd_evaluate(args):
         nominal = ds.nominal_system
         calib = replace(calib, sensor_arm=nominal.sensor_arm, tool_arm=nominal.tool_arm)
         mode = "coordinate_only"
-    d = {"mode": mode, **evaluate_samples(calib, ds.samples).to_dict()}
-    _write_json(d, args.out)
+    report = evaluate_samples(calib, ds.samples)
+    rot_deg, trans_mm = np.degrees(report.e_rot), 1e3 * report.e_trans
+    stats = {"rot_deg": _stats(rot_deg), "trans_mm": _stats(trans_mm)}
+    _write_json({"mode": mode, "e_rot_deg": rot_deg.tolist(), "e_trans_mm": trans_mm.tolist(),
+                 **stats}, args.out)
     if args.csv:
         with open(args.csv, "w") as f:
             f.write("metric,mean,std,median,q1,q3,max\n")
-            for name in ("rot_deg", "trans_mm"):
-                s = d[name]
-                f.write(f"{name},{s['mean']},{s['std']},{s['median']},"
-                        f"{s['q1']},{s['q3']},{s['max']}\n")
+            for name, s in stats.items():
+                f.write(",".join([name, *map(str, s.values())]) + "\n")
         log.info("wrote %s", args.csv)
     return 0
 
@@ -287,7 +306,7 @@ def cmd_identifiability(args):
     ds = load_dataset(args.data)
     source = _load_calib_system(args.calib, ds) if args.calib else ds.nominal_system
     report = identifiability_report(source, ds.samples)
-    _write_json(report.to_dict(), args.out)
+    _write_json(_record(report), args.out)
     return 0
 
 
@@ -307,7 +326,10 @@ def cmd_ball_eval(args):
     except RankDeficientError as exc:
         raise ValidationError(f"postures[{exc.index}].points do not determine a sphere: "
                               "need 4 or more points, not all in one plane") from None
-    _write_json(result.to_dict(), args.out)
+    _write_json({"centers": result.centers.tolist(), "radii_mm": (1e3 * result.radii).tolist(),
+                 "fit_rms_mm": (1e3 * result.fit_rms).tolist(),
+                 "meb_center": result.meb_center.tolist(), "r_meb_mm": 1e3 * result.r_meb},
+                args.out)
     log.info("r_MEB = %.4f mm", 1e3 * result.r_meb)
     return 0
 

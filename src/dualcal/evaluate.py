@@ -1,7 +1,7 @@
 """Closed-loop deviation metrics and the cooperative-measuring score.
 
-Angles are radians and lengths meters everywhere internally; a report
-converts to degrees/millimeters only at the serialization boundary.
+Every record holds radians and meters; dualcal.cli converts to
+degrees/millimeters when it writes a report.
 """
 
 import logging
@@ -20,22 +20,6 @@ log = logging.getLogger("dualcal")
 class EvalReport:
     e_rot: np.ndarray    # radians, per sample
     e_trans: np.ndarray  # meters, per sample
-
-    def _stats(self, x):
-        q1, med, q3 = np.percentile(x, [25, 50, 75])
-        return {"mean": float(x.mean()), "std": float(x.std()),
-                "median": float(med), "q1": float(q1), "q3": float(q3),
-                "max": float(x.max())}
-
-    def to_dict(self):
-        rot_deg = np.degrees(self.e_rot)
-        trans_mm = 1e3 * self.e_trans
-        return {
-            "e_rot_deg": rot_deg.tolist(),
-            "e_trans_mm": trans_mm.tolist(),
-            "rot_deg": self._stats(rot_deg),
-            "trans_mm": self._stats(trans_mm),
-        }
 
 
 def evaluate_samples(system, samples):
@@ -200,15 +184,6 @@ class BallConsistency:
     fit_rms: np.ndarray
     meb_center: np.ndarray
     r_meb: float
-
-    def to_dict(self):
-        return {
-            "centers": self.centers.tolist(),
-            "radii_mm": (1e3 * self.radii).tolist(),
-            "fit_rms_mm": (1e3 * self.fit_rms).tolist(),
-            "meb_center": self.meb_center.tolist(),
-            "r_meb_mm": 1e3 * self.r_meb,
-        }
 
 
 def ball_consistency(system, point_clouds, q_a, q_c):

@@ -81,10 +81,7 @@ def perturb_model(model, deltas):
     return RobotModel(model.name, new_twists, model.zero_offset.copy())
 
 
-@lru_cache(maxsize=1)
-def _ur5_like():
-    d = json.loads(resources.files("dualcal.assets").joinpath("ur5_like.json").read_text())
-    return RobotModel(d["name"], d["joint_twists"], d["zero_offset"])
+_UR5_LIKE = json.loads(resources.files("dualcal.assets").joinpath("ur5_like.json").read_text())
 
 
 def default_arm(name="ur5_like"):
@@ -92,8 +89,7 @@ def default_arm(name="ur5_like"):
 
     These are toolkit defaults built from the public UR5 dimensions (the
     zero-offset frame is our own choice, aligned with the base); they are
-    stand-ins for simulation, not manufacturer data.  The asset is read
-    and parsed once per process.
+    stand-ins for simulation, not manufacturer data.  The asset is parsed
+    once, at import.
     """
-    arm = _ur5_like()
-    return RobotModel(name, arm.joint_twists.copy(), arm.zero_offset.copy())
+    return RobotModel(name, _UR5_LIKE["joint_twists"], _UR5_LIKE["zero_offset"])

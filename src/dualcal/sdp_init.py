@@ -23,7 +23,7 @@ sub-optimality gap, whose candidate objective is the sum of squares
 
 import functools
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -493,10 +493,6 @@ class InitResult:
     dual_res: float | None
     method: str
     lambda_min_rel: float | None
-
-    def to_dict(self):
-        return {**asdict(self), "X": self.X.tolist(), "Y": self.Y.tolist(),
-                "Z": self.Z.tolist()}
 
 
 def certified_local(problem):

@@ -1,7 +1,7 @@
 """Damped Gauss-Newton refinement of X, Y, Z and both arms' joint twists."""
 
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,9 +22,6 @@ class SolveTrace:
     step_norms: list = field(default_factory=list)   # infinity norms
     converged: bool = False
     iterations: int = 0
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def step(system, samples):

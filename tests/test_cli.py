@@ -2,6 +2,7 @@ import copy
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,9 +14,10 @@ import pytest
 from dualcal import liegroup as lie
 from dualcal import sdp_init
 from dualcal.chain import identifiability_report
-from dualcal.cli import (_system_to_dict as system_to_dict, _write_json, build_parser,
-                         dataset_to_dict, load_dataset, main)
+from dualcal.cli import (_load_calib_system, _record, _system_to_dict as system_to_dict,
+                         _write_json, build_parser, dataset_to_dict, load_dataset, main)
 from dualcal.errors import CalibrationError
+from dualcal.evaluate import evaluate_samples
 from dualcal.kinematics import forward_kinematics
 from dualcal.simulate import default_system, generate_dataset
 
@@ -122,9 +124,17 @@ def test_evaluate_joint_mode(workdir, calib_file, tmp_path):
     assert d["mode"] == "joint"
     assert d["rot_deg"]["mean"] < 1e-7
     assert d["trans_mm"]["mean"] < 1e-7
+    # the library's record in radians and meters, written in degrees and millimeters
+    ds = load_dataset(workdir / "data.json")
+    report = evaluate_samples(_load_calib_system(calib_file, ds), ds.samples)
+    assert d["e_rot_deg"] == np.degrees(report.e_rot).tolist()
+    assert d["e_trans_mm"] == (1e3 * report.e_trans).tolist()
+    assert d["trans_mm"]["max"] == max(d["e_trans_mm"]) and len(d["e_rot_deg"]) == 20
+    # the CSV rows are the report's stats
     lines = csv.read_text().strip().splitlines()
     assert lines[0].startswith("metric,")
-    assert len(lines) == 3
+    assert lines[1:] == [",".join([name, *map(str, d[name].values())])
+                         for name in ("rot_deg", "trans_mm")]
 
 
 def test_evaluate_nominal_kinematics_flag(workdir, calib_file, tmp_path):
@@ -170,7 +180,7 @@ def test_identifiability_with_fewer_rows_than_parameters(ten_samples, tmp_path):
 
 def test_written_json_is_byte_identical_to_json_dump(tmp_path):
     ds = generate_dataset(10, "M", "M", seed=42)
-    report = identifiability_report(ds.nominal_system, ds.samples).to_dict()
+    report = _record(identifiability_report(ds.nominal_system, ds.samples))
     assert report["condition_number"] == np.inf  # written as Infinity
     for obj in (dataset_to_dict(ds), report):
         _write_json(obj, tmp_path / "written.json")
@@ -178,6 +188,62 @@ def test_written_json_is_byte_identical_to_json_dump(tmp_path):
             json.dump(obj, f)
             f.write("\n")
         assert (tmp_path / "written.json").read_bytes() == (tmp_path / "dumped.json").read_bytes()
+
+
+FORMATS = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+
+
+def doc_keys(heading):
+    """The quoted keys of the JSON example under a heading of docs/formats.md, in order."""
+    section = FORMATS.split(f"\n## {heading}", 1)[1]
+    return re.findall(r'"(\w+)":', section.split("```json", 1)[1].split("```", 1)[0])
+
+
+def flat_keys(obj, own_section=()):
+    """The keys of a JSON object in order, each followed by the keys of its
+    object value, or of the first object in its list value, unless the
+    docs give that object a section of its own."""
+    keys = []
+    for key, value in obj.items():
+        keys.append(key)
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            value = value[0]
+        if isinstance(value, dict) and key not in own_section:
+            keys += flat_keys(value, own_section)
+    return keys
+
+
+def test_written_keys_follow_docs_formats(workdir, init_file, calib_file, postures, tmp_path):
+    f = {name: tmp_path / name for name in (
+        "weak.json", "report.json", "report.csv", "ident.json", "clouds.json", "ball.json")}
+    data = json.loads((workdir / "data.json").read_text())
+    data["samples"][3]["q_a"][2] = 0.04  # one excitation violation, to show its keys
+    f["weak.json"].write_text(json.dumps(data))
+    f["clouds.json"].write_text(json.dumps({"postures": postures}))
+    assert run("evaluate", "--data", str(workdir / "data.json"), "--calib", str(calib_file),
+               "--out", str(f["report.json"]), "--csv", str(f["report.csv"])) == 0
+    assert run("identifiability", "--data", str(f["weak.json"]), "--out", str(f["ident.json"])) == 0
+    assert run("ball-eval", "--clouds", str(f["clouds.json"]), "--calib", str(calib_file),
+               "--out", str(f["ball.json"])) == 0
+    read = {name: json.loads(path.read_text()) for name, path in (
+        ("data", workdir / "data.json"), ("init", init_file), ("calib", calib_file),
+        ("report", f["report.json"]), ("ident", f["ident.json"]), ("ball", f["ball.json"]))}
+    model = doc_keys("Robot model")
+    assert list(read["data"]["nominal_system"]["sensor_arm"]) == model
+    assert list(read["calib"]["tool_arm"]) == model
+    assert flat_keys(read["data"], ("nominal_system", "gt_system")) == doc_keys("Dataset")
+    assert list(read["data"]["gt_system"]) == doc_keys("System")
+    assert flat_keys(read["init"]) == doc_keys("Initialization")
+    assert list(read["calib"]["init"]) == doc_keys("Initialization")
+    assert (flat_keys(read["calib"], ("sensor_arm", "tool_arm", "init"))
+            == doc_keys("System") + doc_keys("Calibration"))
+    assert flat_keys(read["report"]) == doc_keys("Evaluation report")
+    rows = [line.split(",") for line in f["report.csv"].read_text().splitlines()]
+    assert f"`{','.join(rows[0])}`" in FORMATS
+    assert rows[0][1:] == list(read["report"]["rot_deg"])
+    assert [row[0] for row in rows] == ["metric", "rot_deg", "trans_mm"]
+    assert flat_keys(read["ident"]) == doc_keys("Identifiability report")
+    assert flat_keys(read["ball"]) == doc_keys("Ball-consistency report")
 
 
 def test_calibrate_too_few_samples_fails_fast(ten_samples, tmp_path, capsys):
@@ -442,10 +508,18 @@ FALSY_NON_LISTS = {"0": 0, "dict": {}, "str": "", "false": False, "null": None}
     ("system", tool_arm_ragged_twists, "error: tool_arm.joint_twists is not an array of numbers"),
     ("system", lambda d: d["sensor_arm"].update(n="6"),
      "error: sensor_arm.n is not a positive integer: '6'"),
+    # a number written as a JSON string is refused, not parsed
+    ("data", lambda d: d["samples"][3]["q_a"].__setitem__(2, "0.5"),
+     "error: samples[3].q_a is not an array of numbers"),
+    ("data", lambda d: d["nominal_system"]["X"][0].__setitem__(3, "0.1"),
+     "error: X is not an array of numbers"),
+    ("clouds", lambda d: d["postures"][1]["points"][0].__setitem__(0, "0.02"),
+     "error: postures[1].points is not an array of numbers"),
+    ("system", lambda d: d["sensor_arm"].update(name=5), "error: sensor_arm.name is not a string"),
 ], ids=["samples-int", "postures-int", *(f"samples-{k}" for k in FALSY_NON_LISTS),
         *(f"postures-{k}" for k in FALSY_NON_LISTS), "samples-empty", "postures-empty",
         "sensor_arm-int", "ragged-twists",
-        "n-string"])
+        "n-string", "q_a-string", "X-string", "points-string", "name-int"])
 def test_wrong_json_type_exits_2_naming_field(workdir, postures, calib_file, tmp_path, capsys,
                                               target, edit, message):
     record = {"data": json.loads((workdir / "data.json").read_text()),

@@ -80,8 +80,6 @@ def test_evaluate_samples_on_calibrated_and_nominal_arms(setup):
     coordinate_only = replace(system, sensor_arm=nominal.sensor_arm, tool_arm=nominal.tool_arm)
     report2 = evaluate_samples(coordinate_only, samples)
     assert report2.e_rot.max() < 1e-12
-    d = report.to_dict()
-    assert "rot_deg" in d and "trans_mm" in d and len(d["e_rot_deg"]) == 10
 
 
 def test_evaluate_samples_matches_closed_loop_composition():

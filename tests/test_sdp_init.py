@@ -7,6 +7,7 @@ import pytest
 from dualcal import liegroup as lie
 from dualcal import sdp_init as sdp
 from dualcal.chain import Measurements
+from dualcal.cli import _record
 from dualcal.errors import CalibrationError
 from dualcal.evaluate import evaluate_samples
 from dualcal.simulate import default_system, generate_dataset, level, noise_twists
@@ -327,10 +328,10 @@ def test_lower_bound_and_eta_on_noisy_data():
     assert p_cert > 0
 
 
-def test_initialize_pipeline_to_dict(noise_free_setup):
+def test_initialize_pipeline_record(noise_free_setup):
     system, samples, _ = noise_free_setup
     init = sdp.initialize(system, samples)
-    d = init.to_dict()
+    d = _record(init)
     for key in ("X", "Y", "Z", "eta", "p_sdp", "rank_ratio", "iterations", "converged",
                 "primal_res", "dual_res", "method", "lambda_min_rel"):
         assert key in d
