@@ -5,7 +5,8 @@ Everything is JSON in, JSON out, and this module is the file format's one
 implementation: every reader, validator, converter and writer of the
 schemas in docs/formats.md lives here.  Poses are 4x4 row-major with
 translations in meters.  Exit codes: 0 success, 2 validation problem,
-3 numerical failure.  Set DUALCAL_LOG=info or =debug for progress output.
+3 numerical failure.  Set DUALCAL_LOG=info or =debug for progress output;
+its values are debug, info, warning (the default) and quiet.
 
 Each command runs with the cyclic garbage collector paused, and main
 restores its previous state afterwards.  The commands make no reference
@@ -39,11 +40,13 @@ log = logging.getLogger("dualcal")
 
 def _setup_logging():
     """The stderr handler once per process; the level of DUALCAL_LOG at every call."""
-    level = os.environ.get("DUALCAL_LOG", "warning").lower()
+    level = os.environ.get("DUALCAL_LOG", "warning")
     levels = {"debug": logging.DEBUG, "info": logging.INFO,
               "warning": logging.WARNING, "quiet": logging.ERROR}
+    if level.lower() not in levels:
+        raise ValidationError(f"DUALCAL_LOG={level!r} is not one of {', '.join(levels)}")
     logging.basicConfig(format="%(levelname)s %(message)s")
-    log.setLevel(levels.get(level, logging.WARNING))
+    log.setLevel(levels[level.lower()])
 
 
 # --- JSON schema -----------------------------------------------------------
@@ -386,11 +389,11 @@ def build_parser():
 
 
 def main(argv=None):
-    _setup_logging()
     args = build_parser().parse_args(argv)
     enabled = gc.isenabled()
     gc.disable()  # the commands make no reference cycles: see the module docstring
     try:
+        _setup_logging()
         for flag in ("out", "csv"):  # fail before the computation, not after it
             path = getattr(args, flag, None)
             if path and os.path.isdir(path):

@@ -40,14 +40,12 @@ _FIT_STEP_TOL = 1e-13
 _FIT_MAX_ITERS = 20
 
 
-def _design_rank(P):
-    """Numeric rank of [2P, 1] per cloud of P (B, N, 3), from its singular
-    values: normal equations would square them and hide a coplanar cloud."""
-    A = np.empty(P.shape[:-1] + (4,))
-    np.multiply(P, 2.0, out=A[..., :3])
-    A[..., 3] = 1.0
-    sv = np.linalg.svd(A, compute_uv=False)
-    return (sv > sv[:, :1] * 1e-10).sum(axis=-1)
+def _check_rank(rank):
+    """Raise RankDeficientError for the first cloud whose rank is below 4."""
+    deficient = rank < 4
+    if deficient.any():
+        k = int(np.argmax(deficient))
+        raise RankDeficientError(int(rank[k]), k)
 
 
 def _algebraic_seed(P):
@@ -71,33 +69,36 @@ def sphere_fit(points):
     steps on the radial residuals, until the largest step in the batch is
     at most _FIT_STEP_TOL.  Returns (center (..., 3), radius (...),
     rms_residual (...)).  Raises RankDeficientError for coplanar or
-    degenerate input; its ``index`` is the first such cloud, counted in
-    C order over the batch.
+    degenerate input, or a cloud so nearly coplanar that its Gauss-Newton
+    normal equations turn singular; its ``index`` is the first such
+    cloud, counted in C order over the batch.
     """
     P = np.asarray(points, dtype=float)
     if P.ndim < 2 or P.shape[-1] != 3 or P.shape[-2] < 4:
         raise RankDeficientError(0, 0)
     batch, n = P.shape[:-2], P.shape[-2]
     P = P.reshape(-1, n, 3)
-    rank = _design_rank(P)
-    if (rank < 4).any():
-        k = int(np.argmax(rank < 4))
-        raise RankDeficientError(int(rank[k]), k)
+    # the design matrix [2P, 1] of the algebraic fit, ranked by its singular
+    # values: normal equations would square them and hide a coplanar cloud
+    A = np.concatenate([2.0 * P, np.ones(P.shape[:-1] + (1,))], axis=-1)
+    _check_rank(np.linalg.matrix_rank(A, rtol=1e-10))
     c, r = _algebraic_seed(P)
-    # J^T J = [[sum u u^T, sum u], [sum u^T, N]] of the rows [-u^T, -1],
-    # u the unit vectors from the center
-    JtJ = np.empty((len(P), 4, 4))
-    JtJ[:, 3, 3] = n
+    # then the Gauss-Newton design matrix [u, 1], u the unit vectors from the
+    # center: the Jacobian of the radial residuals is -[u, 1]
+    u = A[..., :3]
     for _ in range(_FIT_MAX_ITERS):
-        u = P - c[:, None]
+        np.subtract(P, c[:, None], out=u)
         dist = np.sqrt(np.einsum("bni,bni->bn", u, u))
         u /= dist[..., None]
         res = dist - r[:, None]
-        uT = np.swapaxes(u, 1, 2)
-        JtJ[:, :3, :3] = uT @ u
-        JtJ[:, :3, 3] = JtJ[:, 3, :3] = u.sum(axis=1)
-        rhs = np.concatenate([uT @ res[..., None], res.sum(axis=-1)[:, None, None]], axis=1)
-        step = np.linalg.solve(JtJ, rhs)[..., 0]
+        AtA = A.mT @ A
+        try:
+            step = np.linalg.solve(AtA, A.mT @ res[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # a cloud within round-off of a plane passes the rank test; then its
+            # u turn parallel.  An LU failure the SVD does not confirm stands
+            _check_rank(np.linalg.matrix_rank(AtA))
+            raise
         c = c + step[:, :3]
         r = r + step[:, 3]
         if np.abs(step).max(initial=0.0) <= _FIT_STEP_TOL:

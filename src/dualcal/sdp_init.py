@@ -60,37 +60,24 @@ ADMM_RELAX = 1.6
 ADMM_CHECK_EVERY = 25
 
 
-def _vec(M):
-    """Column-stacking vectorization of the last two axes."""
-    M = np.asarray(M, dtype=float)
-    return np.swapaxes(M, -1, -2).reshape(M.shape[:-2] + (-1,))
-
-
 def _kron(A, B):
     """Kronecker product of the last two axes, broadcast over the rest."""
     K = np.einsum("...ij,...kl->...ikjl", A, B)
     return K.reshape(K.shape[:-4] + (K.shape[-4] * K.shape[-3], K.shape[-2] * K.shape[-1]))
 
 
-def _write_kron_eye(O, col, x, n):
-    """Write x^T kron I_n, x (..., k), into the columns col .. col+k*n-1 of
-    the (..., n, DIM) matrices O, which are zero there: entry
-    (i, col + n*j + i) becomes x_j, one strided write per j."""
-    flat = O.reshape(O.shape[:-2] + (-1,))  # a view: each matrix of O is contiguous
-    stride = O.shape[-1] + 1
-    for j in range(x.shape[-1]):
-        start = col + n * j
-        flat[..., start:start + stride * (n - 1) + 1:stride] = x[..., j, None]
-
-
 def lift(X, Y, Z):
     """Lift a coordinate triple to the homogeneous 133-vector."""
-    Rx, tx = X[:3, :3], X[:3, 3]
-    Ry, ty = Y[:3, :3], Y[:3, 3]
-    Rz, tz = Z[:3, :3], Z[:3, 3]
-    K = _kron(Rz.T, Ry)
-    V = _kron(tz.reshape(1, 3), Ry)
-    return np.concatenate([_vec(Rx), _vec(Ry), _vec(K), tx, ty, _vec(V), [1.0]])
+    Ry = Y[:3, :3]
+    w = np.empty(DIM)
+    w[_RX] = X[:3, :3]
+    w[_RY] = Ry
+    w[_KK] = _kron(Z[:3, :3].T, Ry)
+    w[TX0:TX0 + 3] = X[:3, 3]
+    w[TY0:TY0 + 3] = Y[:3, 3]
+    w[_VV] = _kron(Z[None, :3, 3], Ry)
+    w[HOM] = 1.0
+    return w
 
 
 def build_residual_stack(A, B, C):
@@ -106,15 +93,19 @@ def build_residual_stack(A, B, C):
     Ra, ta = A[..., :3, :3], A[..., :3, 3]
     Rb, tb = B[..., :3, :3], B[..., :3, 3]
     Rc, tc = C[..., :3, :3], C[..., :3, 3]
+    vec_Rc = Rc.mT.reshape(Rc.shape[:-2] + (1, 9))
     O = np.zeros(Ra.shape[:-2] + (12, DIM))
     F, T = O[..., :9, :], O[..., 9:, :]
-    F[..., RX0:RX0 + 9] = _kron(np.swapaxes(Rb, -1, -2), Ra)
-    _write_kron_eye(F, K0, -_vec(Rc), 9)
-    T[..., RX0:RX0 + 9] = _kron(tb[..., None, :], Ra)
-    _write_kron_eye(T, RY0, -tc, 3)
+    # the Rx blocks are Kronecker products acting on vec(Rx), whose entry
+    # 3c + r is Rx(r, c), at _RX.T; a block x^T kron I_n holds x_j at
+    # [i, n j + i], the lifted entry [i, j] of Ry, K or V
+    F[..., _RX.T] = _kron(Rb.mT, Ra).reshape(F.shape[:-1] + (3, 3))
+    F[..., np.arange(9)[:, None], _KK] = -vec_Rc
+    T[..., _RX.T] = _kron(tb[..., None, :], Ra).reshape(T.shape[:-1] + (3, 3))
+    T[..., np.arange(3)[:, None], _RY] = -tc[..., None, :]
     T[..., TX0:TX0 + 3] = Ra
     T[..., TY0:TY0 + 3] = -np.eye(3)
-    _write_kron_eye(T, V0, -_vec(Rc), 3)
+    T[..., np.arange(3)[:, None], _VV] = -vec_Rc
     T[..., HOM] = ta
     return O.reshape(-1, DIM)
 
@@ -433,16 +424,17 @@ def lift_jacobian(X, Y, Z):
     dX, dY, dZ = X @ E, E @ Y, E @ Z
     dRy = dY[:, :3, :3]
     Ry, Rz, tz = Y[:3, :3], Z[:3, :3], Z[:3, 3]
-    J = np.zeros((DIM, 18))
-    J[RX0:RX0 + 9, 0:6] = _vec(dX[:, :3, :3]).T
-    J[TX0:TX0 + 3, 0:6] = dX[:, :3, 3].T
-    J[RY0:RY0 + 9, 6:12] = _vec(dRy).T
-    J[TY0:TY0 + 3, 6:12] = dY[:, :3, 3].T
-    J[K0:K0 + 81, 6:12] = _vec(_kron(Rz.T, dRy)).T
-    J[V0:V0 + 27, 6:12] = _vec(_kron(tz.reshape(1, 3), dRy)).T
-    J[K0:K0 + 81, 12:18] = _vec(_kron(np.swapaxes(dZ[:, :3, :3], 1, 2), Ry)).T
-    J[V0:V0 + 27, 12:18] = _vec(_kron(dZ[:, None, :3, 3], Ry)).T
-    return J
+    J = np.zeros((18, DIM))
+    J[0:6, _RX] = dX[:, :3, :3]
+    J[0:6, TX0:TX0 + 3] = dX[:, :3, 3]
+    J[6:12, _RY] = dRy
+    J[6:12, TY0:TY0 + 3] = dY[:, :3, 3]
+    J[6:12, _KK] = _kron(Rz.T, dRy)
+    J[6:12, _VV] = _kron(tz[None], dRy)
+    J[12:18, _KK] = _kron(dZ[:, :3, :3].mT, Ry)
+    J[12:18, _VV] = _kron(dZ[:, None, :3, 3], Ry)
+    # C order, as Q @ L's rounding depends on the layout
+    return np.ascontiguousarray(J.T)
 
 
 def local_solve(Q, X, Y, Z):

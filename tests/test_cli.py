@@ -456,6 +456,16 @@ def test_log_level_follows_the_environment_at_every_call(tmp_path):
     assert proc.stderr == "INFO wrote 1.json\nINFO wrote 3.json\n"
 
 
+@pytest.mark.parametrize("level", ["verbose", ""])
+def test_unknown_log_level_exits_2_naming_the_values(tmp_path, capsys, monkeypatch, level):
+    monkeypatch.setenv("DUALCAL_LOG", level)
+    out = tmp_path / "out.json"
+    assert run("generate", "--samples", "3", "--seed", "1", "--out", str(out)) == 2
+    assert (f"error: DUALCAL_LOG={level!r} is not one of debug, info, warning, quiet"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 # one command per input file a command reads: --data, --calib and --clouds
 BAD_FILE_ARGV = pytest.mark.parametrize("argv", [
     ("calibrate", "--data", "{bad}"),
@@ -685,13 +695,22 @@ def coplanar_points(postures):
         p[2] = 0.25
 
 
+def nearly_coplanar_points(postures):
+    # within 1e-7 m of a plane: the rank test passes it, the fit's solve does not
+    rng = np.random.default_rng(0)
+    for p in postures[3]["points"]:
+        p[2] = 0.25 + rng.normal(0.0, 1e-7)
+
+
 @pytest.mark.parametrize("edit, message", [
     (short_q_a, "postures[3].q_a has 5 values, the sensor arm has 6 joints"),
     (nan_q_c, "postures[2].q_c has a non-finite value"),
     (nan_point, "postures[5].points has a non-finite value"),
     (three_points, "postures[4].points do not determine a sphere"),
     (coplanar_points, "postures[6].points do not determine a sphere"),
-], ids=["short-q_a", "nan-q_c", "nan-points", "three-points", "coplanar-points"])
+    (nearly_coplanar_points, "postures[3].points do not determine a sphere"),
+], ids=["short-q_a", "nan-q_c", "nan-points", "three-points", "coplanar-points",
+        "nearly-coplanar-points"])
 def test_bad_posture_exits_2_naming_field(postures, calib_file, tmp_path, capsys, edit, message):
     bad = copy.deepcopy(postures)
     edit(bad)

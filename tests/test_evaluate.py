@@ -162,6 +162,34 @@ def test_sphere_fit_coplanar_errors():
         with pytest.raises(RankDeficientError) as exc:
             sphere_fit(bad)
         assert exc.value.index == k
+    # the cut-off, 1e-10 of the largest singular value of [2P, 1]: a 25.4 mm
+    # cloud about 1 m out with out-of-plane scatter at or below 1e-11 m is
+    # flat; a line and a single point lose one and two ranks more
+    rng = np.random.default_rng(12)
+    center = np.array([0.6, -0.5, 0.6])
+    dirs = rng.normal(size=(64, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    cases = []
+    for scatter in (1e-13, 1e-11):
+        flat = center + 0.0254 * dirs
+        flat[:, 2] = center[2] + scatter * rng.normal(size=64)
+        cases.append((flat, 3))
+    cases.append((center + np.outer(rng.uniform(-0.0254, 0.0254, 64), dirs[0]), 2))
+    cases.append((np.tile(center, (64, 1)), 1))
+    for cloud, rank in cases:
+        with pytest.raises(RankDeficientError) as exc:
+            sphere_fit(cloud)
+        assert exc.value.rank == rank
+
+
+def test_sphere_fit_nearly_coplanar_cloud_errors_naming_it():
+    # 1e-7 m off a plane passes the rank cut-off; Gauss-Newton then runs the
+    # center off until [u, 1] is singular
+    clouds = noisy_clouds(np.random.default_rng(13), (5, 64))
+    clouds[3, :, 2] = 0.25 + np.random.default_rng(14).normal(0.0, 1e-7, 64)
+    with pytest.raises(RankDeficientError) as exc:
+        sphere_fit(clouds)
+    assert exc.value.index == 3 and exc.value.rank < 4
 
 
 def test_meb_single_point():

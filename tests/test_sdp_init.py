@@ -56,6 +56,17 @@ def test_lift_identity_layout():
     assert np.array_equal(w[18:99], np.eye(9).reshape(-1, order="F"))
     assert np.all(w[99:132] == 0)
     assert w[132] == 1.0
+    # identity Kronecker blocks are symmetric; random poses pin each block's
+    # orientation against np.kron, column-stacked
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        X, Y, Z = rand_pose(rng), rand_pose(rng), rand_pose(rng)
+        Ry = Y[:3, :3]
+        ref = np.concatenate([X[:3, :3].reshape(-1, order="F"), Ry.reshape(-1, order="F"),
+                              np.kron(Z[:3, :3].T, Ry).reshape(-1, order="F"),
+                              X[:3, 3], Y[:3, 3],
+                              np.kron(Z[None, :3, 3], Ry).reshape(-1, order="F"), [1.0]])
+        assert np.array_equal(sdp.lift(X, Y, Z), ref)
 
 
 def test_omega_blocks_reproduce_residuals():
