@@ -26,7 +26,7 @@ lvl = level("kin", "M")
 print(f"\nperturbing at level M (rot_sigma={lvl.rot_sigma:.2e} rad, "
       f"trans_sigma={lvl.trans_sigma:.2e} m)")
 perturbed = perturb_model(arm, draw_joint_deltas(arm, lvl, rng))
-q_a, _ = sample_configurations(300, 6, rng, d_min=0.0)
+q_a, _ = sample_configurations(300, 6, rng)
 rot, trans = pose_deviation(arm, perturbed, q_a)
 print(f"induced end-pose deviation over 300 configs: "
       f"{np.degrees(rot.mean()):.3f} deg / {1e3 * trans.mean():.3f} mm "

@@ -19,7 +19,7 @@ print(f"generated {len(ds.samples)} samples, kin level {ds.kin_level}, "
       f"noise level {ds.noise_level}, seed {ds.seed}")
 # the ground truth's end-pose deviation from the nominal arms, at random
 # configurations of a separate generator
-q, _ = sample_configurations(200, ds.nominal_system.n, np.random.default_rng(0), d_min=0.0)
+q, _ = sample_configurations(200, ds.nominal_system.n, np.random.default_rng(0))
 for name in ("sensor_arm", "tool_arm"):
     rot, trans = pose_deviation(getattr(ds.nominal_system, name), getattr(ds.gt_system, name), q)
     print(f"induced kinematic deviation, {name}: {np.degrees(rot.mean()):.3f} deg / "

@@ -38,7 +38,7 @@ NOISE_TARGETS = {
 def measure_kin(arm, rot_sigma, trans_sigma, rng, n_pert=48, n_cfg=160):
     """Monte-Carlo mean (rot deg, trans mm) FK deviation at given sigmas."""
     level = Level("probe", rot_sigma, trans_sigma)
-    q, _ = sample_configurations(n_cfg, arm.n, rng, d_min=0.0)
+    q, _ = sample_configurations(n_cfg, arm.n, rng)
     rots, transs = [], []
     for _ in range(n_pert):
         gt = perturb_model(arm, draw_joint_deltas(arm, level, rng))

@@ -5,8 +5,9 @@ Everything is JSON in, JSON out, and this module is the file format's one
 implementation: every reader, validator, converter and writer of the
 schemas in docs/formats.md lives here.  Poses are 4x4 row-major with
 translations in meters.  Exit codes: 0 success, 2 validation problem,
-3 numerical failure.  Set DUALCAL_LOG=info or =debug for progress output;
-its values are debug, info, warning (the default) and quiet.
+3 numerical failure.  Set DUALCAL_LOG=info for progress output; its
+values are debug, info, warning (the default) and quiet.  No code logs at
+debug, so debug shows what info shows.
 
 Each command runs with the cyclic garbage collector paused, and main
 restores its previous state afterwards.  The commands make no reference

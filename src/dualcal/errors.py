@@ -8,12 +8,13 @@ class CalibrationError(Exception):
 
 class RankDeficientError(CalibrationError):
     """The sphere fit's points do not determine a sphere: fewer than four,
-    or all in one plane."""
+    all in one plane, or so near one that the fit does not converge (at
+    the full rank 4)."""
 
     def __init__(self, rank, index):
         self.rank = rank
         self.index = index  # which cloud of the batch
-        super().__init__(f"system is rank deficient at index {index}: numeric rank {rank} < 4")
+        super().__init__(f"cloud {index} does not determine a sphere (numeric rank {rank} of 4)")
 
 
 class ValidationError(CalibrationError):

@@ -4,7 +4,6 @@ Every record holds radians and meters; dualcal.cli converts to
 degrees/millimeters when it writes a report.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,8 +11,6 @@ import numpy as np
 from . import liegroup as lie
 from .chain import predict_B
 from .errors import RankDeficientError
-
-log = logging.getLogger("dualcal")
 
 
 @dataclass
@@ -69,9 +66,10 @@ def sphere_fit(points):
     steps on the radial residuals, until the largest step in the batch is
     at most _FIT_STEP_TOL.  Returns (center (..., 3), radius (...),
     rms_residual (...)).  Raises RankDeficientError for coplanar or
-    degenerate input, or a cloud so nearly coplanar that its Gauss-Newton
-    normal equations turn singular; its ``index`` is the first such
-    cloud, counted in C order over the batch.
+    degenerate input, a cloud so nearly coplanar that its Gauss-Newton
+    normal equations turn singular, or one whose step is still above
+    _FIT_STEP_TOL after _FIT_MAX_ITERS steps; its ``index`` is the first
+    such cloud, counted in C order over the batch.
     """
     P = np.asarray(points, dtype=float)
     if P.ndim < 2 or P.shape[-1] != 3 or P.shape[-2] < 4:
@@ -103,10 +101,8 @@ def sphere_fit(points):
         r = r + step[:, 3]
         if np.abs(step).max(initial=0.0) <= _FIT_STEP_TOL:
             break
-    else:
-        log.warning("sphere fit: Gauss-Newton did not converge in %d iterations "
-                    "(last step %.3e m, tolerance %.3e m)",
-                    _FIT_MAX_ITERS, np.abs(step).max(), _FIT_STEP_TOL)
+    else:  # full rank, yet no sphere the steps settle on
+        raise RankDeficientError(4, int(np.argmax(np.abs(step).max(axis=-1) > _FIT_STEP_TOL)))
     res = np.linalg.norm(P - c[:, None], axis=-1) - r[:, None]
     rms = np.sqrt((res * res).mean(axis=-1))
     return c.reshape(batch + (3,)), r.reshape(batch), rms.reshape(batch)

@@ -58,13 +58,13 @@ def level_targets(kind, tag):
     return d["target_rot_deg"], d["target_trans_mm"]
 
 
-def _spaced(x, y, d_min):
-    """Whether candidates x and y (..., 2, n) differ by at least d_min in
+def _spaced(x, y):
+    """Whether candidates x and y (..., 2, n) differ by at least D_MIN in
     joint-space infinity-norm on both arms."""
-    return (np.abs(x - y).max(axis=-1) >= d_min).all(axis=-1)
+    return (np.abs(x - y).max(axis=-1) >= D_MIN).all(axis=-1)
 
 
-def _spaced_runs(cand, last, d_min, need):
+def _spaced_runs(cand, last, need):
     """Indices of the first (at most `need`) candidates of cand (k, 2, n)
     that the spacing rule accepts in order, after the accepted `last`
     (None before the first acceptance).
@@ -74,10 +74,10 @@ def _spaced_runs(cand, last, d_min, need):
     a failed pair ends the run, and the next run starts by comparing the
     candidate after the failure with the run's last member.
     """
-    bad = np.flatnonzero(~_spaced(cand[1:], cand[:-1], d_min))  # cand[j + 1] too close to cand[j]
+    bad = np.flatnonzero(~_spaced(cand[1:], cand[:-1]))  # cand[j + 1] too close to cand[j]
     runs, i, total = [], 0, 0
     while i < len(cand) and total < need:
-        if last is not None and not _spaced(cand[i], last, d_min):
+        if last is not None and not _spaced(cand[i], last):
             i += 1
             continue
         b = np.searchsorted(bad, i)
@@ -88,16 +88,15 @@ def _spaced_runs(cand, last, d_min, need):
     return np.concatenate(runs) if runs else np.zeros(0, dtype=int)
 
 
-def sample_configurations(m, n_joints, rng, q_min=Q_MIN, d_min=D_MIN):
+def sample_configurations(m, n_joints, rng):
     """Joint readings q_a, q_c (m, n_joints) of m valid configurations, by
     rejection sampling.
 
-    Validity: every joint of both arms stays away from zero
-    (|q| >= q_min, where the joint twist contribution degenerates) and
-    consecutive samples differ by at least d_min in joint-space
-    infinity-norm on each arm.  Draws lie in [-pi, pi), so a q_min of pi
-    or more, or a d_min of 2 pi or more for m >= 2, is refused before
-    drawing.  Gives up after 1000 m candidates.
+    Validity, by the fixed rules chain.Q_MIN and D_MIN: every joint of both
+    arms stays away from zero (|q| >= Q_MIN, where the joint twist
+    contribution degenerates) and consecutive samples differ by at least
+    D_MIN in joint-space infinity-norm on each arm.  Gives up after
+    1000 m candidates.
 
     Candidates are drawn in blocks, one (k, 2, n_joints) uniform draw
     each, and judged a block at a time.  An array draw takes its values in
@@ -109,24 +108,17 @@ def sample_configurations(m, n_joints, rng, q_min=Q_MIN, d_min=D_MIN):
     """
     if m < 1:
         raise ValidationError("m must be >= 1")
-    for name, value, bound, text in (("q_min", q_min, np.pi, "pi"),
-                                     ("d_min", d_min, 2 * np.pi if m > 1 else np.inf, "2 pi")):
-        if not value >= 0:
-            raise ValidationError(f"{name} must be a nonnegative number, got {value}")
-        if value >= bound:
-            raise ValidationError(f"{name} must be less than {text}, since joint draws lie "
-                                  f"in [-pi, pi), got {value}")
     budget, got, parts, k = 1000 * m, 0, [], 0
     while budget:
-        # about twice the candidates still needed (the default rules accept
-        # about one in 1.8), doubling while the rules reject more, at most
-        # 4096 per block
+        # about twice the candidates still needed (the rules accept about
+        # one in 1.8), doubling while the rules reject more, at most 4096
+        # per block
         k = min(budget, 4096, max(2 * k, 2 * (m - got) + 32))
         state = rng.bit_generator.state
         block = rng.uniform(-np.pi, np.pi, (k, 2, n_joints))
         budget -= k
-        valid = np.flatnonzero((np.abs(block) >= q_min).all(axis=(1, 2)))
-        take = valid[_spaced_runs(block[valid], parts[-1][-1] if parts else None, d_min, m - got)]
+        valid = np.flatnonzero((np.abs(block) >= Q_MIN).all(axis=(1, 2)))
+        take = valid[_spaced_runs(block[valid], parts[-1][-1] if parts else None, m - got)]
         if len(take):
             parts.append(block[take])
             got += len(take)
@@ -137,7 +129,7 @@ def sample_configurations(m, n_joints, rng, q_min=Q_MIN, d_min=D_MIN):
             q = np.concatenate(parts)
             return q[:, 0], q[:, 1]
     raise CalibrationError(f"could not draw {m} valid configurations in {1000 * m} "
-                           f"tries (q_min={q_min}, d_min={d_min})")
+                           f"tries (q_min={Q_MIN}, d_min={D_MIN})")
 
 
 def _cross(a, b):

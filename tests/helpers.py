@@ -125,7 +125,7 @@ def level_deviation(system, level, rng, configs):
     rot, trans = [], []
     for name in ("sensor_arm", "tool_arm"):
         nominal = getattr(system, name)
-        q, _ = sample_configurations(configs, nominal.n, rng, d_min=0.0)
+        q, _ = sample_configurations(configs, nominal.n, rng)
         r, t = pose_deviation(nominal, getattr(gt, name), q)
         rot.append(r)
         trans.append(t)

@@ -526,10 +526,14 @@ FALSY_NON_LISTS = {"0": 0, "dict": {}, "str": "", "false": False, "null": None}
     ("clouds", lambda d: d["postures"][1]["points"][0].__setitem__(0, "0.02"),
      "error: postures[1].points is not an array of numbers"),
     ("system", lambda d: d["sensor_arm"].update(name=5), "error: sensor_arm.name is not a string"),
+    ("data", lambda d: d["samples"][3].pop("B"), "error: samples[3] is missing field 'B'"),
+    ("clouds", lambda d: d["postures"][2].pop("q_a"),
+     "error: postures[2] is missing field 'q_a'"),
 ], ids=["samples-int", "postures-int", *(f"samples-{k}" for k in FALSY_NON_LISTS),
         *(f"postures-{k}" for k in FALSY_NON_LISTS), "samples-empty", "postures-empty",
         "sensor_arm-int", "ragged-twists",
-        "n-string", "q_a-string", "X-string", "points-string", "name-int"])
+        "n-string", "q_a-string", "X-string", "points-string", "name-int", "B-missing",
+        "q_a-missing"])
 def test_wrong_json_type_exits_2_naming_field(workdir, postures, calib_file, tmp_path, capsys,
                                               target, edit, message):
     record = {"data": json.loads((workdir / "data.json").read_text()),
@@ -605,13 +609,18 @@ def test_output_in_missing_directory_exits_2_before_running(workdir, init_file, 
 
 
 def test_bad_pose_in_calib_exits_2_naming_field(workdir, calib_file, tmp_path, capsys):
-    d = json.loads(calib_file.read_text())
-    d["X"] = "x"
-    bad = tmp_path / "calib.json"
-    bad.write_text(json.dumps(d))
-    assert run("evaluate", "--data", str(workdir / "data.json"), "--calib", str(bad),
-               "--out", str(tmp_path / "report.json")) == 2
-    assert "error: X is not an array of numbers" in capsys.readouterr().err
+    # not numbers, then a finite 4x4 whose rotation block is sheared
+    sheared = np.eye(4)
+    sheared[0, 1] = 0.5
+    for X, message in (("x", "X is not an array of numbers"),
+                       (sheared.tolist(), "X is not a valid pose")):
+        d = json.loads(calib_file.read_text())
+        d["X"] = X
+        bad = tmp_path / "calib.json"
+        bad.write_text(json.dumps(d))
+        assert run("evaluate", "--data", str(workdir / "data.json"), "--calib", str(bad),
+                   "--out", str(tmp_path / "report.json")) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, flags, code", [
@@ -702,6 +711,14 @@ def nearly_coplanar_points(postures):
         p[2] = 0.25 + rng.normal(0.0, 1e-7)
 
 
+def flattened_disc(postures):
+    # 1e-4 m off a plane: full rank and every solve succeeds, but Gauss-Newton
+    # does not settle (it drifts towards a sphere meters wide)
+    rng = np.random.default_rng(0)
+    for p in postures[3]["points"]:
+        p[2] = 0.25 + rng.normal(0.0, 1e-4)
+
+
 @pytest.mark.parametrize("edit, message", [
     (short_q_a, "postures[3].q_a has 5 values, the sensor arm has 6 joints"),
     (nan_q_c, "postures[2].q_c has a non-finite value"),
@@ -709,8 +726,9 @@ def nearly_coplanar_points(postures):
     (three_points, "postures[4].points do not determine a sphere"),
     (coplanar_points, "postures[6].points do not determine a sphere"),
     (nearly_coplanar_points, "postures[3].points do not determine a sphere"),
+    (flattened_disc, "postures[3].points do not determine a sphere"),
 ], ids=["short-q_a", "nan-q_c", "nan-points", "three-points", "coplanar-points",
-        "nearly-coplanar-points"])
+        "nearly-coplanar-points", "flattened-disc"])
 def test_bad_posture_exits_2_naming_field(postures, calib_file, tmp_path, capsys, edit, message):
     bad = copy.deepcopy(postures)
     edit(bad)
@@ -788,9 +806,11 @@ def test_commands_run_no_collection(tmp_path, gc_state, monkeypatch):
     f = {name: str(tmp_path / f"{name}.json") for name in (
         "data", "small", "init", "admm", "calib", "calib_run", "clouds", "bad", "out")}
     rng = np.random.default_rng(0)
+    dirs = rng.normal(size=(200, 64, 3))
+    clouds = 0.0254 * dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)  # 25.4 mm spheres
     Path(f["clouds"]).write_text(json.dumps({"postures": [
-        {"q_a": q_a.tolist(), "q_c": q_c.tolist(), "points": rng.normal(size=(64, 3)).tolist()}
-        for q_a, q_c in rng.uniform(-np.pi, np.pi, (200, 2, 6))]}))
+        {"q_a": q_a.tolist(), "q_c": q_c.tolist(), "points": points.tolist()}
+        for (q_a, q_c), points in zip(rng.uniform(-np.pi, np.pi, (200, 2, 6)), clouds)]}))
     Path(f["bad"]).write_text("{")
     commands = [
         (("generate", "--samples", "400", "--kin-level", "M", "--seed", "3", "--out", f["data"]), 0),

@@ -192,10 +192,30 @@ def test_sphere_fit_nearly_coplanar_cloud_errors_naming_it():
     assert exc.value.index == 3 and exc.value.rank < 4
 
 
+def test_sphere_fit_unconverged_cloud_errors_naming_it():
+    # 1e-5 m off a plane 0.4 m from the sphere's center: full rank, and every
+    # solve succeeds, but the steps never fall to the tolerance (the center
+    # drifts tens of meters out)
+    clouds = noisy_clouds(np.random.default_rng(15), (5, 64))
+    rng = np.random.default_rng(0)
+    dirs = rng.normal(size=(64, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    clouds[2] = np.array([0.6, -0.5, 0.6]) + 0.0254 * dirs
+    clouds[2, :, 2] = 1.0 + 1e-5 * rng.normal(size=64)
+    with pytest.raises(RankDeficientError, match=r"^cloud 2 does not determine a sphere") as exc:
+        sphere_fit(clouds)
+    assert exc.value.index == 2 and exc.value.rank == 4
+
+
 def test_meb_single_point():
     c, r = min_enclosing_ball([np.array([1.0, 2.0, 3.0])])
     assert r == 0.0
     assert np.array_equal(c, [1.0, 2.0, 3.0])
+
+
+def test_meb_refuses_no_points():
+    with pytest.raises(ValueError, match="need at least one point"):
+        min_enclosing_ball([])
 
 
 def test_meb_two_points_diameter():
@@ -317,6 +337,14 @@ def test_ball_consistency_perfect_calibration(setup):
     assert result.r_meb < 1e-9
     assert np.abs(result.centers - center).max() < 1e-9
     assert np.abs(result.radii - 0.0254).max() < 1e-9
+
+
+def test_ball_consistency_refuses_clouds_without_joint_rows(setup):
+    system, samples = setup
+    clouds = _synthetic_clouds(system, samples[:3], np.zeros(3), 0.0254,
+                               np.random.default_rng(8))
+    with pytest.raises(ValueError, match="need one point cloud per posture"):
+        ball_consistency(system, clouds, samples.q_a[:2], samples.q_c[:2])
 
 
 def test_ball_consistency_sensitive_to_miscalibration(setup):

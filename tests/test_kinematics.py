@@ -123,6 +123,12 @@ def test_model_schema_validation():
         model_from_dict(d)
     with pytest.raises(ValidationError):
         RobotModel("bad", [[np.inf] * 6], [0] * 6)
+    with pytest.raises(ValidationError, match=r"joint_twists must be \(n>=1, 6\), got \(6, 5\)"):
+        RobotModel("bad", np.zeros((6, 5)), [0] * 6)
+    with pytest.raises(ValidationError, match="zero_offset must be a 6-vector"):
+        RobotModel("bad", [[0] * 6], [0] * 5)
+    with pytest.raises(CalibrationError, match=r"expected 6 twist deltas, got \(5, 6\)"):
+        perturb_model(default_arm(), np.zeros((5, 6)))
 
 
 def test_default_arm_shape():

@@ -40,6 +40,11 @@ def test_exp_matches_taylor_oracle():
         assert np.abs(lie.exp_se3(-xi) - lie.pose_inv(T)).max() < 1e-12
 
 
+def test_is_pose_refuses_other_shapes():
+    assert lie.is_pose(np.eye(4))
+    assert not lie.is_pose(np.eye(3))
+
+
 def test_log_identity():
     assert np.all(lie.log_se3(np.eye(4)) == 0)
 

@@ -311,6 +311,10 @@ def test_extract_sign_fix():
 def test_extract_degenerate_errors():
     with pytest.raises(CalibrationError, match="dominant eigenvalue"):
         sdp.extract(np.zeros((133, 133)))
+    w = sdp.lift(np.eye(4), np.eye(4), np.eye(4))
+    w[sdp.HOM] = 0.0
+    with pytest.raises(CalibrationError, match="homogeneous entry of the lifted vector is ~0"):
+        sdp.project_lift(w)
 
 
 def test_certify_rejects_corrupted_candidate(noise_free_setup, noise_free_solution):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dualcal import liegroup as lie
+from dualcal import simulate
 from dualcal.chain import stack
 from dualcal.cli import _dataset_from_dict as dataset_from_dict, dataset_to_dict, load_dataset
 from dualcal.errors import CalibrationError, ValidationError
@@ -40,11 +41,16 @@ def test_sample_configurations_rules():
     q_a, q_c = sample_configurations(1, 6, rng)
     assert q_a.shape == q_c.shape == (1, 6)
     assert np.abs(q_a[0]).min() >= 0.15
-    q_a, q_c = sample_configurations(40, 6, rng, q_min=0.15, d_min=0.3)
+    q_a, q_c = sample_configurations(40, 6, rng)
     assert q_a.shape == q_c.shape == (40, 6)
     for q in (q_a, q_c):
         assert np.abs(np.diff(q, axis=0)).max(axis=1).min() >= 0.3
         assert np.abs(q).min() >= 0.15
+
+
+def test_sample_configurations_refuses_no_configurations():
+    with pytest.raises(ValidationError, match=r"^m must be >= 1$"):
+        sample_configurations(0, 6, np.random.default_rng(0))
 
 
 def test_sample_configurations_deterministic():
@@ -61,23 +67,26 @@ SAMPLING_RULES = [(0.15, 0.3), (1.0, 0.3), (0.15, 3.0), (0.5, 4.5), (0.0, 0.0)]
 
 @pytest.mark.parametrize("q_min, d_min", SAMPLING_RULES)
 @pytest.mark.parametrize("m", [1, 2, 5, 40, 300])
-def test_sample_configurations_match_one_at_a_time_draws(m, q_min, d_min):
+def test_sample_configurations_match_one_at_a_time_draws(monkeypatch, m, q_min, d_min):
     # the block draws give, bitwise, the configurations of drawing a then c
     # per candidate, and leave the generator where those draws do
+    monkeypatch.setattr(simulate, "Q_MIN", q_min)
+    monkeypatch.setattr(simulate, "D_MIN", d_min)
     for seed in range(8):
         batched, single = np.random.default_rng(seed), np.random.default_rng(seed)
-        q_a, q_c = sample_configurations(m, 6, batched, q_min, d_min)
+        q_a, q_c = sample_configurations(m, 6, batched)
         ref_a, ref_c = loop_sample_configurations(m, 6, single, q_min, d_min)
         assert q_a.tobytes() == ref_a.tobytes() and q_c.tobytes() == ref_c.tobytes()
         assert batched.bit_generator.state == single.bit_generator.state
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_infeasible_sampling_draws_the_whole_budget(seed):
+def test_infeasible_sampling_draws_the_whole_budget(monkeypatch, seed):
+    monkeypatch.setattr(simulate, "Q_MIN", 3.1)
     batched, single = np.random.default_rng(seed), np.random.default_rng(seed)
     with pytest.raises(CalibrationError, match=r"^could not draw 3 valid configurations in "
                        r"3000 tries \(q_min=3\.1, d_min=0\.3\)$"):
-        sample_configurations(3, 6, batched, q_min=3.1)
+        sample_configurations(3, 6, batched)
     assert loop_sample_configurations(3, 6, single, q_min=3.1) is None
     assert batched.bit_generator.state == single.bit_generator.state
 
@@ -116,32 +125,17 @@ def test_cross_matches_numpy_bitwise():
     assert _cross(b, a).tobytes() == np.cross(b, a).tobytes()
 
 
-def test_sample_configurations_infeasible_rules():
+def test_sample_configurations_infeasible_rules(monkeypatch):
+    monkeypatch.setattr(simulate, "Q_MIN", 3.0)
     with pytest.raises(CalibrationError, match=r"^could not draw 5 valid configurations in "
                        r"5000 tries \(q_min=3\.0, d_min=0\.3\)$") as excinfo:
-        sample_configurations(5, 6, np.random.default_rng(1), q_min=3.0)
+        sample_configurations(5, 6, np.random.default_rng(1))
     assert excinfo.type is CalibrationError
 
 
-@pytest.mark.parametrize("rule", ["q_min", "d_min"])
-@pytest.mark.parametrize("value", [float("nan"), -0.1])
-def test_sample_configurations_rejects_bad_rule(rule, value):
-    with pytest.raises(ValidationError, match=f"{rule} must be a nonnegative number"):
-        sample_configurations(5, 6, np.random.default_rng(0), **{rule: value})
-
-
-@pytest.mark.parametrize("rule, value, bound", [("q_min", np.pi, "pi"), ("q_min", 4.0, "pi"),
-                                                ("d_min", 2 * np.pi, "2 pi")])
-def test_sample_configurations_refuses_unreachable_rule_before_drawing(rule, value, bound):
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    with pytest.raises(ValidationError, match=f"{rule} must be less than {bound}"):
-        sample_configurations(5, 6, rng, **{rule: value})
-    assert rng.bit_generator.state == state
-
-
-def test_sample_configurations_single_draw_has_no_spacing_rule():
-    q_a, q_c = sample_configurations(1, 6, np.random.default_rng(0), d_min=7.0)
+def test_sample_configurations_single_draw_has_no_spacing_rule(monkeypatch):
+    monkeypatch.setattr(simulate, "D_MIN", 7.0)
+    q_a, q_c = sample_configurations(1, 6, np.random.default_rng(0))
     assert q_a.shape == q_c.shape == (1, 6)
 
 
