@@ -22,9 +22,8 @@ print(f"kinematic level H, measurement noise M; {len(cal)} calibration / "
       f"{len(test)} held-out samples")
 
 init, system, trace = calibrate(nominal, cal, tol=1e-8)
-steps = {"certified-local": "Gauss-Newton", "admm": "ADMM"}[init.method]
-print(f"SDP init ({init.method}): eta = {init.eta:.2e}, rank ratio = {init.rank_ratio:.2e}, "
-      f"{init.iterations} {steps} iterations")
+print(f"SDP init: eta = {init.eta:.2e}, rank ratio = {init.rank_ratio:.2e}, "
+      f"{init.iterations} ADMM iterations (0: the local optimum certified itself)")
 print(f"unified refinement: {trace.iterations} iterations, |e| "
       f"{trace.residual_norms[0]:.3e} -> {trace.residual_norms[-1]:.3e}")
 

@@ -328,8 +328,10 @@ def cmd_ball_eval(args):
     try:
         result = ball_consistency(calib, clouds, q_a, q_c)
     except RankDeficientError as exc:
+        why = ("the sphere fit did not converge" if exc.rank >= 4
+               else "need 4 or more points, not all in one plane")
         raise ValidationError(f"postures[{exc.index}].points do not determine a sphere: "
-                              "need 4 or more points, not all in one plane") from None
+                              f"{why}") from None
     _write_json({"centers": result.centers.tolist(), "radii_mm": (1e3 * result.radii).tolist(),
                  "fit_rms_mm": (1e3 * result.fit_rms).tolist(),
                  "meb_center": result.meb_center.tolist(), "r_meb_mm": 1e3 * result.r_meb},
@@ -356,7 +358,7 @@ def build_parser():
     g.add_argument("--out", required=True)
 
     i = sub.add_parser("init", help="certifiable coordinate initialization "
-                                    "(certified local solve, ADMM SDP as fallback)")
+                                    "(certified local optimum, else ADMM on the SDP)")
     i.add_argument("--data", required=True)
     i.add_argument("--out", required=True)
 

@@ -9,16 +9,18 @@ The coordinate-only calibration is lifted to a homogeneous 133-vector
 w, the SO(3)/Kronecker structure becomes 160 quadratic equalities, and
 the resulting QCQP is relaxed to an SDP over W = w w^T.
 
-initialize first solves the QCQP locally (linear lift, then Gauss-Newton
-over the 18 pose increments, both minimising w^T Q w on the 133x133 Q
-alone, whatever the sample count) and certifies the result through
-Lagrange multipliers: if S = Q - sum_j lambda_j H_j is PSD, b^T lambda
-bounds the SDP from below.  When that certificate fails, the SDP is solved by
-operator-splitting ADMM; a rank-1 extraction plus manifold projection
-recovers (X, Y, Z), and the SDP optimum certifies the recovered
-candidate.  Either way the certificate is an a-posteriori
-sub-optimality gap, whose candidate objective is the sum of squares
-|G w|^2 over the 12m-row residual stack G.
+solve_sdp solves that relaxation.  It first solves the QCQP locally
+(linear lift, then Gauss-Newton over the 18 pose increments, both
+minimising w^T Q w on the 133x133 Q alone, whatever the sample count)
+and certifies the result through Lagrange multipliers: if
+S = Q - sum_j lambda_j H_j is PSD, b^T lambda bounds the SDP from below,
+and W = w w^T, feasible with S w = 0, is itself an optimum of the SDP
+(the SE-Sync argument, Rosen et al., IJRR 2019).  When that certificate
+fails, the SDP is solved by operator-splitting ADMM.  initialize then
+recovers (X, Y, Z) from W by rank-1 extraction plus manifold projection,
+and the SDP optimum certifies the recovered candidate through an
+a-posteriori sub-optimality gap, whose candidate objective is the sum
+of squares |G w|^2 over the 12m-row residual stack G.
 """
 
 import functools
@@ -43,17 +45,18 @@ _RY = RY0 + np.arange(9).reshape(3, 3, order="F")
 _KK = K0 + np.arange(81).reshape(9, 9, order="F")
 _VV = V0 + np.arange(27).reshape(3, 9, order="F")
 
-# certified-local path: Gauss-Newton iteration cap and step tolerance, and
-# acceptance of its certificate, lambda_min(S) >= -CERT_EIG_TOL * tr(Q)
+# solve_sdp's local start: Gauss-Newton iteration cap and step tolerance,
+# and acceptance of its certificate, lambda_min(S) >= -CERT_EIG_TOL * tr(Q)
 # and eta <= CERT_ETA
 LOCAL_MAX_ITERS = 20
 LOCAL_STEP_TOL = 1e-10
 CERT_EIG_TOL = 1e-12
 CERT_ETA = 1e-6
 
-# ADMM fallback: residual tolerance factor, tight so that the certificate
-# stays sharp near a zero optimum; iteration cap; over-relaxation; and the
-# interval at which the residuals are checked and balanced
+# ADMM, when the local start does not certify: residual tolerance factor,
+# tight so that the certificate stays sharp near a zero optimum; iteration
+# cap; over-relaxation; and the interval at which the residuals are checked
+# and balanced
 ADMM_TOL = 1e-10
 ADMM_MAX_ITERS = 50000
 ADMM_RELAX = 1.6
@@ -262,20 +265,46 @@ class SDPResult:
 
 
 def solve_sdp(problem):
-    """Operator-splitting ADMM for min tr(QW) s.t. tr(H_j W)=rho_j, W>=0.
+    """Solve min tr(QW) s.t. tr(H_j W)=rho_j, W>=0.
 
-    Iterates are symmetric 133x133 matrices.  Alternates (i) projection
-    onto the affine constraint set through the sparse constraint operator
-    and a precomputed factorization of its Gram matrix, (ii) PSD
-    projection by eigenvalue clamping, (iii) scaled dual update, with
-    over-relaxation and residual balancing.  Stops when both residuals
-    drop below ADMM_TOL*(1+|Q|_F), or after ADMM_MAX_ITERS iterations.
+    First the local start: linear_lift, local_solve and lagrangian_bound.
+    When local_solve converged and its optimum w passes the certificate,
+    lambda_min(S)/tr(Q) >= -CERT_EIG_TOL and eta <= CERT_ETA against
+    b^T lambda, W = w w^T is returned with p_sdp = b^T lambda at 0
+    iterations: W is feasible and S w = 0, so it is an optimum of the SDP.
+
+    Otherwise operator-splitting ADMM, from a cold start.  Iterates are
+    symmetric 133x133 matrices.  Alternates (i) projection onto the affine
+    constraint set through the sparse constraint operator and a
+    precomputed factorization of its Gram matrix, (ii) PSD projection by
+    eigenvalue clamping, (iii) scaled dual update, with over-relaxation
+    and residual balancing.  Stops when both residuals drop below
+    ADMM_TOL*(1+|Q|_F), or after ADMM_MAX_ITERS iterations.
     Non-convergence is reported in the result, not raised: the caller may
     still extract.
     """
     Q = problem.Q
     if not np.isfinite(Q).all():
         raise CalibrationError("objective matrix Q has a non-finite entry")
+    tol = ADMM_TOL * (1.0 + np.linalg.norm(Q))
+    try:
+        X, Y, Z = linear_lift(Q, len(problem.residual_stack) // 12)
+    except CalibrationError as exc:
+        reason = str(exc)
+    else:
+        X, Y, Z, steps, local_converged = local_solve(Q, X, Y, Z)
+        reason = f"Gauss-Newton did not converge in {steps} iterations"
+        if local_converged:
+            w = lift(X, Y, Z)
+            bound, lambda_min_rel = lagrangian_bound(problem, w)
+            eta = certify(problem, w, bound)[0]
+            if lambda_min_rel >= -CERT_EIG_TOL and eta <= CERT_ETA:
+                log.info("init: local optimum certified after %d Gauss-Newton iterations, "
+                         "lambda_min_rel=%.3e", steps, lambda_min_rel)
+                # no ADMM ran, so no residual either
+                return SDPResult(np.outer(w, w), bound, 0.0, 0.0, 0, True, tol)
+            reason = f"lambda_min(S)/tr(Q) = {lambda_min_rel:.3e}, eta = {eta:.3e}"
+    log.info("init: local optimum not certified (%s); solving the SDP by ADMM", reason)
     A = build_constraints()
     b = A.rho
     G_inv = np.linalg.pinv(A.gram(), rcond=1e-12, hermitian=True)
@@ -289,7 +318,6 @@ def solve_sdp(problem):
         P = (V[:, pos] * lam[pos]) @ V[:, pos].T
         return 0.5 * (P + P.T)  # exactly symmetric, as extract's eigh assumes
 
-    tol = ADMM_TOL * (1.0 + np.linalg.norm(Q))
     sigma = max(np.linalg.norm(Q) / 20.0, 1e-3)
     x = proj_aff(np.zeros((DIM, DIM)))
     s = proj_psd(x)
@@ -479,64 +507,26 @@ class InitResult:
     abs_gap: float
     p_sdp: float
     rank_ratio: float
-    iterations: int
+    iterations: int  # ADMM's; 0 when the local optimum certified itself
     converged: bool
-    primal_res: float | None
-    dual_res: float | None
-    method: str
-    lambda_min_rel: float | None
-
-
-def certified_local(problem):
-    """Linear lift, local solve and Lagrangian certificate.
-
-    Returns the InitResult, or None after logging why the candidate is
-    not certified.
-    """
-    def fail(reason):
-        log.info("certified-local init failed (%s); falling back to ADMM", reason)
-
-    Q = problem.Q
-    if not np.isfinite(Q).all():
-        return fail("the objective matrix Q has a non-finite entry")
-    try:
-        X, Y, Z = linear_lift(Q, len(problem.residual_stack) // 12)
-    except CalibrationError as exc:
-        return fail(exc)
-    X, Y, Z, iterations, converged = local_solve(Q, X, Y, Z)
-    if not converged:
-        return fail(f"Gauss-Newton did not converge in {iterations} iterations")
-    w = lift(X, Y, Z)
-    bound, lambda_min_rel = lagrangian_bound(problem, w)
-    eta, abs_gap, p_cert = certify(problem, w, bound)
-    if not (lambda_min_rel >= -CERT_EIG_TOL and eta <= CERT_ETA):
-        return fail(f"lambda_min(S)/tr(Q) = {lambda_min_rel:.3e}, eta = {eta:.3e}")
-    return InitResult(X, Y, Z, eta, abs_gap, p_cert, 0.0, iterations, True,
-                      None, None, "certified-local", lambda_min_rel)
 
 
 def initialize(nominal, samples):
     """Full certifiable initialization pipeline, on the nominal system's arms.
 
-    Tries certified_local first; when its certificate fails, solves the
-    SDP by ADMM, extracts and certifies, and warns once if ADMM did not
-    converge or else if eta > CERT_ETA (not certified).  Raises
-    ValidationError, before building the problem, for under 3 samples
-    (6 rows each for X/Y/Z's 18 unknowns).
+    Builds the problem, solves the SDP, extracts and certifies, and warns
+    once if ADMM did not converge or else if eta > CERT_ETA (not
+    certified).  Raises ValidationError, before building the problem, for
+    under 3 samples (6 rows each for X/Y/Z's 18 unknowns).
     """
     if 6 * len(samples) < 18:
         raise ValidationError(f"initialization needs at least 3 samples, got {len(samples)}")
     log.info("certifiable initialization (m=%d samples)", len(samples))
     problem = build_problem(nominal, samples)
-    init = certified_local(problem)
-    if init is not None:
-        log.info("init: certified-local, eta=%.3e lambda_min_rel=%.3e iters=%d",
-                 init.eta, init.lambda_min_rel, init.iterations)
-        return init
     res = solve_sdp(problem)
     w_star, X, Y, Z, rank_ratio = extract(res.W)
     eta, abs_gap, p_cert = certify(problem, w_star, res.p_sdp)
-    log.info("init: admm, eta=%.3e rank_ratio=%.3e iters=%d", eta, rank_ratio, res.iterations)
+    log.info("init: eta=%.3e rank_ratio=%.3e ADMM iterations=%d", eta, rank_ratio, res.iterations)
     if not res.converged:
         log.warning("SDP initialization: ADMM did not converge in %d iterations "
                     "(primal %.3e, dual %.3e, tolerance %.3e)",
@@ -544,6 +534,4 @@ def initialize(nominal, samples):
     elif eta > CERT_ETA:
         log.warning("SDP initialization: result not certified, eta = %.3e exceeds "
                     "the bound CERT_ETA = %.0e", eta, CERT_ETA)
-    return InitResult(X, Y, Z, eta, abs_gap, p_cert, rank_ratio,
-                      res.iterations, res.converged, res.primal_res, res.dual_res,
-                      "admm", None)
+    return InitResult(X, Y, Z, eta, abs_gap, p_cert, rank_ratio, res.iterations, res.converged)

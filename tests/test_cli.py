@@ -723,10 +723,14 @@ def flattened_disc(postures):
     (short_q_a, "postures[3].q_a has 5 values, the sensor arm has 6 joints"),
     (nan_q_c, "postures[2].q_c has a non-finite value"),
     (nan_point, "postures[5].points has a non-finite value"),
-    (three_points, "postures[4].points do not determine a sphere"),
-    (coplanar_points, "postures[6].points do not determine a sphere"),
-    (nearly_coplanar_points, "postures[3].points do not determine a sphere"),
-    (flattened_disc, "postures[3].points do not determine a sphere"),
+    (three_points, "postures[4].points do not determine a sphere: "
+                   "need 4 or more points, not all in one plane"),
+    (coplanar_points, "postures[6].points do not determine a sphere: "
+                      "need 4 or more points, not all in one plane"),
+    (nearly_coplanar_points, "postures[3].points do not determine a sphere: "
+                             "need 4 or more points, not all in one plane"),
+    (flattened_disc, "postures[3].points do not determine a sphere: "
+                     "the sphere fit did not converge"),
 ], ids=["short-q_a", "nan-q_c", "nan-points", "three-points", "coplanar-points",
         "nearly-coplanar-points", "flattened-disc"])
 def test_bad_posture_exits_2_naming_field(postures, calib_file, tmp_path, capsys, edit, message):
@@ -834,20 +838,25 @@ def test_commands_run_no_collection(tmp_path, gc_state, monkeypatch):
         if phase == "start":
             collections.append(info["generation"])
 
+    build_parser()  # built once per process, by whichever main() call comes first
     found = {}
     gc.enable()
     for i, (argv, code) in enumerate(commands):
         gc.collect()
         collections = []
-        gc.callbacks.append(count)
-        try:
-            with monkeypatch.context() as m:
-                if code == 3:
-                    m.setattr(np.linalg, "svd", fail)  # the report's SVD of J
-                assert run(*argv) == code, argv
-        finally:
-            gc.callbacks.remove(count)
+        with monkeypatch.context() as m:
+            if code == 3:
+                m.setattr(np.linalg, "svd", fail)  # the report's SVD of J
+            # watched over the command alone: the first allocation after it
+            # may start the collection that its paused allocations put off
+            gc.callbacks.append(count)
+            try:
+                exit_code = run(*argv)
+            finally:
+                gc.callbacks.remove(count)
+        assert exit_code == code, argv
         found[f"{i} {argv[0]}"] = (collections, gc.collect())
     assert all(v == ([], 0) for v in found.values()), found
-    assert [json.loads(Path(f[k]).read_text())["method"] for k in ("init", "admm")] == [
-        "certified-local", "admm"]
+    # the certified local optimum runs no ADMM; the m = 15 dataset falls back to it
+    iterations = [json.loads(Path(f[k]).read_text())["iterations"] for k in ("init", "admm")]
+    assert iterations[0] == 0 and iterations[1] > 0

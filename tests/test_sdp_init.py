@@ -42,10 +42,29 @@ def noise_free_setup():
     return system, samples, problem
 
 
+def must_not_run(*args, **kwargs):
+    raise AssertionError("must not run")
+
+
+def admm_solve(problem):
+    """solve_sdp with the local start's certificate refused: a cold ADMM solve."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sdp, "CERT_ETA", -1.0)
+        res = sdp.solve_sdp(problem)
+    assert res.iterations > 0
+    return res
+
+
 @pytest.fixture(scope="module")
 def noise_free_solution(noise_free_setup):
     _, _, problem = noise_free_setup
     return sdp.solve_sdp(problem)
+
+
+@pytest.fixture(scope="module")
+def noise_free_admm(noise_free_setup):
+    _, _, problem = noise_free_setup
+    return admm_solve(problem)
 
 
 def test_lift_identity_layout():
@@ -250,41 +269,48 @@ def test_constraint_operator_matches_dense_constraints(constraints, dense_H):
     assert np.abs(op.gram() - G).max() < 1e-12
 
 
-def test_solve_rejects_non_finite_objective(noise_free_setup):
+def test_solve_rejects_non_finite_objective(noise_free_setup, monkeypatch):
     _, _, problem = noise_free_setup
     Q = problem.Q.copy()
     Q[5, 7] = Q[7, 5] = np.nan
+    G = problem.residual_stack.copy()
+    G[3, 5] = np.nan
+    # refused before the local start, whether Q or the stack it came from
+    monkeypatch.setattr(sdp, "linear_lift", must_not_run)
     message = "^objective matrix Q has a non-finite entry$"
-    with pytest.raises(CalibrationError, match=message) as excinfo:
-        sdp.solve_sdp(sdp.SDPProblem(Q, problem.residual_stack))
-    assert excinfo.type is CalibrationError
+    for bad in (sdp.SDPProblem(Q, problem.residual_stack), sdp.SDPProblem(G.T @ G, G)):
+        with pytest.raises(CalibrationError, match=message) as excinfo:
+            sdp.solve_sdp(bad)
+        assert excinfo.type is CalibrationError
 
 
-def test_solve_noise_free_tight(noise_free_solution, constraints, dense_H):
-    res = noise_free_solution
-    assert res.converged
-    assert res.p_sdp <= 1e-8
-    # constraint feasibility of the returned matrix
-    viol = max(abs(np.sum(H * res.W) - rho) for H, rho in zip(dense_H, constraints.rho))
-    assert viol < 1e-7
-    # PSD within tolerance
-    lam = np.linalg.eigvalsh(res.W)
-    assert lam.min() > -res.tol
+def test_solve_noise_free_tight(noise_free_solution, noise_free_admm, constraints, dense_H):
+    for res in (noise_free_solution, noise_free_admm):
+        assert res.converged
+        assert res.p_sdp <= 1e-8
+        # constraint feasibility of the returned matrix
+        viol = max(abs(np.sum(H * res.W) - rho) for H, rho in zip(dense_H, constraints.rho))
+        assert viol < 1e-7
+        # PSD within tolerance
+        lam = np.linalg.eigvalsh(res.W)
+        assert lam.min() > -res.tol
 
 
-def test_extract_noise_free_recovers_truth(noise_free_setup, noise_free_solution):
+def test_extract_noise_free_recovers_truth(noise_free_setup, noise_free_solution,
+                                          noise_free_admm):
     system, _, problem = noise_free_setup
-    w_star, X, Y, Z, rank_ratio = sdp.extract(noise_free_solution.W)
-    assert rank_ratio < 1e-6
     from dualcal.liegroup import rotation_angle
-    assert np.degrees(rotation_angle(X[:3, :3] @ system.X[:3, :3].T)) < 1e-3
-    assert np.degrees(rotation_angle(Y[:3, :3] @ system.Y[:3, :3].T)) < 1e-3
-    assert np.degrees(rotation_angle(Z[:3, :3] @ system.Z[:3, :3].T)) < 1e-3
-    assert np.linalg.norm(X[:3, 3] - system.X[:3, 3]) < 1e-5
-    assert np.linalg.norm(Y[:3, 3] - system.Y[:3, 3]) < 1e-5
-    assert np.linalg.norm(Z[:3, 3] - system.Z[:3, 3]) < 1e-5
-    eta, abs_gap, p_cert = sdp.certify(problem, w_star, noise_free_solution.p_sdp)
-    assert 0.0 <= eta <= 1e-6
+    for res in (noise_free_solution, noise_free_admm):
+        w_star, X, Y, Z, rank_ratio = sdp.extract(res.W)
+        assert rank_ratio < 1e-6
+        assert np.degrees(rotation_angle(X[:3, :3] @ system.X[:3, :3].T)) < 1e-3
+        assert np.degrees(rotation_angle(Y[:3, :3] @ system.Y[:3, :3].T)) < 1e-3
+        assert np.degrees(rotation_angle(Z[:3, :3] @ system.Z[:3, :3].T)) < 1e-3
+        assert np.linalg.norm(X[:3, 3] - system.X[:3, 3]) < 1e-5
+        assert np.linalg.norm(Y[:3, 3] - system.Y[:3, 3]) < 1e-5
+        assert np.linalg.norm(Z[:3, 3] - system.Z[:3, 3]) < 1e-5
+        eta, abs_gap, p_cert = sdp.certify(problem, w_star, res.p_sdp)
+        assert 0.0 <= eta <= 1e-6
 
 
 def test_extract_rank_one_roundtrip():
@@ -333,24 +359,25 @@ def test_lower_bound_and_eta_on_noisy_data():
     noise = noise_twists(level("noise", "QH"), rng, len(clean))
     samples = Measurements(clean.q_a, clean.q_c, clean.B @ lie.exp_se3(noise))
     problem = sdp.build_problem(system, samples)
-    res = sdp.solve_sdp(problem)
     w_gt = sdp.lift(system.X, system.Y, system.Z)
     gt_obj = w_gt @ problem.Q @ w_gt
-    assert res.p_sdp <= gt_obj + 10 * res.tol
-    w_star, X, Y, Z, rank_ratio = sdp.extract(res.W)
-    eta, abs_gap, p_cert = sdp.certify(problem, w_star, res.p_sdp)
-    assert eta < 1e-3
-    assert p_cert > 0
+    # the certified local optimum's Lagrangian bound, and ADMM's objective
+    for res in (sdp.solve_sdp(problem), admm_solve(problem)):
+        assert res.p_sdp <= gt_obj + 10 * res.tol
+        w_star, X, Y, Z, rank_ratio = sdp.extract(res.W)
+        eta, abs_gap, p_cert = sdp.certify(problem, w_star, res.p_sdp)
+        assert eta < 1e-3
+        assert p_cert > 0
 
 
 def test_initialize_pipeline_record(noise_free_setup):
     system, samples, _ = noise_free_setup
     init = sdp.initialize(system, samples)
     d = _record(init)
-    for key in ("X", "Y", "Z", "eta", "p_sdp", "rank_ratio", "iterations", "converged",
-                "primal_res", "dual_res", "method", "lambda_min_rel"):
-        assert key in d
-    assert d["converged"]
+    assert list(d) == ["X", "Y", "Z", "eta", "abs_gap", "p_sdp", "rank_ratio", "iterations",
+                       "converged"]
+    assert None not in d.values()
+    assert d["converged"] and d["iterations"] == 0
     assert d["rank_ratio"] < 1e-6
     assert d["eta"] <= 1e-6
 
@@ -376,7 +403,7 @@ def test_initialize_warns_when_admm_result_is_not_certified(caplog, monkeypatch)
     ds = generate_dataset(3, "M", "M", seed=6)
     with caplog.at_level(logging.WARNING, logger="dualcal"):
         init = sdp.initialize(ds.nominal_system, ds.samples)
-    assert init.method == "admm" and init.converged and init.eta > sdp.CERT_ETA
+    assert init.iterations > 0 and init.converged and init.eta > sdp.CERT_ETA
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1
     message = warnings[0].getMessage()
@@ -418,32 +445,43 @@ def qh_problems():
 
 
 def test_certified_local_on_noise_free_and_qh_data(noise_free_setup, qh_problems, caplog):
-    system, samples, _ = noise_free_setup
+    system, samples, problem = noise_free_setup
     with caplog.at_level(logging.WARNING, logger="dualcal"):
         init = sdp.initialize(system, samples)
-    assert init.method == "certified-local" and not caplog.records
-    assert init.eta <= sdp.CERT_ETA and init.lambda_min_rel >= -sdp.CERT_EIG_TOL
-    assert init.primal_res is None and init.dual_res is None and init.rank_ratio == 0.0
+    assert init.iterations == 0 and init.converged and not caplog.records
+    w = sdp.lift(init.X, init.Y, init.Z)
+    assert init.eta <= sdp.CERT_ETA and sdp.lagrangian_bound(problem, w)[1] >= -sdp.CERT_EIG_TOL
+    assert init.rank_ratio < 1e-12  # the certified optimum is w w^T
+    res = sdp.solve_sdp(problem)
+    assert res.primal_res == res.dual_res == 0.0  # no ADMM ran
     for est, true in ((init.X, system.X), (init.Y, system.Y), (init.Z, system.Z)):
         assert np.abs(est - true).max() < 1e-9
-    init = sdp.certified_local(qh_problems[0])
-    assert init is not None and init.method == "certified-local"
-    assert init.eta <= sdp.CERT_ETA and init.p_sdp > 0
+    res = sdp.solve_sdp(qh_problems[0])
+    assert res.iterations == 0 and res.converged
+    w_star, *_ = sdp.extract(res.W)
+    eta, _, p_cert = sdp.certify(qh_problems[0], w_star, res.p_sdp)
+    assert eta <= sdp.CERT_ETA and p_cert > 0
 
 
-def test_certified_local_falls_back_on_non_finite_stack(noise_free_setup):
-    _, _, problem = noise_free_setup
-    G = problem.residual_stack.copy()
-    G[3, 5] = np.nan
-    assert sdp.certified_local(sdp.SDPProblem(G.T @ G, G)) is None
+def test_certified_solve_skips_admm_set_up(qh_problems, monkeypatch):
+    problem = qh_problems[0]
+    X, Y, Z = sdp.linear_lift(problem.Q, 20)
+    w = sdp.lift(*sdp.local_solve(problem.Q, X, Y, Z)[:3])
+    bound, _ = sdp.lagrangian_bound(problem, w)
+    monkeypatch.setattr(np.linalg, "pinv", must_not_run)  # ADMM's first set-up step
+    res = sdp.solve_sdp(problem)
+    assert res.iterations == 0 and res.converged
+    assert np.array_equal(res.W, np.outer(w, w)) and res.p_sdp == bound
 
 
 def test_certified_local_matches_admm(qh_problems):
+    # the certified local optimum against an independent cold ADMM solve
     for problem in qh_problems:
-        init = sdp.certified_local(problem)
-        assert init is not None
-        _, X, Y, Z, _ = sdp.extract(sdp.solve_sdp(problem).W)
-        for est, ref in ((init.X, X), (init.Y, Y), (init.Z, Z)):
+        res = sdp.solve_sdp(problem)
+        assert res.iterations == 0
+        _, *local = sdp.extract(res.W)
+        _, *cold = sdp.extract(admm_solve(problem).W)
+        for est, ref in zip(local[:3], cold[:3]):
             assert np.abs(est - ref).max() < 1e-6
 
 
@@ -453,10 +491,13 @@ def perturbed(X, Y, Z):
 
 def test_perturbed_candidate_fails_certificate(qh_problems):
     problem = qh_problems[0]
-    init = sdp.certified_local(problem)
-    w = sdp.lift(*perturbed(init.X, init.Y, init.Z))
+    res = sdp.solve_sdp(problem)
+    assert res.iterations == 0
+    w_star, X, Y, Z, _ = sdp.extract(res.W)
+    _, _, p_cert = sdp.certify(problem, w_star, res.p_sdp)
+    w = sdp.lift(*perturbed(X, Y, Z))
     # against the certified bound the perturbed candidate is visibly sub-optimal
-    eta, _, _ = sdp.certify(problem, w, init.p_sdp)
+    eta, _, _ = sdp.certify(problem, w, p_cert)
     assert eta > sdp.CERT_ETA
     # and its own multipliers leave S = Q - A*(lambda) indefinite
     _, lambda_min_rel = sdp.lagrangian_bound(problem, w)
@@ -475,9 +516,9 @@ def test_initialize_falls_back_to_admm_when_certificate_fails(monkeypatch, caplo
     monkeypatch.setattr(sdp, "local_solve", perturbed_local_solve)
     with caplog.at_level(logging.INFO, logger="dualcal"):
         init = sdp.initialize(nominal, ds.samples)
-    assert init.method == "admm" and init.lambda_min_rel is None
-    assert init.converged and init.primal_res is not None and init.eta < 1e-3
-    assert any("falling back to ADMM" in r.getMessage() for r in caplog.records)
+    assert init.iterations > 0 and init.converged and init.eta < 1e-3
+    assert any("not certified (lambda_min(S)/tr(Q) = " in r.getMessage()
+               and "solving the SDP by ADMM" in r.getMessage() for r in caplog.records)
 
 
 def test_certified_init_beats_linear_lift_on_held_out_data():
@@ -489,7 +530,7 @@ def test_certified_init_beats_linear_lift_on_held_out_data():
         nominal = ds.nominal_system
         train, held_out = ds.samples[:20], ds.samples[20:]
         init = sdp.initialize(nominal, train)
-        assert init.method == "certified-local"
+        assert init.iterations == 0
         linear = sdp.linear_lift(sdp.build_problem(nominal, train).Q, len(train))
         scores = [evaluate_samples(replace(nominal, X=X, Y=Y, Z=Z), held_out)
                   for X, Y, Z in (linear, (init.X, init.Y, init.Z))]
@@ -554,10 +595,11 @@ def test_linear_lift_below_m14_is_the_min_norm_least_squares():
 
 
 @pytest.mark.parametrize("m, certified", [(15, 16), (18, 20)])
-def test_certified_local_counts_at_small_m(m, certified):
-    # certified_local never runs ADMM: None is a fallback
+def test_certified_local_counts_at_small_m(m, certified, monkeypatch):
+    # with ADMM capped at 0 iterations, only a certified local start converges
+    monkeypatch.setattr(sdp, "ADMM_MAX_ITERS", 0)
     count = 0
     for seed in range(20):
         ds = generate_dataset(m, "M", "M", seed=seed)
-        count += sdp.certified_local(sdp.build_problem(ds.nominal_system, ds.samples)) is not None
+        count += sdp.solve_sdp(sdp.build_problem(ds.nominal_system, ds.samples)).converged
     assert count >= certified

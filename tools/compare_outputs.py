@@ -4,9 +4,10 @@
 
 Each argument is a directory holding the `dualcal` package (a checkout's
 `src`).  For each tree, one subprocess imports dualcal from it and runs a
-fixed command set: generate (plain and --blind); init on the
-certified-local path and on the ADMM fallback (m = 15, level QH, seed 0,
-with the ADMM iteration cap lowered to 200 to keep the run short);
+fixed command set: generate (plain and --blind); init on data whose
+local optimum certifies itself and on data that runs ADMM (m = 15, level
+QH, seed 0, with the ADMM iteration cap lowered to 200 to keep the run
+short);
 calibrate with and without --init, and on the fallback data;
 evaluate as JSON with --csv, and with --nominal-kinematics; identifiability
 on the nominal system and with --calib; ball-eval with and without
