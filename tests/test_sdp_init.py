@@ -273,15 +273,24 @@ def test_solve_rejects_non_finite_objective(noise_free_setup, monkeypatch):
     _, _, problem = noise_free_setup
     Q = problem.Q.copy()
     Q[5, 7] = Q[7, 5] = np.nan
-    G = problem.residual_stack.copy()
-    G[3, 5] = np.nan
-    # refused before the local start, whether Q or the stack it came from
+    # refused before the local start
     monkeypatch.setattr(sdp, "linear_lift", must_not_run)
     message = "^objective matrix Q has a non-finite entry$"
-    for bad in (sdp.SDPProblem(Q, problem.residual_stack), sdp.SDPProblem(G.T @ G, G)):
-        with pytest.raises(CalibrationError, match=message) as excinfo:
-            sdp.solve_sdp(bad)
-        assert excinfo.type is CalibrationError
+    with pytest.raises(CalibrationError, match=message) as excinfo:
+        sdp.solve_sdp(sdp.SDPProblem(Q, problem.residual_stack))
+    assert excinfo.type is CalibrationError
+
+
+def test_certified_local_falls_back_on_non_finite_stack(noise_free_setup, monkeypatch):
+    # a Q built from a non-finite residual stack never reaches the local start
+    _, _, problem = noise_free_setup
+    G = problem.residual_stack.copy()
+    G[3, 5] = np.nan
+    monkeypatch.setattr(sdp, "linear_lift", must_not_run)
+    message = "^objective matrix Q has a non-finite entry$"
+    with pytest.raises(CalibrationError, match=message) as excinfo:
+        sdp.solve_sdp(sdp.SDPProblem(G.T @ G, G))
+    assert excinfo.type is CalibrationError
 
 
 def test_solve_noise_free_tight(noise_free_solution, noise_free_admm, constraints, dense_H):
