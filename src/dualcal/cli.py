@@ -32,7 +32,7 @@ from .chain import DualArmSystem, Measurements, identifiability_report, residual
 from .errors import CalibrationError, RankDeficientError, ValidationError
 from .evaluate import ball_consistency, evaluate_samples
 from .kinematics import RobotModel
-from .sdp_init import initialize
+from .sdp_init import InitResult, initialize
 from .simulate import SyntheticDataset, default_system, generate_dataset
 from .solver import calibrate
 
@@ -192,6 +192,31 @@ def load_dataset(path):
     return _dataset_from_dict(_load_json(path, "dataset"))
 
 
+def _init_from_dict(d):
+    """The Initialization keys of an init file, in the order of its schema,
+    each checked; X, Y and Z are required, and any other key is dropped."""
+    _require_fields(d, "XYZ", "init")
+    record = {}
+    for key in (f.name for f in fields(InitResult)):
+        if key not in d:
+            continue
+        v = d[key]
+        if key in ("X", "Y", "Z"):
+            v = _field_array(v, key, (4, 4), "a pose is 4x4 row-major").tolist()
+        elif key == "iterations":
+            if type(v) is not int or v < 0:
+                raise ValidationError(f"init.{key} is not a non-negative integer")
+        elif key == "converged":
+            if type(v) is not bool:
+                raise ValidationError(f"init.{key} is not a boolean")
+        elif type(v) not in (int, float):  # bool is neither
+            raise ValidationError(f"init.{key} is not a number")
+        elif type(v) is float and not np.isfinite(v):  # a JSON integer is finite
+            raise ValidationError(f"init.{key} is not finite")
+        record[key] = v
+    return record
+
+
 def _load_postures(path, n):
     """Joint readings q_a, q_c (m, n) and the list of (N_i, 3) clouds of a
     clouds file."""
@@ -257,10 +282,8 @@ def cmd_calibrate(args):
     ds = load_dataset(args.data)
     coords = init_record = None
     if args.init:
-        init_record = _load_json(args.init, "init")
-        _require_fields(init_record, "XYZ", "init")
-        coords = [_field_array(init_record[k], k, (4, 4), "a pose is 4x4 row-major")
-                  for k in "XYZ"]
+        init_record = _init_from_dict(_load_json(args.init, "init"))
+        coords = [np.array(init_record[k]) for k in "XYZ"]
     init, final, trace = calibrate(ds.nominal_system, ds.samples, coords, args.tol)
     if init is not None:
         init_record = _record(init)

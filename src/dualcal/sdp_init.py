@@ -54,13 +54,10 @@ CERT_EIG_TOL = 1e-12
 CERT_ETA = 1e-6
 
 # ADMM, when the local start does not certify: residual tolerance factor,
-# tight so that the certificate stays sharp near a zero optimum; iteration
-# cap; over-relaxation; and the interval at which the residuals are checked
-# and balanced
+# tight so that the certificate stays sharp near a zero optimum; and
+# iteration cap
 ADMM_TOL = 1e-10
 ADMM_MAX_ITERS = 50000
-ADMM_RELAX = 1.6
-ADMM_CHECK_EVERY = 25
 
 
 def _kron(A, B):
@@ -277,9 +274,11 @@ def solve_sdp(problem):
     symmetric 133x133 matrices.  Alternates (i) projection onto the affine
     constraint set through the sparse constraint operator and a
     precomputed factorization of its Gram matrix, (ii) PSD projection by
-    eigenvalue clamping, (iii) scaled dual update, with over-relaxation
-    and residual balancing.  Stops when both residuals drop below
-    ADMM_TOL*(1+|Q|_F), or after ADMM_MAX_ITERS iterations.
+    eigenvalue clamping, (iii) scaled dual update; every iteration then
+    checks both residuals and balances them (Boyd et al., Foundations and
+    Trends in ML 2011, sections 3.1.1 and 3.4.1).  Stops when both
+    residuals drop below ADMM_TOL*(1+|Q|_F), or after ADMM_MAX_ITERS
+    iterations.
     Non-convergence is reported in the result, not raised: the caller may
     still extract.
     """
@@ -319,8 +318,7 @@ def solve_sdp(problem):
         return 0.5 * (P + P.T)  # exactly symmetric, as extract's eigh assumes
 
     sigma = max(np.linalg.norm(Q) / 20.0, 1e-3)
-    x = proj_aff(np.zeros((DIM, DIM)))
-    s = proj_psd(x)
+    s = proj_psd(proj_aff(np.zeros((DIM, DIM))))
     u = np.zeros((DIM, DIM))
     primal = dual = np.inf
     it = 0
@@ -328,25 +326,21 @@ def solve_sdp(problem):
     while it < ADMM_MAX_ITERS:
         it += 1
         x = proj_aff(s - u - Q / sigma)
-        xh = ADMM_RELAX * x + (1.0 - ADMM_RELAX) * s
-        s_new = proj_psd(xh + u)
-        u = u + xh - s_new
-        if it % ADMM_CHECK_EVERY == 0 or it == ADMM_MAX_ITERS:
-            primal = np.linalg.norm(x - s_new)
-            dual = sigma * np.linalg.norm(s_new - s)
-            s = s_new
-            if primal < tol and dual < tol:
-                converged = True
-                break
-            # residual balancing keeps the two error measures comparable
-            if primal > 10.0 * dual:
-                sigma *= 2.0
-                u /= 2.0
-            elif dual > 10.0 * primal:
-                sigma /= 2.0
-                u *= 2.0
-        else:
-            s = s_new
+        s_new = proj_psd(x + u)
+        u += x - s_new
+        primal = np.linalg.norm(x - s_new)
+        dual = sigma * np.linalg.norm(s_new - s)
+        s = s_new
+        if primal < tol and dual < tol:
+            converged = True
+            break
+        # residual balancing keeps the two error measures comparable
+        if primal > 10.0 * dual:
+            sigma *= 2.0
+            u /= 2.0
+        elif dual > 10.0 * primal:
+            sigma /= 2.0
+            u *= 2.0
     # Report the PSD iterate: exactly PSD, affine-feasible within the
     # primal residual, and its objective tr(QS) >= 0 is far less noisy
     # than the affine iterate's near a zero optimum.

@@ -93,16 +93,58 @@ def drop_z(record):
     return record
 
 
+def set_field(key, value):
+    def edit(record):
+        record[key] = value
+        return record
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (drop_z, "init is missing field 'Z'"),
     (lambda record: [record["X"], record["Y"], record["Z"]], "is not a JSON object"),
-], ids=["missing-Z", "not-an-object"])
+    (set_field("eta", "not a number"), "init.eta is not a number"),
+    (set_field("p_sdp", True), "init.p_sdp is not a number"),
+    (set_field("eta", float("nan")), "init.eta is not finite"),  # written as NaN
+    (set_field("abs_gap", float("inf")), "init.abs_gap is not finite"),
+    (set_field("rank_ratio", None), "init.rank_ratio is not a number"),
+    (set_field("iterations", -1), "init.iterations is not a non-negative integer"),
+    (set_field("iterations", 25.0), "init.iterations is not a non-negative integer"),
+    (set_field("converged", 1), "init.converged is not a boolean"),
+], ids=["missing-Z", "not-an-object", "eta-string", "p_sdp-bool", "eta-nan", "abs_gap-inf",
+        "rank_ratio-null", "iterations-negative", "iterations-float", "converged-int"])
 def test_bad_init_file_exits_2_naming_field(workdir, init_file, tmp_path, capsys, edit, message):
     bad = tmp_path / "bad_init.json"
     bad.write_text(json.dumps(edit(json.loads(init_file.read_text()))))
     assert run("calibrate", "--data", str(workdir / "data.json"), "--init", str(bad),
                "--out", str(tmp_path / "calib.json")) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "calib.json").exists()
+
+
+def test_calibrate_init_drops_keys_outside_the_schema(workdir, init_file, calib_file, tmp_path):
+    record = json.loads(init_file.read_text())
+    extra = {"junk": {"a": 1}, **record, "method": "admm"}
+    path = tmp_path / "extra_init.json"
+    path.write_text(json.dumps(extra))
+    out = tmp_path / "calib.json"
+    assert run("calibrate", "--data", str(workdir / "data.json"), "--init", str(path),
+               "--tol", "1e-12", "--out", str(out)) == 0
+    assert out.read_bytes() == calib_file.read_bytes()
+    assert json.loads(out.read_text())["init"] == record
+
+
+def test_calibrate_init_of_poses_only(workdir, init_file, tmp_path):
+    # the form perfbench's refine-m400 writes: X, Y and Z alone
+    record = json.loads(init_file.read_text())
+    path = tmp_path / "xyz_init.json"
+    path.write_text(json.dumps({k: record[k] for k in "ZYX"}))
+    out = tmp_path / "calib.json"
+    assert run("calibrate", "--data", str(workdir / "data.json"), "--init", str(path),
+               "--out", str(out)) == 0
+    d = json.loads(out.read_text())
+    assert d["eta"] is None
+    assert d["init"] == {k: record[k] for k in "XYZ"} and list(d["init"]) == ["X", "Y", "Z"]
 
 
 def test_calibrate_without_init_records_eta(workdir, tmp_path):

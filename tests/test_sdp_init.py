@@ -530,6 +530,32 @@ def test_initialize_falls_back_to_admm_when_certificate_fails(monkeypatch, caplo
                and "solving the SDP by ADMM" in r.getMessage() for r in caplog.records)
 
 
+def test_solve_runs_admm_when_the_lift_cannot_be_projected(noise_free_setup, monkeypatch,
+                                                          caplog):
+    _, _, problem = noise_free_setup
+
+    def unprojectable(Q, m):
+        raise CalibrationError("homogeneous entry of the lifted vector is ~0")
+
+    monkeypatch.setattr(sdp, "linear_lift", unprojectable)
+    monkeypatch.setattr(sdp, "local_solve", must_not_run)
+    monkeypatch.setattr(sdp, "ADMM_MAX_ITERS", 25)
+    with caplog.at_level(logging.INFO, logger="dualcal"):
+        res = sdp.solve_sdp(problem)
+    assert res.iterations == 25 and not res.converged
+    assert [r.getMessage() for r in caplog.records] == [
+        "init: local optimum not certified (homogeneous entry of the lifted vector is ~0); "
+        "solving the SDP by ADMM"]
+
+
+def test_initialize_certifies_by_admm_where_the_local_start_fails():
+    # no monkeypatch: at m = 15 the local optimum of this dataset does not
+    # certify itself, and ADMM runs to convergence (about 1100 iterations)
+    ds = generate_dataset(15, "QH", "M", seed=0)
+    init = sdp.initialize(ds.nominal_system, ds.samples)
+    assert init.iterations > 0 and init.converged and init.eta <= sdp.CERT_ETA
+
+
 def test_certified_init_beats_linear_lift_on_held_out_data():
     # the classic linear AXB=YCZ baseline (Wu et al., IEEE T-RO 2016): the
     # unconstrained least-squares lift, projected onto X/Y/Z
